@@ -162,8 +162,7 @@ def _cmd_compare(args: argparse.Namespace) -> int:
     return 0
 
 
-def _prefetch_for(ids, jobs: int,
-                  backend: Optional[str] = None) -> Optional[object]:
+def _prefetch_for(ids, jobs: int) -> Optional[object]:
     """Run the deduplicated task graph of ``ids`` on ``jobs`` workers."""
     from repro.experiments import runner
     from repro.parallel import build_plan
@@ -171,7 +170,7 @@ def _prefetch_for(ids, jobs: int,
     graph = build_plan(ids)
     if not graph.tasks and not graph.deferred:
         return None
-    report = runner.prefetch(graph, jobs=jobs, backend=backend)
+    report = runner.prefetch(graph, jobs=jobs)
     summary = report.summary()
     print(f"[parallel] {summary['tasks']} task(s) on {summary['jobs']} "
           f"worker(s) in {summary['wall_s']:.1f} s "
@@ -210,8 +209,8 @@ def _cmd_experiment(args: argparse.Namespace) -> int:
         print(f"unknown experiment {args.id!r}; known: {known}",
               file=sys.stderr)
         return 2
-    if args.jobs > 1 or args.backend:
-        _prefetch_for([key], args.jobs, args.backend)
+    if args.jobs > 1:
+        _prefetch_for([key], args.jobs)
     _run_one_experiment(key)
     return _report_session_errors()
 
@@ -269,8 +268,8 @@ def _cmd_trace(args: argparse.Namespace) -> int:
             obs_metrics.use_metrics(
                 obs_metrics.MetricsRegistry()) as registry, \
             obs_profile.use_profiler(obs_profile.Profiler()) as profiler:
-        if args.jobs > 1 or args.backend:
-            _prefetch_for([key], args.jobs, args.backend)
+        if args.jobs > 1:
+            _prefetch_for([key], args.jobs)
         if args.json:
             # Pure-JSON stdout: run silently, emit one document.
             module = importlib.import_module(
@@ -311,8 +310,8 @@ def _cmd_bench(args: argparse.Namespace) -> int:
         return 2
 
     start = time.perf_counter()
-    engine_report = (_prefetch_for(ids, args.jobs, args.backend)
-                     if args.jobs > 1 or args.backend else None)
+    engine_report = (_prefetch_for(ids, args.jobs)
+                     if args.jobs > 1 else None)
     digests = {}
     for experiment_id in ids:
         rows = _run_one_experiment(experiment_id)
@@ -427,8 +426,8 @@ def _cmd_goldens(args: argparse.Namespace) -> int:
         print(f"unknown experiment id(s) {unknown}; known: {known}",
               file=sys.stderr)
         return 2
-    if args.jobs > 1 or args.backend:
-        _prefetch_for(ids, args.jobs, args.backend)
+    if args.jobs > 1:
+        _prefetch_for(ids, args.jobs)
     directory = Path(args.dir) if args.dir else None
 
     failed = False
@@ -715,41 +714,6 @@ def _cmd_export_verilog(args: argparse.Namespace) -> int:
     return 0
 
 
-def _cmd_serve(args: argparse.Namespace) -> int:
-    """Run the repro-as-a-service HTTP API in the foreground."""
-    from pathlib import Path
-
-    from repro.service import ReproService, ServiceConfig
-
-    config = ServiceConfig(
-        host=args.host,
-        port=args.port,
-        data_dir=Path(args.data_dir) if args.data_dir else None,
-        store_dir=(Path(args.checkpoint_dir)
-                   if getattr(args, "checkpoint_dir", None) else None),
-        jobs=args.jobs,
-        backend=args.backend,
-    )
-    service = ReproService(config)
-    service.start()
-    print(f"repro service listening on {service.url}", file=sys.stderr)
-    print(f"  data dir:  {service.data_dir}", file=sys.stderr)
-    print(f"  store:     {service.store.root}", file=sys.stderr)
-    print(f"  backend:   {args.backend or 'auto'}  jobs: {args.jobs}",
-          file=sys.stderr)
-    print("  try:       curl -s -X POST "
-          f"{service.url}/jobs -d '{{\"kind\": \"flow\", \"params\": "
-          "{\"circuit\": \"fpu\", \"scale\": 0.05}}'", file=sys.stderr)
-    try:
-        import threading
-        threading.Event().wait()
-    except KeyboardInterrupt:
-        print("\nshutting down", file=sys.stderr)
-    finally:
-        service.stop()
-    return 0
-
-
 def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="repro",
@@ -760,12 +724,6 @@ def build_parser() -> argparse.ArgumentParser:
                         help="run the session's deduplicated task graph "
                              "on N worker processes before assembling "
                              "rows (1 = sequential)")
-    parser.add_argument("--backend", default=None,
-                        choices=["serial", "thread", "process"],
-                        help="execution backend for the task graph "
-                             "(default: process when --jobs > 1, else "
-                             "serial); all backends produce identical "
-                             "results")
     parser.add_argument("--resume", action="store_true",
                         help="persist/reuse flow results in the on-disk "
                              "checkpoint store")
@@ -964,18 +922,6 @@ def build_parser() -> argparse.ArgumentParser:
                         "--set router_detour_coeff=0.5")
     p.set_defaults(func=_cmd_whatif)
 
-    p = sub.add_parser("serve",
-                       help="serve the repro job API over HTTP "
-                            "(repro-as-a-service)")
-    p.add_argument("--host", default="127.0.0.1",
-                   help="bind address (default 127.0.0.1)")
-    p.add_argument("--port", type=int, default=8734,
-                   help="TCP port (0 = ephemeral; default 8734)")
-    p.add_argument("--data-dir", default=None, metavar="PATH",
-                   help="service state root (checkpoint store + job "
-                        "journal); default: a temporary directory")
-    p.set_defaults(func=_cmd_serve)
-
     p = sub.add_parser("cells", help="list the characterized library")
     p.add_argument("--node", default="45nm", choices=NODE_CHOICES)
     p.add_argument("--style", default="2d", choices=["2d", "tmi"])
@@ -1010,7 +956,8 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def _configure_runtime(args: argparse.Namespace):
-    """Apply the resilience flags; returns a context for the invocation."""
+    """Apply the resilience flags to the invocation's session; returns
+    a context for the invocation."""
     from contextlib import ExitStack
 
     from repro.experiments import runner
@@ -1021,11 +968,6 @@ def _configure_runtime(args: argparse.Namespace):
         use_supervisor,
     )
 
-    # A CLI invocation starts a fresh session: reset any state left by a
-    # previous in-process call (tests call main() repeatedly).
-    runner.clear_session_errors()
-    runner.clear_task_failures()
-    runner.set_keep_going(bool(args.keep_going))
     if args.fresh:
         store = CheckpointStore(args.checkpoint_dir)
         n = store.clear()
@@ -1033,8 +975,6 @@ def _configure_runtime(args: argparse.Namespace):
               file=sys.stderr)
     if args.resume:
         runner.use_persistent_cache(args.checkpoint_dir)
-    else:
-        runner.disable_persistent_cache()
     stack = ExitStack()
     if getattr(args, "kernel_backend", None):
         from repro.kernels import use_backend
@@ -1068,10 +1008,16 @@ def _finish_observability(args: argparse.Namespace,
 
 
 def main(argv: Optional[List[str]] = None) -> int:
+    from repro.runtime.session import Session, use_session
+
     parser = build_parser()
     args = parser.parse_args(argv)
     try:
-        with _configure_runtime(args):
+        # Every invocation runs in a fresh session (store binding,
+        # keep-going, memos, error records); the caller's is restored on
+        # exit, so in-process callers inherit nothing from the run.
+        with use_session(Session(keep_going=args.keep_going)), \
+                _configure_runtime(args):
             return args.func(args)
     except ReproError as exc:
         print(f"error: {type(exc).__name__}: {exc}", file=sys.stderr)

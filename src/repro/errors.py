@@ -26,9 +26,6 @@ Taxonomy
     ├── ``DseError``               invalid design-space-exploration setup
     │                              (unknown sweep axis, bad cost function,
     │                              malformed space file)
-    ├── ``ServiceError``           invalid service request (unknown job
-    │                              kind/key, malformed parameters) or a
-    │                              client-side API failure
     └── ``FlowError``              end-to-end flow failures
           ├── ``StageTimeoutError``    a supervised stage exceeded its
           │                            wall-clock budget
@@ -125,15 +122,6 @@ class DseError(ReproError):
     Raised by :mod:`repro.dse` for axes that are not registered flow
     inputs, malformed space files, unknown objectives, or cost-function
     parameters that cannot be evaluated.
-    """
-
-
-class ServiceError(ReproError):
-    """Invalid service request or a client-side API failure.
-
-    Raised by :mod:`repro.service` for unknown job kinds, malformed job
-    parameters (HTTP 400 at the API boundary), unknown job keys (404),
-    and by the client for non-2xx responses or wait timeouts.
     """
 
 

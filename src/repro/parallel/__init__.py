@@ -8,12 +8,15 @@ Three cooperating pieces:
   unique tasks keyed by the canonical checkpoint keys, with
   :class:`DeferredTasks` for sweeps whose grids depend on base results.
 * :mod:`repro.parallel.pool` — a :class:`ParallelEngine` runs the graph
-  on a ``ProcessPoolExecutor``, exchanging results through the shared
-  :class:`repro.runtime.CheckpointStore`, recovering from worker crashes
-  with a bounded retry budget, and honoring the session's keep-going
-  policy (per-task failures become error records, not a pool abort).
+  on a ``ProcessPoolExecutor`` (inline at ``jobs == 1``), exchanging
+  results through the shared :class:`repro.runtime.CheckpointStore`,
+  recovering from worker crashes with a bounded retry budget, and
+  honoring the session's keep-going policy (per-task failures become
+  error records, not a pool abort).
 * :mod:`repro.parallel.report` — per-task timing, worker utilization,
-  and speedup aggregates, JSON-serializable for ``BENCH_parallel.json``.
+  and speedup aggregates, JSON-serializable for ``repro bench
+  --report``.  Performance numbers come from the benchmark in
+  ``perfbench/`` (``perfbench/BASELINE.md``), not from these reports.
 
 The cached-execution layer (:func:`repro.experiments.runner.prefetch`,
 the CLI's ``--jobs``) uses all three to warm the caches before drivers
@@ -32,14 +35,6 @@ from repro.parallel.plan import (            # noqa: F401
     comparison_task,
     flow_task,
     flow_tasks,
-)
-from repro.parallel.backends import (        # noqa: F401
-    BACKENDS,
-    ExecutionBackend,
-    ProcessBackend,
-    SerialBackend,
-    ThreadBackend,
-    make_backend,
 )
 from repro.parallel.pool import (            # noqa: F401
     ParallelEngine,

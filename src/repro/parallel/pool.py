@@ -8,6 +8,8 @@ store (the create-rename writes make concurrent writers safe) and returns
 only lightweight metadata; the parent loads values back from the store on
 demand.  This keeps large results off the result-queue pickling path and
 means a crashed session leaves every completed run reusable on disk.
+At ``jobs == 1`` there is no pool: the tasks run inline, one after
+another, on the same code path a worker runs.
 
 Failure semantics mirror the sequential session:
 
@@ -69,6 +71,12 @@ from repro.parallel.report import (
     TaskRecord,
 )
 from repro.runtime.checkpoint import CheckpointStore, config_key
+from repro.runtime.session import (
+    Session,
+    current_session,
+    install_session,
+    use_session,
+)
 
 logger = logging.getLogger(__name__)
 
@@ -90,21 +98,19 @@ class WorkerContext:
 
 
 _CONTEXT: Optional[WorkerContext] = None
-_STORE: Optional[CheckpointStore] = None
 
 
 def _init_worker(context: WorkerContext) -> None:
-    """Pool initializer: bind the shared store in this worker process."""
-    from repro.flow import stagecache
+    """Pool initializer: a fresh session bound to the shared store.
 
-    global _CONTEXT, _STORE
+    Stage-level checkpoints flow through the same store, so a worker
+    reuses flow stages another worker (or an earlier session) already
+    computed, not just whole task results.
+    """
+    global _CONTEXT
     _CONTEXT = context
-    _STORE = CheckpointStore(Path(context.store_root),
-                             schema_version=context.schema_version)
-    # Stage-level checkpoints flow through the same shared store, so a
-    # worker reuses flow stages another worker (or an earlier session)
-    # already computed, not just whole task results.
-    stagecache.use_store(_STORE)
+    install_session(Session(store=CheckpointStore(
+        Path(context.store_root), schema_version=context.schema_version)))
 
 
 def _compute(spec: TaskSpec) -> object:
@@ -149,8 +155,7 @@ def _ship_bundle(store: CheckpointStore, spec: TaskSpec,
     store.try_store(_trace_key(spec.key), bundle)
 
 
-def _execute_task(spec: TaskSpec,
-                  collect_stages: bool = True) -> Dict[str, object]:
+def _execute_task(spec: TaskSpec) -> Dict[str, object]:
     """Run one task in a worker; returns metadata, not the result.
 
     The result crosses the process boundary through the checkpoint store;
@@ -159,16 +164,12 @@ def _execute_task(spec: TaskSpec,
     against a fresh tracer/registry/profiler and ships a
     :class:`TraceBundle` home through the store as well — the parent
     merges the bundles into one session trace after the run.
-
-    ``collect_stages=False`` skips per-task stage-wall attribution (the
-    thread backend shares one journal across concurrent tasks, so a
-    slice of it cannot be charged to one task).
     """
     from repro.runtime import faults
     from repro.runtime.supervisor import current_supervisor
 
     context = _CONTEXT
-    store = _STORE
+    store = current_session().store
     start = time.perf_counter()
     base: Dict[str, object] = {"key": spec.key, "pid": os.getpid()}
 
@@ -200,8 +201,7 @@ def _execute_task(spec: TaskSpec,
                     error=type(exc).__name__, message=str(exc),
                     repro_error=True,
                     wall_s=time.perf_counter() - start,
-                    stages=(_stage_walls(journal, mark)
-                            if collect_stages else {}))
+                    stages=_stage_walls(journal, mark))
         return base
     except Exception as exc:
         # A non-Repro exception is a genuine bug.  Contain it to the same
@@ -212,8 +212,7 @@ def _execute_task(spec: TaskSpec,
                     error=type(exc).__name__, message=str(exc),
                     repro_error=False,
                     wall_s=time.perf_counter() - start,
-                    stages=(_stage_walls(journal, mark)
-                            if collect_stages else {}))
+                    stages=_stage_walls(journal, mark))
         return base
     finally:
         obs.close()
@@ -226,8 +225,7 @@ def _execute_task(spec: TaskSpec,
     stored = store.try_store(spec.key, value) is not None
     base.update(status=STATUS_OK, cached=False, stored=stored,
                 wall_s=time.perf_counter() - start,
-                stages=(_stage_walls(journal, mark)
-                        if collect_stages else {}))
+                stages=_stage_walls(journal, mark))
     if not stored:
         base["value"] = value
     return base
@@ -245,17 +243,14 @@ class ParallelEngine:
     """Execute a task graph on a process pool, results via the store."""
 
     def __init__(self,
-                 store: Optional[CheckpointStore] = None,
+                 store: CheckpointStore,
                  jobs: Optional[int] = None,
                  max_crash_retries: int = 2,
                  keep_going: bool = False,
                  worker_faults: Sequence = (),
                  fault_label_filter: Optional[str] = None,
-                 warm_libraries: bool = True,
-                 backend: Optional[object] = None):
-        from repro.parallel.backends import make_backend
-
-        self.store = store if store is not None else CheckpointStore()
+                 warm_libraries: bool = True):
+        self.store = store
         self.jobs = max(1, jobs if jobs is not None
                         else (os.cpu_count() or 1))
         self.max_crash_retries = max_crash_retries
@@ -263,10 +258,6 @@ class ParallelEngine:
         self.worker_faults = tuple(worker_faults)
         self.fault_label_filter = fault_label_filter
         self.warm_libraries = warm_libraries
-        # Where tasks execute: an ExecutionBackend instance, a registry
-        # name ("serial" | "thread" | "process"), or None for the
-        # historical default (processes when jobs > 1, else inline).
-        self.backend = make_backend(backend, jobs=self.jobs)
         self._values: Dict[str, object] = {}
 
     # -- results -----------------------------------------------------------
@@ -430,11 +421,36 @@ class ParallelEngine:
                    records: Dict[str, TaskRecord]) -> int:
         """Run every pending task to a record; returns pool rebuild count.
 
-        Delegated to the engine's pluggable execution backend
-        (:mod:`repro.parallel.backends`): inline serial, in-process
-        threads, or the crash-tolerant process pool.
+        Inline at ``jobs == 1``, else on the crash-tolerant process pool:
+        each broken pool is rebuilt for the tasks it left pending.
         """
-        return self.backend.run(self, pending, records)
+        if self.jobs == 1:
+            self._run_inline(pending, records)
+            return 0
+        rebuilds = 0
+        context = self._context()
+        while pending:
+            if not self._run_pool_round(pending, records, context):
+                break
+            rebuilds += 1
+            self._absorb_crash(pending, records)
+        return rebuilds
+
+    def _run_inline(self, pending: Dict[str, _PendingTask],
+                    records: Dict[str, TaskRecord]) -> None:
+        """Run the tasks in this process, each as a worker would: with
+        the engine's worker context, in a session of its own bound to
+        the engine's store."""
+        global _CONTEXT
+        previous = _CONTEXT
+        _CONTEXT = self._context()
+        try:
+            with use_session(Session(store=self.store)):
+                for key in list(pending):
+                    task = pending.pop(key)
+                    self._record(records, task, _execute_task(task.spec))
+        finally:
+            _CONTEXT = previous
 
     def _run_pool_round(self, pending: Dict[str, _PendingTask],
                         records: Dict[str, TaskRecord],

@@ -2,11 +2,11 @@
 
 Every task executed by :class:`repro.parallel.pool.ParallelEngine` yields
 a :class:`TaskRecord` (wall clock, worker pid, cache/store status,
-attempts, outcome); an :class:`EngineReport` aggregates them into the
-numbers the benchmark harness tracks per PR — total wall time, worker
-utilization, and the effective speedup over serializing the same task
-set — and serializes to JSON for ``scripts/bench_parallel.py`` /
-``BENCH_parallel.json``.
+attempts, outcome); an :class:`EngineReport` aggregates them into total
+wall time, worker utilization, and the effective speedup over
+serializing the same task set — and serializes to JSON for ``repro
+bench --report``.  The repository's performance numbers come from the
+benchmark in ``perfbench/`` (see ``perfbench/BASELINE.md``).
 """
 
 from __future__ import annotations

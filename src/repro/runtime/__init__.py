@@ -1,6 +1,6 @@
 """Resilient experiment orchestration.
 
-Three cooperating pieces:
+Four cooperating pieces:
 
 * :mod:`repro.runtime.supervisor` — per-stage timeouts, bounded retries
   with backoff, graceful degradation, and a structured run journal for
@@ -12,6 +12,9 @@ Three cooperating pieces:
 * :mod:`repro.runtime.faults` — deterministic fault injection at stage
   boundaries (by stage name and occurrence count), used by the tests to
   prove every retry and degradation path actually fires.
+* :mod:`repro.runtime.session` — the run-scoped :class:`Session`: bound
+  checkpoint store, keep-going policy and row errors, in-process memos
+  and parallel task-failure records, in one swappable object.
 """
 
 from repro.runtime.checkpoint import (            # noqa: F401
@@ -22,6 +25,13 @@ from repro.runtime.checkpoint import (            # noqa: F401
     default_store_dir,
 )
 from repro.runtime.faults import FaultPlan, FaultSpec, inject  # noqa: F401
+from repro.runtime.session import (               # noqa: F401
+    RowError,
+    Session,
+    current_session,
+    install_session,
+    use_session,
+)
 from repro.runtime.supervisor import (            # noqa: F401
     RunJournal,
     StagePolicy,

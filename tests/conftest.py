@@ -69,52 +69,18 @@ def aes_comparison_small(aes_capture_small):
     return aes_capture_small[0]
 
 
-# -- service fixtures ------------------------------------------------------
+# -- session state ---------------------------------------------------------
 
 @pytest.fixture()
-def service_factory():
-    """Build throwaway repro services on ephemeral ports.
+def fresh_session():
+    """Run the test in a session of its own.
 
-    Function-scoped: each test that needs special service wiring (fault
-    injection, process backends, private data dirs) gets its own
-    instance, and every instance started through the factory is stopped
-    at teardown even when the test fails — no orphaned coordinators or
-    bound sockets leaking across tests.
+    No checkpoint store, keep-going off, empty memos, row errors and
+    task-failure records; the previous session is restored afterwards,
+    so whatever the test binds or accumulates stays with it.  Opt in per
+    module with ``pytestmark = pytest.mark.usefixtures("fresh_session")``.
     """
-    from repro.service import ReproService, ServiceConfig
+    from repro.runtime.session import Session, use_session
 
-    started = []
-
-    def _factory(**kwargs):
-        kwargs.setdefault("port", 0)
-        service = ReproService(ServiceConfig(**kwargs))
-        started.append(service)
-        return service.start()
-
-    yield _factory
-    for service in reversed(started):
-        service.stop()
-
-
-@pytest.fixture(scope="session")
-def service_session(tmp_path_factory):
-    """One shared service for the read-mostly black-box API tests.
-
-    Boots on an ephemeral port with a session-lifetime data dir; the
-    teardown is guaranteed (stop() is idempotent) so the suite never
-    leaves an HTTP thread or coordinator behind.
-    """
-    from repro.service import ReproService, ServiceConfig
-
-    data_dir = tmp_path_factory.mktemp("repro-service")
-    service = ReproService(ServiceConfig(port=0, data_dir=data_dir))
-    service.start()
-    yield service
-    service.stop()
-
-
-@pytest.fixture(scope="session")
-def service_client(service_session):
-    from repro.service import ServiceClient
-
-    return ServiceClient(service_session.url)
+    with use_session(Session()) as session:
+        yield session

@@ -212,3 +212,20 @@ def test_dse_tiny_sweep_emits_deterministic_frontier(tmp_path, capsys):
     rc = main(args + ["--json", str(path_two)])
     assert rc == 0
     assert path_one.read_bytes() == path_two.read_bytes()
+
+
+def test_main_runs_in_a_session_of_its_own(fresh_session, tmp_path):
+    """An in-process ``main()`` binds its store and keep-going policy to
+    a session of its own; the caller's session comes back untouched."""
+    from repro.experiments import runner
+    from repro.runtime.session import current_session
+
+    sentinel = object()
+    fresh_session.flows["caller-key"] = sentinel
+    rc = main(["--keep-going", "--resume", "--checkpoint-dir",
+               str(tmp_path / "store"), "experiment", "table10"])
+    assert rc == 0
+    assert current_session() is fresh_session
+    assert not runner.keep_going_enabled()
+    assert runner.persistent_store() is None
+    assert fresh_session.flows == {"caller-key": sentinel}

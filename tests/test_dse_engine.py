@@ -27,15 +27,7 @@ from repro.flow.design_flow import FlowConfig
 BASE = FlowConfig(circuit="fpu", scale=0.06)
 
 
-@pytest.fixture(autouse=True)
-def _clean_runtime():
-    runner.clear_caches()
-    runner.disable_persistent_cache()
-    runner.set_keep_going(False)
-    yield
-    runner.clear_caches()
-    runner.disable_persistent_cache()
-    runner.set_keep_going(False)
+pytestmark = pytest.mark.usefixtures("fresh_session")
 
 
 def _space(values=(0.1, 0.3)):

@@ -28,18 +28,7 @@ from repro.runtime.supervisor import (
 SMALL = dict(circuit="fpu", scale=0.06)
 
 
-@pytest.fixture(autouse=True)
-def _clean_runtime():
-    runner.clear_caches()
-    runner.set_keep_going(False)
-    runner.clear_session_errors()
-    runner.disable_persistent_cache()
-    yield
-    runner.clear_caches()
-    runner.set_keep_going(False)
-    runner.clear_session_errors()
-    runner.disable_persistent_cache()
-    faults.reset()
+pytestmark = pytest.mark.usefixtures("fresh_session")
 
 
 def _congestion_fault(**kwargs):

@@ -12,17 +12,12 @@ import json
 import pytest
 
 from repro.cli import main
-from repro.experiments import runner
 
 FLOW_STAGES = ("prepare", "synthesis", "layout", "post_route", "signoff",
                "power")
 
 
-@pytest.fixture(autouse=True)
-def _fresh_session():
-    runner.clear_caches()
-    yield
-    runner.clear_caches()
+pytestmark = pytest.mark.usefixtures("fresh_session")
 
 
 def test_trace_json_round_trips(capsys):

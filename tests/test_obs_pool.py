@@ -26,11 +26,7 @@ from repro.runtime.checkpoint import CheckpointStore
 SCALE = 0.04
 
 
-@pytest.fixture(autouse=True)
-def _fresh_session():
-    runner.clear_caches()
-    yield
-    runner.clear_caches()
+pytestmark = pytest.mark.usefixtures("fresh_session")
 
 
 def _traced_run(store, jobs):

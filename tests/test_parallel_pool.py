@@ -21,19 +21,12 @@ from repro.parallel import (
 )
 from repro.runtime import faults
 from repro.runtime.checkpoint import CheckpointStore
+from repro.runtime.session import Session, use_session
 
 SCALE = 0.04
 
 
-@pytest.fixture(autouse=True)
-def _fresh_session():
-    runner.clear_caches()
-    runner.set_keep_going(False)
-    runner.clear_session_errors()
-    yield
-    runner.clear_caches()
-    runner.set_keep_going(False)
-    runner.clear_session_errors()
+pytestmark = pytest.mark.usefixtures("fresh_session")
 
 
 def _crash_worker(result):
@@ -48,39 +41,23 @@ def _bug_factory(result):
 
 
 def test_rows_identical_sequential_vs_parallel_prefetch():
-    rows_seq = table4.run(circuits=("fpu",), scale=SCALE)
-    runner.clear_caches()
-
+    rows_seq = json.dumps(table4.run(circuits=("fpu",), scale=SCALE),
+                          sort_keys=True, default=str)
     graph = TaskGraph(table4.declare_tasks(circuits=("fpu",), scale=SCALE))
-    report = runner.prefetch(graph, jobs=2)
-    rows_par = table4.run(circuits=("fpu",), scale=SCALE)
 
-    assert report.n_ok == len(report.records) == 1
-    assert (json.dumps(rows_seq, sort_keys=True, default=str)
-            == json.dumps(rows_par, sort_keys=True, default=str))
+    for jobs in (1, 2):
+        runner.clear_caches()
+        report = runner.prefetch(graph, jobs=jobs)
+        rows = table4.run(circuits=("fpu",), scale=SCALE)
 
-
-def test_engine_thread_backend_matches_inline(tmp_path):
-    """The engine produces the same stored result on the thread backend
-    as inline — same store entry, same comparison numbers."""
-    spec = comparison_task("fpu", scale=SCALE)
-
-    store_a = CheckpointStore(tmp_path / "inline")
-    inline = ParallelEngine(store=store_a, jobs=1)
-    assert [r.status for r in
-            inline.execute(TaskGraph([spec])).records] == ["ok"]
-
-    store_b = CheckpointStore(tmp_path / "threaded")
-    threaded = ParallelEngine(store=store_b, jobs=2, backend="thread")
-    report = threaded.execute(TaskGraph([spec]))
-    assert [r.status for r in report.records] == ["ok"]
-    # thread tasks run in-process
-    assert report.records[0].pid == os.getpid()
-
-    row_a = inline.result(spec).summary_row()
-    row_b = threaded.result(spec).summary_row()
-    assert (json.dumps(row_a, sort_keys=True, default=str)
-            == json.dumps(row_b, sort_keys=True, default=str))
+        assert report.n_ok == len(report.records) == 1
+        # One job runs the task inline in this process; more than one
+        # dispatches it to a pool worker.
+        if jobs == 1:
+            assert report.records[0].pid == os.getpid()
+        else:
+            assert report.records[0].pid != os.getpid()
+        assert json.dumps(rows, sort_keys=True, default=str) == rows_seq
 
 
 def test_inline_engine_reuses_store_and_serves_results(tmp_path):
@@ -216,13 +193,13 @@ def test_keep_going_error_rows_identical_sequential_vs_parallel():
     with faults.inject(fail):
         rows_seq = table4.run(circuits=("fpu",), scale=SCALE)
     seq_errors = [e.summary() for e in runner.session_errors()]
-    runner.clear_caches()
-    runner.clear_session_errors()
 
-    graph = TaskGraph(table4.declare_tasks(circuits=("fpu",), scale=SCALE))
-    runner.prefetch(graph, jobs=2, worker_faults=(fail,))
-    rows_par = table4.run(circuits=("fpu",), scale=SCALE)
-    par_errors = [e.summary() for e in runner.session_errors()]
+    with use_session(Session(keep_going=True)):
+        graph = TaskGraph(table4.declare_tasks(circuits=("fpu",),
+                                               scale=SCALE))
+        runner.prefetch(graph, jobs=2, worker_faults=(fail,))
+        rows_par = table4.run(circuits=("fpu",), scale=SCALE)
+        par_errors = [e.summary() for e in runner.session_errors()]
 
     assert rows_seq == rows_par
     assert seq_errors == par_errors

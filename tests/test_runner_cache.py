@@ -56,13 +56,15 @@ def test_cache_insert_survives_checkpoint_write_failure(tmp_path):
     # unpicklable) must still land in the in-process memo — a disk
     # problem never discards a computed result.
     from repro.experiments import runner
+    from repro.runtime.session import current_session
 
     clear_caches()
     runner.use_persistent_cache(tmp_path)
     try:
         unpicklable = lambda: None       # noqa: E731
-        runner._cache_insert(runner._FLOW_CACHE, "some-key", unpicklable)
-        assert runner._FLOW_CACHE["some-key"] is unpicklable
+        flows = current_session().flows
+        runner._cache_insert(flows, "some-key", unpicklable)
+        assert flows["some-key"] is unpicklable
         assert runner.persistent_store().stats()["entries"] == 0
     finally:
         runner.disable_persistent_cache()

@@ -36,7 +36,7 @@ from repro.cells.folding import (
     _fold_cell_geometry_reference,
 )
 from repro.cells.nangate import CELL_DEFINITIONS, build_cell_netlist
-from repro.errors import FlowError, ServiceError, TechnologyError
+from repro.errors import FlowError, TechnologyError
 from repro.extraction.rc import ExtractionMode, extract_cell
 from repro.flow import stagecache
 from repro.flow.design_flow import FlowConfig
@@ -47,7 +47,6 @@ from repro.flow.scenario import (
     get_scenario,
     knob_coverage_findings,
 )
-from repro.service import jobs
 from repro.tech.miv import (
     MIV_KOZ_DEFAULT,
     KOZ_CAPACITY_FLOOR,
@@ -479,42 +478,3 @@ def test_seed_change_keeps_prepare_digest():
                                                 seed=99))
     assert base["prepare"] == other["prepare"]
     assert base["synthesis"] != other["synthesis"]
-
-
-# ---------------------------------------------------------------------------
-# Service job kind
-# ---------------------------------------------------------------------------
-
-def test_scenario_job_normalizes_to_flow_kind():
-    kind, params = jobs.normalize(jobs.KIND_SCENARIO, {"name": "paper"})
-    assert kind == jobs.KIND_FLOW
-    assert params["circuit"] == "aes"
-
-
-def test_scenario_job_coalesces_with_equivalent_flow_job():
-    s_kind, s_params = jobs.normalize(jobs.KIND_SCENARIO,
-                                      {"name": "quad-tier"})
-    f_kind, f_params = jobs.normalize(
-        jobs.KIND_FLOW, {"circuit": "aes", "is_3d": True, "scale": 0.08,
-                         "tiers": 4, "miv_koz_diameters": 1.0})
-    assert jobs.job_key(s_kind, s_params) == jobs.job_key(f_kind, f_params)
-
-
-def test_scenario_job_applies_overrides():
-    _kind, params = jobs.normalize(
-        jobs.KIND_SCENARIO,
-        {"name": "noc-mesh", "overrides": {"scale": 0.02}})
-    assert params["circuit"] == "noc"
-    assert params["scale"] == 0.02
-
-
-def test_scenario_job_rejects_unknown_name():
-    with pytest.raises(ServiceError):
-        jobs.normalize(jobs.KIND_SCENARIO, {"name": "octa-stack"})
-
-
-def test_flow_job_accepts_noc_and_asap7():
-    _kind, params = jobs.normalize(
-        jobs.KIND_FLOW, {"circuit": "noc", "node_name": "asap7"})
-    assert params["circuit"] == "noc"
-    assert params["node_name"] == "asap7"

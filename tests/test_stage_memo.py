@@ -10,7 +10,6 @@ from repro.experiments import runner
 from repro.flow import stagecache
 from repro.flow.design_flow import FlowConfig, run_flow
 from repro.obs import metrics as obs_metrics
-from repro.runtime import faults
 
 SMALL = dict(circuit="fpu", scale=0.06)
 
@@ -19,14 +18,7 @@ SMALL = dict(circuit="fpu", scale=0.06)
 PERSISTED = ("synthesis", "layout", "post_route", "signoff", "power")
 
 
-@pytest.fixture(autouse=True)
-def _clean_runtime():
-    runner.clear_caches()
-    runner.disable_persistent_cache()
-    yield
-    runner.clear_caches()
-    runner.disable_persistent_cache()
-    faults.reset()
+pytestmark = pytest.mark.usefixtures("fresh_session")
 
 
 def _row_bytes(result):
