@@ -24,7 +24,7 @@ from typing import List, Tuple
 
 from repro.check.findings import AuditFinding, SEV_ERROR, SEV_WARNING
 from repro.circuits.netlist import Module, PO_SINK
-from repro.errors import TimingError
+from repro.errors import NetlistError, TimingError
 from repro.timing.graph import levelize
 from repro.timing.sta import TimingReport
 
@@ -80,9 +80,9 @@ def check_timing(module: Module, library, report: TimingReport,
     for key, slack in report.endpoint_slack_ps.items():
         inst_idx, pin = key
         if inst_idx == PO_SINK:
-            net_idx = next((n.index for n in module.nets if n.name == pin),
-                           None)
-            if net_idx is None:
+            try:
+                net_idx = module.net_by_name(pin).index
+            except NetlistError:
                 bad.append(_endpoint_name(module, key))
                 continue
             setup = 0.0

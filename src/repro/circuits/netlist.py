@@ -9,6 +9,12 @@ buffers in place.
 
 Scales to the paper's largest benchmark (M256: ~200k cells) while staying
 plain Python: instances and nets use ``__slots__`` and integer indices.
+
+Every structural edit goes through a :class:`Module` method, which bumps
+``Module.topology_version``; consumers that cache a view of the
+connectivity (the vectorized STA's timing graph) compare the counter to
+know when to rebuild.  A resize changes no connectivity and leaves the
+counter alone.
 """
 
 from __future__ import annotations
@@ -68,6 +74,10 @@ class Net:
 class Module:
     """A gate-level design."""
 
+    # Bumped by every structural mutator below.  A class-level default,
+    # so modules pickled before the counter existed load at version 0.
+    topology_version = 0
+
     def __init__(self, name: str) -> None:
         self.name = name
         self.instances: List[Instance] = []
@@ -87,6 +97,7 @@ class Module:
         net.index = len(self.nets)
         self.nets.append(net)
         self._net_names[name] = net.index
+        self.topology_version += 1
         return net.index
 
     def add_instance(self, name: str, cell_name: str) -> Instance:
@@ -96,6 +107,7 @@ class Module:
         inst.index = len(self.instances)
         self.instances.append(inst)
         self._inst_names[name] = inst.index
+        self.topology_version += 1
         return inst
 
     def connect(self, inst: Instance, pin: str, net_idx: int,
@@ -109,6 +121,7 @@ class Module:
         else:
             net.sinks.append((inst.index, pin))
         inst.pin_nets[pin] = net_idx
+        self.topology_version += 1
 
     def mark_primary_input(self, net_idx: int) -> None:
         net = self.nets[net_idx]
@@ -117,14 +130,21 @@ class Module:
                 f"primary-input net {net.name!r} already has a driver")
         net.driver = (PIN_DRIVER, net.name)
         self.primary_inputs.append(net_idx)
+        self.topology_version += 1
 
     def mark_primary_output(self, net_idx: int) -> None:
         self.nets[net_idx].sinks.append((PO_SINK, self.nets[net_idx].name))
         self.primary_outputs.append(net_idx)
+        self.topology_version += 1
 
     def set_clock(self, net_idx: int) -> None:
         self.clock_net = net_idx
+        self.mark_clock_net(net_idx)
+
+    def mark_clock_net(self, net_idx: int) -> None:
+        """Flag a net as part of the clock network (not timed as data)."""
         self.nets[net_idx].is_clock = True
+        self.topology_version += 1
 
     # -- lookup ----------------------------------------------------------------
 
@@ -155,7 +175,10 @@ class Module:
     # -- mutation (used by synthesis / optimization) ----------------------------
 
     def resize_instance(self, inst: Instance, new_cell_name: str) -> None:
-        """Swap the instance's library cell (same footprint pin names)."""
+        """Swap the instance's library cell (same footprint pin names).
+
+        Connectivity is unchanged, so ``topology_version`` stays.
+        """
         inst.cell_name = new_cell_name
 
     def rewire_sink(self, net_idx: int, sink: Tuple[int, str],
@@ -170,6 +193,7 @@ class Module:
         self.nets[new_net_idx].sinks.append(sink)
         if sink[0] >= 0:
             self.instances[sink[0]].pin_nets[sink[1]] = new_net_idx
+        self.topology_version += 1
 
     def insert_buffer(self, net_idx: int, buffer_cell: str,
                       sinks: Sequence[Tuple[int, str]],

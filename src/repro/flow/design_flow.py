@@ -480,8 +480,10 @@ def _run_flow(config: FlowConfig) -> LayoutResult:
         routed_model = RoutedNetModel(route.lengths_um,
                                       route.resistances_kohm,
                                       route.capacitances_ff)
-        analyzer = TimingAnalyzer(module, library, routed_model, clock)
-        report = analyzer.run()
+        # One-run analyzers stay temporaries: an analyzer keeps its
+        # timing graph, which the retune's optimizer and router would
+        # otherwise carry at the flow's memory peak.
+        report = TimingAnalyzer(module, library, routed_model, clock).run()
         if config.target_clock_ns is None:
             retuned = False
             if report.wns_ps < 0.0:
@@ -513,15 +515,13 @@ def _run_flow(config: FlowConfig) -> LayoutResult:
                                               route.capacitances_ff)
                 retuned = True
             if retuned:
-                analyzer = TimingAnalyzer(module, library, routed_model,
-                                          clock)
-                report = analyzer.run()
+                report = TimingAnalyzer(module, library, routed_model,
+                                        clock).run()
                 if report.wns_ps < 0.0:
                     clock = math.ceil(
                         (clock * 1000.0 - report.wns_ps) / 10.0) / 100.0
-                    analyzer = TimingAnalyzer(module, library,
-                                              routed_model, clock)
-                    report = analyzer.run()
+                    report = TimingAnalyzer(module, library,
+                                            routed_model, clock).run()
         # The retune branch may have mutated the module; snapshot it so
         # a cache hit replays the same post-signoff netlist state.
         return {

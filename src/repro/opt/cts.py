@@ -78,8 +78,7 @@ def synthesize_clock_tree(module: Module, library,
             module.clock_net, LEAF_BUFFER, [p[2] for p in group])
         place_instance_near(module, library, floorplan, buf, cx, cy)
         n_buffers += 1
-        leaf_net = module.nets[buf.pin_nets["Z"]]
-        leaf_net.is_clock = True
+        module.mark_clock_net(buf.pin_nets["Z"])
         level_points.append((cx, cy, (buf.index, "A")))
 
     # Trunk levels: buffer groups of leaf buffers until one driver remains.
@@ -98,7 +97,7 @@ def synthesize_clock_tree(module: Module, library,
                 module.clock_net, TRUNK_BUFFER, [p[2] for p in group])
             place_instance_near(module, library, floorplan, buf, cx, cy)
             n_buffers += 1
-            module.nets[buf.pin_nets["Z"]].is_clock = True
+            module.mark_clock_net(buf.pin_nets["Z"])
             next_level.append((cx, cy, (buf.index, "A")))
         level_points = next_level
         n_levels += 1

@@ -138,6 +138,6 @@ def fix_drv(module: Module, library, floorplan: Floorplan,
         start = end
         if pass_buffers == 0:
             break
-    if n_buffers or n_upsized:
-        net_model.invalidate()
+    # Every buffered net was invalidated as it was split; upsizing moves
+    # no pin, so no other estimate went stale.
     return n_upsized, n_buffers

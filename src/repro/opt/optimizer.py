@@ -83,6 +83,7 @@ class Optimizer:
             if report.wns_ps >= 0.0:
                 break
             changed = 0
+            n_inst_before = len(module.instances)
             # 1. Sizing along the critical path.
             changed += upsize_critical(module, self.library, report)
             n_upsized += changed
@@ -114,9 +115,15 @@ class Optimizer:
                     changed += added
             if changed == 0:
                 break
-            net_model.invalidate()
+            # Only the buffered nets' pins moved (a resize moves none):
+            # drop their wire estimates, now that the batch's reads of
+            # the pre-batch estimates are done.
+            for inst in module.instances[n_inst_before:]:
+                for net_idx in inst.pin_nets.values():
+                    net_model.invalidate(net_idx)
             report = analyzer.run()
 
+        # Recovery and repair only resize cells: the wire estimates hold.
         n_downsized = 0
         if recover and report.wns_ps >= 0.0:
             for _pass in range(3):
@@ -125,7 +132,6 @@ class Optimizer:
                 if changed == 0:
                     break
                 n_downsized += changed
-                net_model.invalidate()
                 report = analyzer.run()
                 if report.wns_ps < 0.0:
                     # Recovery overshot: repair with upsizing passes.
@@ -133,7 +139,6 @@ class Optimizer:
                         if upsize_critical(module, self.library,
                                            report) == 0:
                             break
-                        net_model.invalidate()
                         report = analyzer.run()
                         if report.wns_ps >= 0.0:
                             break

@@ -121,9 +121,11 @@ class Synthesizer:
         clock_ns = self.target_clock_ns or 10.0
         passes = 0
         report = None
+        # One analyzer for the sizing passes and the auto-clock
+        # measurement: same module, net model and clock, so its timing
+        # graph carries over between runs.
+        analyzer = TimingAnalyzer(module, self.library, net_model, clock_ns)
         for passes in range(1, MAX_SIZING_PASSES + 1):
-            analyzer = TimingAnalyzer(module, self.library, net_model,
-                                      clock_ns)
             report = analyzer.run()
             changed = self._upsize_overloaded(module, analyzer, report)
             if changed == 0:
@@ -131,8 +133,6 @@ class Synthesizer:
 
         if self.target_clock_ns is None:
             # Auto clock: tightness multiple of the critical path.
-            analyzer = TimingAnalyzer(module, self.library, net_model,
-                                      clock_ns)
             critical_ps = analyzer.max_arrival_ps()
             clock_ns = (critical_ps / 1000.0
                         * CLOCK_TIGHTNESS[self.tightness])

@@ -8,12 +8,12 @@ and primary outputs are endpoints.  Raises on combinational loops.
 from __future__ import annotations
 
 from collections import deque
-from typing import List, Set
+from typing import Dict, FrozenSet, List, Set, Tuple
 
 import numpy as np
 
 from repro.errors import TimingError
-from repro.circuits.netlist import Module, PIN_DRIVER
+from repro.circuits.netlist import Module, PIN_DRIVER, PO_SINK
 from repro.kernels.arrays import as_index, ranges
 from repro.obs import metrics as obs_metrics
 
@@ -98,16 +98,19 @@ def _gather_ragged(offsets: np.ndarray, flat: np.ndarray,
 
 
 class CombGraph:
-    """Flat-array view of one module's combinational timing graph.
+    """Flat-array view of one module's timing graph.
 
     Built in a single netlist scan from the library's interned per-cell
     metadata (:meth:`CellLibrary.timing_meta`): instance -> input/output
     net CSR maps in pin-declaration order, net -> combinational-sink
-    CSR, start-point readiness, and initial in-degrees.  :meth:`levels`
-    runs the level-synchronous Kahn walk over these arrays; the
-    vectorized STA engine reuses the same maps for its batching plans,
-    so the netlist's pins are visited once per run instead of once per
-    consumer.
+    CSR, start-point readiness, and initial in-degrees for :meth:`levels`
+    (the level-synchronous Kahn walk), plus what the vectorized STA
+    engine reads on every run of the same topology: the start points
+    (primary inputs, sequential outputs), the endpoints (sequential data
+    pins, then primary outputs, in the reference engine's order), and
+    every sink pin that loads a net, in net then sink order.  Only
+    connectivity is captured; cell names are re-read per run, so the
+    graph stays valid across resizes that keep the pin footprint.
     """
 
     def __init__(self, module: Module, library) -> None:
@@ -121,40 +124,84 @@ class CombGraph:
         cell_names = [inst.cell_name for inst in module.instances]
         metas = [meta_of(name) for name in cell_names]
         is_seq_l = [m.is_sequential for m in metas]
-        self.cell_names = cell_names
         self.is_seq = np.array(is_seq_l, dtype=bool) if n_inst \
             else np.zeros(0, dtype=bool)
         self.comb = ~self.is_seq
 
+        # Nets: readiness, combinational sinks (the Kahn successors) and
+        # load-bearing sink pins.  Pin names are interned to small ids.
         ready = np.zeros(n_nets, dtype=bool)
+        sink_counts = [0] * n_nets
+        sink_flat: List[int] = []
+        pin_ids: Dict[str, int] = {}
+        load_net: List[int] = []
+        load_inst: List[int] = []
+        load_pin: List[int] = []
         for net in module.nets:
+            ni = net.index
             if net.is_clock:
-                ready[net.index] = True
-                continue
-            drv = net.driver
-            if drv is None:
-                raise TimingError(f"net {net.name!r} has no driver")
-            d0 = drv[0]
-            if d0 == PIN_DRIVER or (d0 >= 0 and is_seq_l[d0]):
-                ready[net.index] = True
+                ready[ni] = True
+            else:
+                drv = net.driver
+                if drv is None:
+                    raise TimingError(f"net {net.name!r} has no driver")
+                d0 = drv[0]
+                if d0 == PIN_DRIVER or (d0 >= 0 and is_seq_l[d0]):
+                    ready[ni] = True
+            c = 0
+            for sink_idx, sink_pin in net.sinks:
+                if sink_idx >= 0:
+                    if not is_seq_l[sink_idx]:
+                        sink_flat.append(sink_idx)
+                        c += 1
+                    pid = pin_ids.get(sink_pin)
+                    if pid is None:
+                        pid = pin_ids[sink_pin] = len(pin_ids)
+                elif sink_idx == PO_SINK:
+                    pid = -1
+                else:
+                    continue
+                load_net.append(ni)
+                load_inst.append(sink_idx)
+                load_pin.append(pid)
+            sink_counts[ni] = c
         self.net_ready = ready
+        self.sink_arr = as_index(sink_flat)
+        self.sink_off = np.concatenate(
+            ([0], np.cumsum(as_index(sink_counts))))
+        self.pin_names = list(pin_ids)
+        self.load_net = as_index(load_net)
+        self.load_inst = as_index(load_inst)
+        self.load_pin = as_index(load_pin)
 
+        # Instances: CSR pin maps, sequential outputs and data pins.
         in_counts = [0] * n_inst
         in_flat: List[int] = []
         out_counts = [0] * n_inst
         out_flat: List[int] = []
-        seq_out_cells: List[str] = []
+        seq_out_inst: List[int] = []
         seq_out_nets: List[int] = []
+        endpoints: List[Tuple[int, str]] = []
+        endpoint_nets: List[int] = []
+        data_pins_of: Dict[str, FrozenSet[str]] = {}
         comb_count = 0
         for inst in module.instances:
             idx = inst.index
             meta = metas[idx]
             outs = meta.output_pins
             if meta.is_sequential:
+                name = cell_names[idx]
+                data = data_pins_of.get(name)
+                if data is None:
+                    data = data_pins_of[name] = frozenset(
+                        p.name for p in library.cell(name).input_pins())
                 for pin_name, net_idx in inst.pin_nets.items():
                     if pin_name in outs:
-                        seq_out_cells.append(cell_names[idx])
+                        seq_out_inst.append(idx)
                         seq_out_nets.append(net_idx)
+                    elif pin_name in data:
+                        endpoints.append((idx, pin_name))
+                        endpoint_nets.append(net_idx)
                 continue
             comb_count += 1
             ins = meta.input_pins
@@ -177,22 +224,19 @@ class CombGraph:
         self.out_arr = as_index(out_flat)
         self.out_off = np.concatenate(
             ([0], np.cumsum(self.out_counts)))
-        self.seq_out_cells = seq_out_cells
-        self.seq_out_nets = seq_out_nets
+        self.seq_out_inst = as_index(seq_out_inst)
+        self.seq_out_nets = as_index(seq_out_nets)
 
-        # Net -> combinational sink instances (the Kahn successors).
-        sink_counts = [0] * n_nets
-        sink_flat: List[int] = []
-        for net in module.nets:
-            c = 0
-            for sink_idx, _sink_pin in net.sinks:
-                if sink_idx >= 0 and not is_seq_l[sink_idx]:
-                    sink_flat.append(sink_idx)
-                    c += 1
-            sink_counts[net.index] = c
-        self.sink_arr = as_index(sink_flat)
-        self.sink_off = np.concatenate(
-            ([0], np.cumsum(as_index(sink_counts))))
+        # Endpoints: sequential data pins, then primary outputs.
+        self.n_seq_endpoints = len(endpoints)
+        self.endpoint_inst = as_index([idx for idx, _pin in endpoints])
+        for net_idx in module.primary_outputs:
+            endpoints.append((PO_SINK, module.nets[net_idx].name))
+            endpoint_nets.append(net_idx)
+        self.endpoints = endpoints
+        self.endpoint_nets = as_index(endpoint_nets)
+        self.pi_nets = as_index([idx for idx in module.primary_inputs
+                                 if not module.nets[idx].is_clock])
 
         # Initial in-degree: input nets not sourced by a start point.
         if self.in_arr.size:

@@ -74,6 +74,11 @@ class PlacedNetModel(NetModel):
     class picked by net length: short nets route on local layers,
     medium on intermediate, long on global — the assignment the real
     router performs by preference.
+
+    Estimates are cached per net until :meth:`invalidate` drops them.
+    :meth:`net_rc_bulk` also keeps R/C arrays across calls and refreshes
+    only the entries of invalidated and new nets, so an edit batch that
+    buffers a few nets costs a few estimates, not a full refill.
     """
 
     def __init__(self, module: Module, interconnect: InterconnectModel,
@@ -86,13 +91,26 @@ class PlacedNetModel(NetModel):
         self.local_threshold_um = local_threshold_um
         self.intermediate_threshold_um = intermediate_threshold_um
         self._cache: Dict[int, Tuple[float, float, float]] = {}
+        # Array mirror of the cache for net_rc_bulk: entry i is valid
+        # while _fresh[i] holds (then it equals _cache[i]).
+        self._r = np.zeros(0)
+        self._c = np.zeros(0)
+        self._fresh = np.zeros(0, dtype=bool)
 
     def invalidate(self, net_idx: Optional[int] = None) -> None:
-        """Drop cached estimates (after placement/netlist changes)."""
+        """Drop cached estimates (after placement/netlist changes).
+
+        With a net index, only that net's estimate: enough after an edit
+        that changed its pins (a buffer moves some of its sinks to a new
+        net and adds its own input), as no other net's pins moved.
+        """
         if net_idx is None:
             self._cache.clear()
+            self._fresh[:] = False
         else:
             self._cache.pop(net_idx, None)
+            if net_idx < self._fresh.size:
+                self._fresh[net_idx] = False
 
     def _pin_position(self, inst_idx: int, net: Net
                       ) -> Optional[Tuple[float, float]]:
@@ -146,17 +164,32 @@ class PlacedNetModel(NetModel):
 
     def net_rc_bulk(self, nets: Sequence[Net], size: int
                     ) -> Tuple[np.ndarray, np.ndarray]:
-        cache = self._cache
-        missing = [net for net in nets if net.index not in cache]
-        if missing:
-            self._fill_cache_bulk(missing)
+        if size > self._fresh.size:
+            grow = size - self._fresh.size
+            self._r = np.concatenate((self._r, np.zeros(grow)))
+            self._c = np.concatenate((self._c, np.zeros(grow)))
+            self._fresh = np.concatenate(
+                (self._fresh, np.zeros(grow, dtype=bool)))
+        if nets is self.module.nets:
+            idx = np.arange(len(nets), dtype=np.intp)
+        else:
+            idx = as_index([net.index for net in nets])
+        stale_pos = np.flatnonzero(~self._fresh[idx])
+        if stale_pos.size:
+            cache = self._cache
+            stale = [nets[p] for p in stale_pos.tolist()]
+            missing = [net for net in stale if net.index not in cache]
+            if missing:
+                self._fill_cache_bulk(missing)
+            entries = [cache[net.index] for net in stale]
+            rows = idx[stale_pos]
+            self._r[rows] = [e[1] for e in entries]
+            self._c[rows] = [e[2] for e in entries]
+            self._fresh[rows] = True
         r = np.zeros(size)
         c = np.zeros(size)
-        if nets:
-            idx = as_index([net.index for net in nets])
-            entries = [cache[i] for i in idx.tolist()]
-            r[idx] = [e[1] for e in entries]
-            c[idx] = [e[2] for e in entries]
+        r[idx] = self._r[idx]
+        c[idx] = self._c[idx]
         return r, c
 
     def _fill_cache_bulk(self, missing: List[Net]) -> None:

@@ -55,14 +55,15 @@ class TimingReport:
     def met(self) -> bool:
         return self.wns_ps >= 0.0
 
-    def slack_of_instance(self, inst_idx: int) -> float:
-        """Worst endpoint slack attributable to an instance's output nets."""
-        return min((s for (idx, _p), s in self.endpoint_slack_ps.items()
-                    if idx == inst_idx), default=float("inf"))
-
 
 class TimingAnalyzer:
-    """Reusable STA over a module + library + net model."""
+    """Reusable STA over a module + library + net model.
+
+    The numpy backend keeps its timing graph and per-cell lookup tables
+    on the analyzer between runs (see :mod:`repro.timing.sta_numpy`), so
+    one analyzer per optimization loop re-times each edit batch without
+    rebuilding what the batch left unchanged.
+    """
 
     def __init__(self, module: Module, library, net_model: NetModel,
                  clock_ns: float,
@@ -76,6 +77,7 @@ class TimingAnalyzer:
         self.clock_ps = clock_ns * 1000.0
         self.input_slew_ps = input_slew_ps
         self.output_load_ff = output_load_ff
+        self._incremental = None      # numpy backend's persistent state
 
     # -- helpers ---------------------------------------------------------------
 
@@ -185,8 +187,9 @@ class TimingAnalyzer:
                        loads: Dict[int, float]) -> TimingReport:
         """Endpoint slack / WNS / TNS from propagated arrivals.
 
-        Shared by both kernel backends so the endpoint accumulation
-        order (and therefore WNS ties and TNS summation) is identical.
+        The numpy backend vectorizes the same accumulation over its
+        cached endpoint arrays: same endpoint order, first minimum for
+        WNS, sequential TNS sum.
         """
         module = self.module
         library = self.library
@@ -304,7 +307,8 @@ class TimingAnalyzer:
                 pin = cell.pin(pin_name)
                 if pin.direction.value != "input" or pin.is_clock:
                     continue
-                hold_slack[(inst.index, pin_name)] =                     arrival.get(net_idx, 0.0) - hold_req
+                hold_slack[(inst.index, pin_name)] = \
+                    arrival.get(net_idx, 0.0) - hold_req
         return hold_slack
 
     def worst_hold_slack_ps(self) -> float:
@@ -316,10 +320,6 @@ class TimingAnalyzer:
         """Longest endpoint arrival (critical path delay), ps."""
         report = report or self.run()
         worst = 0.0
-        for (inst_idx, pin), slack in report.endpoint_slack_ps.items():
-            arrivalish = report.clock_ps - slack
-            if inst_idx >= 0:
-                worst = max(worst, arrivalish)
-            else:
-                worst = max(worst, arrivalish)
+        for slack in report.endpoint_slack_ps.values():
+            worst = max(worst, report.clock_ps - slack)
         return worst

@@ -6,6 +6,7 @@ each class costs an audit, not a flow run.  The CLI tests run the
 smallest circuit at a tiny scale.
 """
 
+import dataclasses
 import json
 
 import pytest
@@ -17,6 +18,8 @@ from repro.check import (
     capture_artifacts,
     inject_defect,
 )
+from repro.check.timing import check_timing
+from repro.circuits.netlist import PO_SINK
 from repro.cli import main
 
 # Injected defect class -> the check that must catch it (as an error).
@@ -84,6 +87,23 @@ def test_injection_does_not_mutate_original(aes_capture_small, kind):
     inject_defect(artifacts, kind)
     # The original artifacts still audit clean.
     assert audit_artifacts(artifacts, library_checks=False).ok
+
+
+def test_slack_audit_flags_po_endpoint_naming_no_net(aes_capture_small):
+    # A primary-output key whose name matches no net cannot be checked
+    # against an arrival, so the audit reports it as unknown.
+    artifacts = aes_capture_small[1][1]
+    report = artifacts.timing_report
+    slacks = dict(report.endpoint_slack_ps)
+    slacks[(PO_SINK, "no_such_net")] = report.clock_ps
+    forged = dataclasses.replace(report, endpoint_slack_ps=slacks)
+    findings, _checks = check_timing(artifacts.module, artifacts.library,
+                                     forged, artifacts.clock_ns)
+    errors = [f for f in findings if f.check == "sta.slack_arithmetic"]
+    assert errors and errors[0].severity == "error"
+    clean, _checks = check_timing(artifacts.module, artifacts.library,
+                                  report, artifacts.clock_ns)
+    assert not [f for f in clean if f.check == "sta.slack_arithmetic"]
 
 
 def test_inject_rejects_unknown_kind(aes_capture_small):

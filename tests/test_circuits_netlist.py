@@ -104,3 +104,64 @@ def test_clock_marking():
     m.set_clock(c)
     assert m.clock_net == c
     assert m.nets[c].is_clock
+
+
+def _edit(m, g, nets, mutator):
+    """Prepare one structural edit on the tiny module; returns the call."""
+    a, b, z = nets
+    if mutator == "add_net":
+        return lambda: m.add_net("n_new")
+    if mutator == "add_instance":
+        return lambda: m.add_instance("g_new", "INV_X1")
+    if mutator == "connect":
+        inst = m.add_instance("g_new", "INV_X1")
+        return lambda: m.connect(inst, "A", z)
+    if mutator == "rewire_sink":
+        return lambda: m.rewire_sink(a, (g.index, "A"), b)
+    if mutator == "mark_primary_input":
+        net = m.add_net("n_new")
+        return lambda: m.mark_primary_input(net)
+    if mutator == "mark_primary_output":
+        return lambda: m.mark_primary_output(z)
+    if mutator == "set_clock":
+        return lambda: m.set_clock(a)
+    assert mutator == "mark_clock_net"
+    return lambda: m.mark_clock_net(b)
+
+
+@pytest.mark.parametrize("mutator", [
+    "add_net", "add_instance", "connect", "rewire_sink",
+    "mark_primary_input", "mark_primary_output", "set_clock",
+    "mark_clock_net"])
+def test_structural_edits_bump_topology_version(mutator):
+    m, g, nets = _tiny_module()
+    edit = _edit(m, g, nets, mutator)
+    before = m.topology_version
+    edit()
+    assert m.topology_version > before
+
+
+def test_resize_keeps_topology_version():
+    m, g, _ = _tiny_module()
+    before = m.topology_version
+    m.resize_instance(g, "NAND2_X4")
+    assert m.topology_version == before
+
+
+def test_mark_clock_net_flags_net():
+    m, _g, (a, b, _z) = _tiny_module()
+    m.mark_clock_net(b)
+    assert m.nets[b].is_clock and m.clock_net is None
+
+
+def test_modules_pickled_without_counter_load_at_version_zero():
+    import pickle
+
+    m, _g, _ = _tiny_module()
+    assert m.topology_version > 0
+    state = dict(m.__dict__)
+    del state["topology_version"]
+    old = Module.__new__(Module)
+    old.__dict__.update(state)
+    restored = pickle.loads(pickle.dumps(old))
+    assert restored.topology_version == 0

@@ -10,6 +10,8 @@ against a direct solve, monotone router demand booking).
 
 from __future__ import annotations
 
+import copy
+
 import numpy as np
 import pytest
 
@@ -561,3 +563,193 @@ def test_netmodel_degenerate_nets_match(aes_placed):
     r0, c0 = PlacedNetModel(module, interconnect).net_rc_bulk(
         [], len(module.nets))
     assert not r0.any() and not c0.any()
+
+
+# -- incremental STA -----------------------------------------------------------
+#
+# The numpy backend keeps its timing graph and wire-RC arrays alive
+# between the runs of one analyzer, and the optimizer invalidates only
+# the nets it buffers.  These tests re-time every numpy run of whole
+# flows from scratch with the reference engine on a fresh net model.
+
+
+def _fresh_net_model(model):
+    """A cache-free copy of a net model (WLM and routed models hold no
+    per-net cache, so they are their own fresh copy)."""
+    if isinstance(model, PlacedNetModel):
+        return PlacedNetModel(
+            model.module, model.interconnect,
+            io_positions=model.io_positions,
+            local_threshold_um=model.local_threshold_um,
+            intermediate_threshold_um=model.intermediate_threshold_um)
+    return model
+
+
+def _assert_reports_equal(got, want):
+    assert got.clock_ps == want.clock_ps
+    assert got.arrival_ps == want.arrival_ps
+    assert got.slew_ps == want.slew_ps
+    assert got.load_ff == want.load_ff
+    assert got.endpoint_slack_ps == want.endpoint_slack_ps
+    assert got.wns_ps == want.wns_ps
+    assert got.tns_ps == want.tns_ps
+    assert got.critical_endpoint == want.critical_endpoint
+
+
+@pytest.fixture()
+def checked_sta(monkeypatch):
+    """Compare every numpy-backend STA run with a from-scratch reference.
+
+    Yields a tally: ``runs`` compared and ``reused`` runs that kept the
+    analyzer's timing graph from its previous run.
+    """
+    from repro.kernels import current_backend
+
+    run = TimingAnalyzer.run
+    tally = {"runs": 0, "reused": 0}
+
+    def checked(self):
+        state = self._incremental
+        graph = state.graph if state is not None else None
+        report = run(self)
+        if current_backend() != "numpy":
+            return report
+        tally["runs"] += 1
+        tally["reused"] += int(graph is not None
+                               and self._incremental.graph is graph)
+        reference = copy.copy(self)
+        reference.net_model = _fresh_net_model(self.net_model)
+        reference._incremental = None
+        with use_backend("python"):
+            _assert_reports_equal(report, run(reference))
+        return report
+
+    monkeypatch.setattr(TimingAnalyzer, "run", checked)
+    return tally
+
+
+@pytest.mark.parametrize("circuit,scale,is_3d,extra", [
+    ("fpu", 0.05, False, {}),
+    ("fpu", 0.05, True, {}),
+    ("aes", 0.05, False, {}),
+    ("aes", 0.05, True, {}),
+    ("noc", 0.03, True, {"tiers": 4, "fold_style": "interleave"}),
+])
+def test_incremental_sta_matches_reference_through_flow(
+        checked_sta, circuit, scale, is_3d, extra):
+    from repro.flow.design_flow import FlowConfig, run_flow
+
+    with use_backend("numpy"):
+        run_flow(FlowConfig(circuit=circuit, scale=scale, seed=1,
+                            is_3d=is_3d, kernel_backend="numpy", **extra))
+    # Synthesis, DRV fixing, the optimizer loop, recovery and sign-off
+    # all ran, and resize-only batches re-timed on the kept graph.
+    assert checked_sta["runs"] >= 5
+    assert checked_sta["reused"] >= 1
+
+
+def _split_net(module):
+    """Buffer the far half of the first net with four or more sinks."""
+    net = next(n for n in module.nets
+               if not n.is_clock and n.driver is not None
+               and n.driver[0] >= 0 and n.fanout >= 4)
+    sinks = [s for s in net.sinks if s[0] >= 0][net.fanout // 2:]
+    xs = [module.instances[s[0]].x_um for s in sinks]
+    ys = [module.instances[s[0]].y_um for s in sinks]
+    buf = module.insert_buffer(net.index, "BUF_X4", sinks,
+                               x_um=sum(xs) / len(xs),
+                               y_um=sum(ys) / len(ys))
+    return net.index, buf
+
+
+def test_net_rc_bulk_after_targeted_invalidation_matches_fresh(aes_placed):
+    module = copy.deepcopy(aes_placed[0])
+    floorplan = aes_placed[1]
+    interconnect = _interconnect()
+    model = PlacedNetModel(module, interconnect,
+                           io_positions=floorplan.io_positions)
+    n = len(module.nets)
+    model.net_rc_bulk(module.nets, n)
+
+    # Move one cell: only its nets change, and only they are refreshed.
+    inst = next(i for i in module.instances if len(i.pin_nets) >= 3)
+    inst.x_um += 40.0
+    inst.y_um += 25.0
+    stale_r, _ = model.net_rc_bulk(module.nets, n)
+    for net_idx in inst.pin_nets.values():
+        model.invalidate(net_idx)
+    r, c = model.net_rc_bulk(module.nets, n)
+    fresh_r, fresh_c = _fresh_net_model(model).net_rc_bulk(module.nets, n)
+    assert not np.array_equal(stale_r, fresh_r)
+    assert np.array_equal(r, fresh_r) and np.array_equal(c, fresh_c)
+
+    # Buffer insertion: the split net is invalidated, the new one grows
+    # the arrays.
+    net_idx, buf = _split_net(module)
+    model.invalidate(net_idx)
+    r, c = model.net_rc_bulk(module.nets, len(module.nets))
+    fresh_r, fresh_c = _fresh_net_model(model).net_rc_bulk(
+        module.nets, len(module.nets))
+    assert r.size == n + 1 and buf.pin_nets["Z"] == n
+    assert np.array_equal(r, fresh_r) and np.array_equal(c, fresh_c)
+    # Scalar reads agree with the bulk arrays.
+    for net in module.nets:
+        assert model.net_rc(net) == (r[net.index], c[net.index])
+
+
+def test_incremental_sta_tracks_resizes_and_buffers(aes_placed, lib45_2d):
+    module = copy.deepcopy(aes_placed[0])
+    floorplan = aes_placed[1]
+    model = PlacedNetModel(module, _interconnect(),
+                           io_positions=floorplan.io_positions)
+    analyzer = TimingAnalyzer(module, lib45_2d, model, clock_ns=2.0)
+
+    def reference():
+        fresh = TimingAnalyzer(module, lib45_2d, _fresh_net_model(model),
+                               clock_ns=2.0)
+        with use_backend("python"):
+            return fresh.run()
+
+    with use_backend("numpy"):
+        analyzer.run()
+        graph = analyzer._incremental.graph
+        # A resize keeps the graph and re-reads the cell.
+        inst = next(i for i in module.instances
+                    if i.cell_name == "NAND2_X1")
+        module.resize_instance(inst, "NAND2_X2")
+        _assert_reports_equal(analyzer.run(), reference())
+        assert analyzer._incremental.graph is graph
+        # A structural edit that adds no instance (a new primary-output
+        # endpoint) rebuilds it.
+        net = module.nets[inst.pin_nets["ZN"]]
+        assert net.index not in module.primary_outputs
+        module.mark_primary_output(net.index)
+        model.invalidate(net.index)
+        _assert_reports_equal(analyzer.run(), reference())
+        assert analyzer._incremental.graph is not graph
+        graph = analyzer._incremental.graph
+        # So does a buffer insertion.
+        net_idx, _buf = _split_net(module)
+        model.invalidate(net_idx)
+        _assert_reports_equal(analyzer.run(), reference())
+        assert analyzer._incremental.graph is not graph
+
+
+def test_incremental_sta_rejects_resize_to_other_pins(aes_placed,
+                                                      lib45_2d):
+    # A resize to a cell with other pin names changes no topology, but
+    # the kept graph no longer fits: like the reference, the run fails
+    # instead of timing a pin the cell does not have.
+    from repro.errors import ReproError
+
+    module = copy.deepcopy(aes_placed[0])
+    model = PlacedNetModel(module, _interconnect(),
+                           io_positions=aes_placed[1].io_positions)
+    analyzer = TimingAnalyzer(module, lib45_2d, model, clock_ns=2.0)
+    with use_backend("numpy"):
+        analyzer.run()
+    inst = next(i for i in module.instances if i.cell_name == "NAND2_X1")
+    module.resize_instance(inst, "INV_X1")
+    for backend in ("numpy", "python"):
+        with use_backend(backend), pytest.raises(ReproError):
+            analyzer.run()
