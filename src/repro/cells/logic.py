@@ -2,7 +2,9 @@
 
 Used by characterization (to find sensitizing side-input values for a
 timing arc) and by power analysis (signal-probability and transition-
-density propagation via truth-table enumeration).
+density propagation).  Power evaluates each cell type through its
+:class:`TruthTable`, enumerated once per process and applied to a whole
+batch of instances per call.
 """
 
 from __future__ import annotations
@@ -10,7 +12,10 @@ from __future__ import annotations
 from itertools import product
 from typing import Callable, Dict, List, Tuple
 
+import numpy as np
+
 from repro.errors import LibraryError
+from repro.kernels.arrays import as_index, sequential_sum
 
 
 def _nand(*xs: bool) -> bool:
@@ -55,6 +60,12 @@ _FUNCTIONS: Dict[str, Tuple[List[str], Dict[str, Callable]]] = {
 
 # Sequential next-state behaviour: Q follows the data input at the edge.
 _SEQ_DATA_PIN = {"DFF": "D", "DFFR": "D", "SDFF": "D", "DLH": "D"}
+
+
+def _check(cell_type: str) -> None:
+    if cell_type not in _FUNCTIONS:
+        raise LibraryError(
+            f"no combinational function for cell type {cell_type!r}")
 
 
 def is_combinational(cell_type: str) -> bool:
@@ -102,27 +113,105 @@ def sensitizing_vector(cell_type: str, toggled_pin: str,
         f"sensitized")
 
 
+class TruthTable:
+    """One combinational cell type's function, enumerated for batches.
+
+    Minterm ``m`` is the ``m``-th input vector of
+    ``itertools.product([False, True], repeat=n)`` over the declared
+    input pins.  :meth:`propagate` evaluates one row of input
+    probabilities per instance and repeats the arithmetic of a scalar
+    truth-table walk exactly: a minterm's probability is the
+    left-to-right product over the declared pins of ``p`` or
+    ``1.0 - p``, and every probability is the sum of its selected
+    minterms in minterm order (``np.add.accumulate``, never ``np.sum``,
+    whose pairwise summation reorders the additions).
+    """
+
+    def __init__(self, cell_type: str) -> None:
+        _check(cell_type)
+        pins, outs = _FUNCTIONS[cell_type]
+        n = len(pins)
+        vectors = list(product([False, True], repeat=n))
+        values = [evaluate(cell_type, dict(zip(pins, v))) for v in vectors]
+        self.cell_type = cell_type
+        self.inputs: Tuple[str, ...] = tuple(pins)
+        self.outputs: Tuple[str, ...] = tuple(outs)
+        self.bits = np.array(vectors, dtype=bool)
+        # Minterms where each output is 1.
+        self.ones = [as_index([m for m, v in enumerate(values) if v[out]])
+                     for out in outs]
+        # Boolean difference w.r.t. pin k: the minterms with pin k at 0
+        # enumerate the other pins in product order; a side assignment
+        # is sensitized when setting pin k flips the output.
+        self.side_rows: List[np.ndarray] = []
+        self.side_cols: List[np.ndarray] = []
+        self.sensitized: List[List[np.ndarray]] = [[] for _ in outs]
+        for k in range(n):
+            flip = 1 << (n - 1 - k)
+            rows = [m for m, v in enumerate(vectors) if not v[k]]
+            self.side_rows.append(as_index(rows))
+            self.side_cols.append(as_index([c for c in range(n) if c != k]))
+            for j, out in enumerate(outs):
+                self.sensitized[j].append(as_index(
+                    [s for s, m in enumerate(rows)
+                     if values[m][out] != values[m | flip][out]]))
+
+    def propagate(self, probs: np.ndarray) -> Tuple[np.ndarray, np.ndarray]:
+        """Output and boolean-difference probabilities of a batch.
+
+        ``probs`` is ``(batch, n_inputs)`` in declared pin order, assuming
+        independent inputs.  Returns ``P(output = 1)`` as
+        ``(batch, n_outputs)`` and ``P(output toggles | input toggles)``
+        (Najm's transition-density propagator) as
+        ``(batch, n_outputs, n_inputs)``.
+        """
+        n = len(self.inputs)
+        factors = np.where(self.bits, probs[:, None, :],
+                           1.0 - probs[:, None, :])
+        minterms = _left_product(factors)
+        out = np.stack([sequential_sum(minterms[:, rows])
+                        for rows in self.ones], axis=1)
+        bd = np.empty((probs.shape[0], len(self.outputs), n))
+        for k in range(n):
+            side = _left_product(
+                factors[:, self.side_rows[k][:, None], self.side_cols[k]])
+            for j, sensitized in enumerate(self.sensitized):
+                bd[:, j, k] = sequential_sum(side[:, sensitized[k]])
+        return out, bd
+
+    def probability_row(self, input_probs: Dict[str, float]) -> np.ndarray:
+        """A one-instance batch; undeclared pins are ignored, missing
+        ones read 0.5."""
+        return np.array([[input_probs.get(pin, 0.5)
+                          for pin in self.inputs]], dtype=float)
+
+
+def _left_product(factors: np.ndarray) -> np.ndarray:
+    """Product over the last axis, left to right, as ``p = 1.0; p *= f``."""
+    if factors.shape[-1] == 0:
+        return np.ones(factors.shape[:-1])
+    p = factors[..., 0]
+    for k in range(1, factors.shape[-1]):
+        p = p * factors[..., k]
+    return p
+
+
+_TABLES: Dict[str, TruthTable] = {name: TruthTable(name)
+                                  for name in _FUNCTIONS}
+
+
+def truth_table(cell_type: str) -> TruthTable:
+    """The cell type's :class:`TruthTable` (enumerated at import)."""
+    _check(cell_type)
+    return _TABLES[cell_type]
+
+
 def output_probabilities(cell_type: str,
                          input_probs: Dict[str, float]) -> Dict[str, float]:
-    """P(output = 1) per output, assuming independent inputs.
-
-    Exact truth-table enumeration — library cells have at most 4 inputs.
-    """
-    _check(cell_type)
-    pins, outs = _FUNCTIONS[cell_type]
-    result = {name: 0.0 for name in outs}
-    for values in product([False, True], repeat=len(pins)):
-        p = 1.0
-        for pin, val in zip(pins, values):
-            prob = input_probs.get(pin, 0.5)
-            p *= prob if val else (1.0 - prob)
-        if p == 0.0:
-            continue
-        out_vals = evaluate(cell_type, dict(zip(pins, values)))
-        for name, val in out_vals.items():
-            if val:
-                result[name] += p
-    return result
+    """P(output = 1) per output, assuming independent inputs."""
+    table = truth_table(cell_type)
+    out, _bd = table.propagate(table.probability_row(input_probs))
+    return dict(zip(table.outputs, out[0].tolist()))
 
 
 def boolean_difference_probability(cell_type: str, pin: str,
@@ -133,25 +222,15 @@ def boolean_difference_probability(cell_type: str, pin: str,
     This is the probability that the boolean difference dF/dpin is true
     under the side-input distribution (Najm's transition density model).
     """
-    _check(cell_type)
-    pins, _ = _FUNCTIONS[cell_type]
-    if pin not in pins:
+    table = truth_table(cell_type)
+    if pin not in table.inputs:
         raise LibraryError(f"{cell_type}: pin {pin!r} is not an input")
-    others = [p for p in pins if p != pin]
-    total = 0.0
-    for values in product([False, True], repeat=len(others)):
-        p = 1.0
-        for other, val in zip(others, values):
-            prob = input_probs.get(other, 0.5)
-            p *= prob if val else (1.0 - prob)
-        if p == 0.0:
-            continue
-        side = dict(zip(others, values))
-        lo = evaluate(cell_type, {**side, pin: False})[output_pin]
-        hi = evaluate(cell_type, {**side, pin: True})[output_pin]
-        if lo != hi:
-            total += p
-    return total
+    if output_pin not in table.outputs:
+        raise LibraryError(
+            f"{cell_type}: pin {output_pin!r} is not an output")
+    _out, bd = table.propagate(table.probability_row(input_probs))
+    return float(bd[0, table.outputs.index(output_pin),
+                    table.inputs.index(pin)])
 
 
 def sequential_data_pin(cell_type: str) -> str:
@@ -159,9 +238,3 @@ def sequential_data_pin(cell_type: str) -> str:
         return _SEQ_DATA_PIN[cell_type]
     except KeyError:
         raise LibraryError(f"{cell_type} is not a sequential cell type")
-
-
-def _check(cell_type: str) -> None:
-    if cell_type not in _FUNCTIONS:
-        raise LibraryError(
-            f"no combinational function for cell type {cell_type!r}")

@@ -82,3 +82,17 @@ def padded_rows(values: Sequence[Sequence], fill) -> np.ndarray:
         if row:
             out[i, :len(row)] = row
     return out
+
+
+def sequential_sum(terms: np.ndarray) -> np.ndarray:
+    """``total = 0.0; total += t`` along the last axis, in order.
+
+    ``np.sum`` may add pairwise, which rounds differently; accumulate
+    never reorders.  The trailing ``+ 0.0`` stands in for the start
+    value: it turns an all-``-0.0`` total into ``+0.0`` and changes
+    nothing else, so skipping zero terms, as a scalar loop may, gives
+    the same total as adding them.
+    """
+    if terms.shape[-1] == 0:
+        return np.zeros(terms.shape[:-1])
+    return np.add.accumulate(terms, axis=-1)[..., -1] + 0.0

@@ -15,11 +15,15 @@ Follows the paper's reporting decomposition exactly:
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Dict, Optional
+from typing import Dict
+
+import numpy as np
 
 from repro.errors import PowerError
-from repro.circuits.netlist import Module, Net
-from repro.power.activity import ActivityReport, propagate_activity
+from repro.circuits.netlist import Module
+from repro.kernels.arrays import as_index, sequential_sum
+from repro.power.activity import propagate_activity
+from repro.timing.graph import CombGraph
 from repro.timing.netmodel import NetModel
 
 # Per-cycle internal clocking energy of a sequential cell, as a fraction of
@@ -53,73 +57,92 @@ class PowerReport:
         }
 
 
+def _total(values: np.ndarray) -> float:
+    return float(sequential_sum(values))
+
+
 def analyze_power(module: Module, library, net_model: NetModel,
                   clock_ns: float,
-                  activity: Optional[ActivityReport] = None,
                   pi_activity: float = 0.2,
                   seq_activity: float = 0.1) -> PowerReport:
-    """Statistical power analysis of a placed/routed module."""
+    """Statistical power analysis of a placed/routed module.
+
+    Array form of the per-net and per-instance sums: every total adds
+    its terms sequentially in net or instance order, so the report is
+    bit-identical to accumulating them one at a time.
+    """
     if clock_ns <= 0.0:
         raise PowerError("clock period must be positive")
-    if activity is None:
-        activity = propagate_activity(module, library,
-                                      pi_activity=pi_activity,
-                                      seq_activity=seq_activity)
+    graph = CombGraph(module, library)
+    density = propagate_activity(module, library,
+                                 pi_activity=pi_activity,
+                                 seq_activity=seq_activity,
+                                 graph=graph).density
     vdd = library.node.vdd
     v2 = vdd * vdd
+    n_nets = graph.n_nets
+
+    name_ids: Dict[str, int] = {}
+    cid = as_index([name_ids.setdefault(inst.cell_name, len(name_ids))
+                    for inst in module.instances])
+    cells = [library.cell(name) for name in name_ids]
 
     # -- net switching power -------------------------------------------------
-    net_wire_fj = 0.0   # per cycle
-    net_pin_fj = 0.0
-    clock_fj = 0.0
-    wire_cap_total = 0.0
-    pin_cap_total = 0.0
-    for net in module.nets:
-        density = activity.net_density(net.index)
-        _r, c_wire = net_model.net_rc(net)
-        c_pins = 0.0
-        for inst_idx, pin in net.sinks:
-            if inst_idx < 0:
-                continue
-            cell = library.cell(module.instances[inst_idx].cell_name)
-            c_pins += cell.pin_cap_ff(pin)
-        wire_cap_total += c_wire
-        pin_cap_total += c_pins
-        if density <= 0.0:
-            continue
-        e_wire = 0.5 * density * c_wire * v2
-        e_pin = 0.5 * density * c_pins * v2
-        net_wire_fj += e_wire
-        net_pin_fj += e_pin
-        if net.is_clock:
-            clock_fj += e_wire + e_pin
+    # Sink pin caps in net-then-sink order; ``bincount`` adds each net's
+    # sequentially from 0.0, like a per-net loop.
+    _r, c_wire = net_model.net_rc_bulk(module.nets, n_nets)
+    sinks = graph.load_inst >= 0
+    sink_inst = graph.load_inst[sinks]
+    sink_pin = graph.load_pin[sinks]
+    cap_of = np.array([[cell.pins[p].cap_ff if p in cell.pins else np.nan
+                        for p in graph.pin_names] for cell in cells]
+                      ).reshape(len(cells), len(graph.pin_names))
+    caps = cap_of[cid[sink_inst], sink_pin]
+    missing = np.flatnonzero(np.isnan(caps))
+    if missing.size:
+        k = int(missing[0])
+        cells[cid[sink_inst[k]]].pin(graph.pin_names[sink_pin[k]])
+    c_pins = np.bincount(graph.load_net[sinks], weights=caps,
+                         minlength=n_nets)
+    wire_cap_total = _total(c_wire)
+    pin_cap_total = _total(c_pins)
+    active = density > 0.0
+    d_active = density[active]
+    e_wire = 0.5 * d_active * c_wire[active] * v2
+    e_pin = 0.5 * d_active * c_pins[active] * v2
+    net_wire_fj = _total(e_wire)
+    net_pin_fj = _total(e_pin)
+    is_clock = np.array([net.is_clock for net in module.nets], dtype=bool)
+    clock_net_fj = (e_wire + e_pin)[is_clock[active]]
 
     # -- cell internal power ----------------------------------------------------
-    cell_fj = 0.0
-    leakage_mw = 0.0
-    for inst in module.instances:
-        cell = library.cell(inst.cell_name)
-        leakage_mw += cell.leakage_mw
-        out_nets = [net_idx for pin, net_idx in inst.pin_nets.items()
-                    if cell.pin(pin).direction.value == "output"]
-        if not out_nets:
-            continue
-        # Use the first/primary output's load and density.
-        net = module.nets[out_nets[0]]
-        _r, c_wire = net_model.net_rc(net)
-        load = c_wire + sum(
-            library.cell(module.instances[si].cell_name).pin_cap_ff(sp)
-            for si, sp in net.sinks if si >= 0)
-        e_per_transition = cell.internal_energy_fj(NOMINAL_SLEW_PS, load)
-        density = activity.net_density(net.index)
-        e = e_per_transition * density
-        if cell.is_sequential:
-            e += e_per_transition * SEQ_CLOCK_ENERGY_FRACTION
-            if cell.cell_type == "CLKBUF":
-                pass
-        if cell.cell_type == "CLKBUF":
-            clock_fj += e
-        cell_fj += e
+    # (``leakage_mw`` raises for an uncharacterized cell.)
+    leakage_mw = _total(
+        np.array([cell.leakage_mw for cell in cells])[cid])
+    # Each instance's first output pin in pin order drives its load.
+    out_net = np.full(graph.n_inst, -1, dtype=np.intp)
+    has_out = graph.out_counts > 0
+    out_net[has_out] = graph.out_arr[graph.out_off[:-1][has_out]]
+    seq_inst, first = np.unique(graph.seq_out_inst, return_index=True)
+    out_net[seq_inst] = graph.seq_out_nets[first]
+    driving = np.flatnonzero(out_net >= 0)
+    nets = out_net[driving]
+    load = c_wire[nets] + c_pins[nets]
+    e_per_transition = np.empty(driving.size)
+    kind = cid[driving]
+    for c, cell in enumerate(cells):
+        rows = np.flatnonzero(kind == c)
+        if rows.size:
+            table = cell.characterization.worst_arc().internal_energy
+            e_per_transition[rows] = table.lookup_batch(
+                np.full(rows.size, NOMINAL_SLEW_PS), load[rows])
+    e = e_per_transition * density[nets]
+    seq = np.array([cell.is_sequential for cell in cells], dtype=bool)[kind]
+    e[seq] = e[seq] + e_per_transition[seq] * SEQ_CLOCK_ENERGY_FRACTION
+    clkbuf = np.array([cell.cell_type == "CLKBUF" for cell in cells],
+                      dtype=bool)[kind]
+    cell_fj = _total(e)
+    clock_fj = _total(np.concatenate((clock_net_fj, e[clkbuf])))
 
     # fJ per cycle / ns -> uW; convert to mW.
     to_mw = 1.0e-3 / clock_ns

@@ -249,7 +249,14 @@ class CombGraph:
             self.indegree0 = np.zeros(n_inst, dtype=np.intp)
 
     def levels(self) -> List[np.ndarray]:
-        """Instances grouped by topological depth (see module doc)."""
+        """Instances grouped by topological depth (see module doc).
+
+        Each level lists its instances in the order :func:`levelize`
+        visits them, so the concatenated levels are exactly its order:
+        its FIFO queue takes level 0 by index and every later instance
+        at the in-degree decrement that zeroes it, in (instance, output
+        pin, sink) order.
+        """
         obs_metrics.counter("sta.levelization_passes").inc()
         indegree = self.indegree0.copy()
         produced = self.net_ready.copy()
@@ -274,8 +281,11 @@ class CombGraph:
                 sinks = _gather_ragged(self.sink_off, self.sink_arr, nets)
                 if sinks.size:
                     np.subtract.at(indegree, sinks, 1)
-                    touched = np.unique(sinks)
-                    frontier = touched[indegree[touched] == 0]
+                    # Each sink's last decrement, counted from the end.
+                    touched, from_end = np.unique(sinks[::-1],
+                                                  return_index=True)
+                    ready = indegree[touched] == 0
+                    frontier = touched[ready][np.argsort(-from_end[ready])]
         if done_count != self.comb_count:
             module = self.module
             stuck = [module.instances[i].name
@@ -293,6 +303,6 @@ def levelize_levels(module: Module, library) -> List[np.ndarray]:
     Same graph, start points, and loop diagnostics as :func:`levelize`,
     but the Kahn frontier advances one whole level per round so the
     vectorized STA backend can propagate each level as one batch.  The
-    concatenation of the returned levels is a valid topological order.
+    concatenation of the returned levels is :func:`levelize`'s order.
     """
     return CombGraph(module, library).levels()

@@ -168,6 +168,21 @@ def test_levelize_levels_matches_levelize(aes_small, lib45_2d):
                 assert produced_level[net_idx] < pos[inst.index]
 
 
+def test_levels_concatenate_to_levelize_order(aes_small, lib45_2d):
+    from repro.opt.cts import synthesize_clock_tree
+
+    module, _floorplan = aes_small
+    flat = np.concatenate(levelize_levels(module, lib45_2d)).tolist()
+    assert flat == levelize(module, lib45_2d)
+    # A clock tree with a trunk level: its buffers all sit in level 0.
+    clocked = generate_benchmark("m256", scale=0.02)
+    tree = synthesize_clock_tree(
+        clocked, lib45_2d, Floorplan.for_module(clocked, lib45_2d, 0.80))
+    assert tree.n_levels >= 2
+    levels = levelize_levels(clocked, lib45_2d)
+    assert np.concatenate(levels).tolist() == levelize(clocked, lib45_2d)
+
+
 def test_nldm_lookup_batch_matches_scalar(lib45_2d):
     cell = lib45_2d.cell("INV_X1")
     arc = cell.characterization.worst_arc()
