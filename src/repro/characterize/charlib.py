@@ -38,7 +38,6 @@ from repro.characterize.waveforms import (
     constant,
     measure_delay_slew,
 )
-from repro.kernels import current_backend
 from repro.obs.trace import kernel
 from repro.tech.node import TechNode, NODE_45NM
 
@@ -139,14 +138,6 @@ def _build_circuit(netlist: CellNetlist, parasitics: Optional[CellParasitics],
     return circuit, far
 
 
-def _settle(circuit: MNACircuit, setup: CharacterizationSetup,
-            initial: Optional[Dict[str, float]] = None) -> Dict[str, float]:
-    """Run the settling phase; returns final node voltages."""
-    result = circuit.transient(setup.settle_ns, setup.settle_dt_ns,
-                               initial=initial)
-    return {name: float(wave[-1]) for name, wave in result.voltages.items()}
-
-
 def _window_ns(node: TechNode, slew_ps: float, load_ff: float,
                setup: CharacterizationSetup) -> Tuple[float, float]:
     """(t_stop_ns, dt_ns) for a measurement run."""
@@ -176,117 +167,6 @@ def preferred_arc(netlist: CellNetlist, cell_type: str) -> Tuple[str, str]:
     return netlist.input_pins[0], netlist.output_pins[0]
 
 
-def _measure_combinational(netlist: CellNetlist,
-                           parasitics: Optional[CellParasitics],
-                           cell_type: str, in_pin: str, out_pin: str,
-                           slew_ps: float, load_ff: float,
-                           setup: CharacterizationSetup
-                           ) -> Tuple[float, float, float]:
-    """(delay_ps, slew_ps, energy_fj) averaged over rise and fall."""
-    node = setup.node
-    vdd = node.vdd
-    side = sensitizing_vector(cell_type, in_pin, out_pin)
-    delays, slews, energies = [], [], []
-    for input_rising in (True, False):
-        circuit, far = _build_circuit(netlist, parasitics, node, load_ff,
-                                      out_pin)
-        v0 = 0.0 if input_rising else vdd
-        for pin, value in side.items():
-            circuit.drive(pin, constant(vdd if value else 0.0))
-        circuit.drive(in_pin, constant(v0))
-        initial = _settle(circuit, setup)
-        out_start = initial.get(far[out_pin], 0.0)
-        output_rising = out_start < vdd / 2.0
-
-        circuit2, far2 = _build_circuit(netlist, parasitics, node, load_ff,
-                                        out_pin)
-        for pin, value in side.items():
-            circuit2.drive(pin, constant(vdd if value else 0.0))
-        start_ns = 0.02
-        stim = RampStimulus(v0=v0, v1=vdd - v0, start_ns=start_ns,
-                            slew_ps=slew_ps)
-        circuit2.drive(in_pin, stim)
-        t_stop, dt = _window_ns(node, slew_ps, load_ff, setup)
-        result = circuit2.transient(t_stop + start_ns, dt,
-                                    record=[far2[out_pin]],
-                                    initial=initial)
-        out_wave = result.voltage(far2[out_pin])
-        delay_ps, out_slew_ps = measure_delay_slew(
-            result.times_ns, out_wave, vdd, stim.mid_crossing_ns,
-            output_rising)
-        e_supply = result.supply_energy_fj
-        # Subtract leakage baseline and, for a rising output, the energy
-        # delivered into the external load (Liberty internal-power
-        # convention).
-        leak_fj = (_leakage_mw(netlist, node) * 1.0e3) * (t_stop + start_ns)
-        e_int = e_supply - leak_fj
-        if output_rising:
-            e_int -= load_ff * vdd * vdd
-        energies.append(max(e_int, 0.0))
-        delays.append(delay_ps)
-        slews.append(out_slew_ps)
-    return (float(np.mean(delays)), float(np.mean(slews)),
-            float(np.mean(energies)))
-
-
-def _measure_sequential(netlist: CellNetlist,
-                        parasitics: Optional[CellParasitics],
-                        clk_pin: str, out_pin: str,
-                        slew_ps: float, load_ff: float,
-                        setup: CharacterizationSetup
-                        ) -> Tuple[float, float, float]:
-    """Clock->Q measurement, averaged over Q rising and falling."""
-    node = setup.node
-    vdd = node.vdd
-    data_pin = netlist.input_pins[0]
-    delays, slews, energies = [], [], []
-    for q_rising in (True, False):
-        d_value = vdd if q_rising else 0.0
-        circuit, far = _build_circuit(netlist, parasitics, node, load_ff,
-                                      out_pin)
-        circuit.drive(data_pin, constant(d_value))
-        for pin in netlist.input_pins[1:]:
-            held = _SEQ_SIDE_VALUES.get(pin, False)
-            circuit.drive(pin, constant(vdd if held else 0.0))
-        circuit.drive(clk_pin, constant(0.0))
-        # Seed the slave latch in the *pre-edge* state (Q at the opposite
-        # rail of its post-edge value) so the clock edge produces a
-        # measurable output transition.  The feedback keeper then holds the
-        # state through the settle phase.
-        seed_s_in = vdd if q_rising else 0.0
-        seed = {"s_in": seed_s_in, "s_in__w": seed_s_in,
-                "s_fb": seed_s_in, "s_fb__w": seed_s_in,
-                "s_out": vdd - seed_s_in, "s_out__w": vdd - seed_s_in}
-        initial = _settle(circuit, setup, initial=seed)
-
-        circuit2, far2 = _build_circuit(netlist, parasitics, node, load_ff,
-                                        out_pin)
-        circuit2.drive(data_pin, constant(d_value))
-        for pin in netlist.input_pins[1:]:
-            held = _SEQ_SIDE_VALUES.get(pin, False)
-            circuit2.drive(pin, constant(vdd if held else 0.0))
-        start_ns = 0.02
-        stim = RampStimulus(v0=0.0, v1=vdd, start_ns=start_ns,
-                            slew_ps=slew_ps)
-        circuit2.drive(clk_pin, stim)
-        t_stop, dt = _window_ns(node, slew_ps, load_ff + 6.0, setup)
-        result = circuit2.transient(t_stop + start_ns, dt,
-                                    record=[far2[out_pin]],
-                                    initial=initial)
-        out_wave = result.voltage(far2[out_pin])
-        delay_ps, out_slew_ps = measure_delay_slew(
-            result.times_ns, out_wave, vdd, stim.mid_crossing_ns, q_rising)
-        leak_fj = (_leakage_mw(netlist, node) * 1.0e3) * (t_stop + start_ns)
-        e_int = result.supply_energy_fj - leak_fj
-        if q_rising:
-            e_int -= load_ff * vdd * vdd
-        energies.append(max(e_int, 0.0))
-        delays.append(delay_ps)
-        slews.append(out_slew_ps)
-    return (float(np.mean(delays)), float(np.mean(slews)),
-            float(np.mean(energies)))
-
-
 def _sweep_grid_batch(netlist: CellNetlist,
                       parasitics: Optional[CellParasitics],
                       cell_type: str, in_pin: str, out_pin: str,
@@ -294,13 +174,14 @@ def _sweep_grid_batch(netlist: CellNetlist,
                       setup: CharacterizationSetup, sequential: bool,
                       delay: np.ndarray, oslew: np.ndarray,
                       energy: np.ndarray) -> None:
-    """Phase-batched characterization grid (``numpy`` kernel backend).
+    """Phase-batched characterization grid.
 
-    Runs the same simulations as the scalar grid loop but batched in
+    Runs the same simulations as a one-transient-at-a-time grid loop
+    (the reference, frozen in ``tests/kernel_oracle.py``) but batched in
     lockstep: one settle per (direction, load) — the settle result does
-    not depend on slew, so the scalar path's repeats are redundant —
-    then every (slew, load, direction) measurement at once.  Table
-    values are bit-identical to the scalar sweep.
+    not depend on slew, so the loop's repeats are redundant — then every
+    (slew, load, direction) measurement at once.  Table values are
+    bit-identical to the scalar sweep.
     """
     from repro.characterize.mna_batch import TransientSpec, transient_batch
 
@@ -431,24 +312,9 @@ def characterize_cell(netlist: CellNetlist,
     oslew = np.zeros_like(delay)
     energy = np.zeros_like(delay)
     with kernel("char.mna_sweep", points=len(slews) * len(loads)):
-        if current_backend() == "numpy":
-            _sweep_grid_batch(netlist, parasitics, cell_type, in_pin,
-                              out_pin, slews, loads, setup, sequential,
-                              delay, oslew, energy)
-        else:
-            for i, slew_ps in enumerate(slews):
-                for j, load_ff in enumerate(loads):
-                    if sequential:
-                        d, s, e = _measure_sequential(
-                            netlist, parasitics, in_pin, out_pin, slew_ps,
-                            load_ff, setup)
-                    else:
-                        d, s, e = _measure_combinational(
-                            netlist, parasitics, cell_type, in_pin, out_pin,
-                            slew_ps, load_ff, setup)
-                    delay[i, j] = d
-                    oslew[i, j] = s
-                    energy[i, j] = e
+        _sweep_grid_batch(netlist, parasitics, cell_type, in_pin,
+                          out_pin, slews, loads, setup, sequential,
+                          delay, oslew, energy)
 
     arc = TimingArc(
         input_pin=in_pin,

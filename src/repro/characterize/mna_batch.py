@@ -1,4 +1,4 @@
-"""Lockstep-batched MNA transients (the ``numpy`` kernel backend).
+"""Lockstep-batched MNA transients.
 
 Characterization sweeps run many *structurally identical* circuits — the
 same cell netlist with different load caps, stimulus slews, and step

@@ -325,12 +325,9 @@ def _cmd_bench(args: argparse.Namespace) -> int:
 
     status = _report_session_errors()
     if args.report:
-        from repro.kernels import current_backend
-
         payload = {
             "experiments": ids,
             "jobs": args.jobs,
-            "kernel_backend": current_backend(),
             "wall_s": round(wall_s, 3),
             "row_digests": digests,
             "errors": [e.summary() for e in runner.session_errors()],
@@ -747,11 +744,6 @@ def build_parser() -> argparse.ArgumentParser:
     parser.add_argument("--trace-out", default=None, metavar="PATH",
                         help="write the invocation's Chrome traceEvents "
                              "file to PATH (implies tracing on)")
-    parser.add_argument("--kernel-backend", default=None,
-                        choices=["python", "numpy"],
-                        help="numerical kernel implementation (default: "
-                             "$REPRO_KERNEL_BACKEND or numpy); both "
-                             "backends produce identical results")
     sub = parser.add_subparsers(dest="command", required=True)
 
     p = sub.add_parser("compare", help="iso-performance 2D vs T-MI run")
@@ -976,9 +968,6 @@ def _configure_runtime(args: argparse.Namespace):
     if args.resume:
         runner.use_persistent_cache(args.checkpoint_dir)
     stack = ExitStack()
-    if getattr(args, "kernel_backend", None):
-        from repro.kernels import use_backend
-        stack.enter_context(use_backend(args.kernel_backend))
     if args.timeout is not None:
         stack.enter_context(use_supervisor(StageSupervisor(
             default_policy=StagePolicy(timeout_s=args.timeout))))

@@ -38,7 +38,7 @@ from __future__ import annotations
 
 import logging
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Dict, Optional, Tuple
 
 from repro.cells.folding import FOLD_DEFAULT, FoldSpec
@@ -52,7 +52,6 @@ from repro.check.timing import check_timing
 from repro.circuits.generators import generate_benchmark
 from repro.errors import CongestionError, RoutingError
 from repro.flow import stagecache
-from repro.kernels import current_backend, use_backend
 from repro.runtime.supervisor import StagePolicy, current_supervisor
 from repro.opt.cts import synthesize_clock_tree
 from repro.opt.optimizer import Optimizer
@@ -141,10 +140,6 @@ class FlowConfig:
     # synthesis and placement stage checkpoints and recomputes routing
     # onward (see repro.flow.stagecache).
     router_detour_coeff: float = DETOUR_COEFF
-    # Numerical kernel backend ("python" or "numpy"); both produce
-    # bit-identical results, but the choice keys the digest chain so
-    # checkpoints are never shared across implementations.
-    kernel_backend: str = field(default_factory=current_backend)
 
     def style(self) -> str:
         return "3D" if self.is_3d else "2D"
@@ -236,16 +231,7 @@ class _LayoutAttempt:
 
 
 def run_flow(config: FlowConfig) -> LayoutResult:
-    """Run the full flow for one configuration (supervised stages).
-
-    The whole run executes under the config's kernel backend so every
-    stage — and anything it caches — is keyed and computed consistently.
-    """
-    with use_backend(config.kernel_backend):
-        return _run_flow(config)
-
-
-def _run_flow(config: FlowConfig) -> LayoutResult:
+    """Run the full flow for one configuration (supervised stages)."""
     supervisor = current_supervisor()
     # Stage-level incremental cache: pass-through unless a store is
     # bound (--resume / parallel workers).  Lookups happen *inside* the

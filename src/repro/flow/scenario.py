@@ -33,7 +33,7 @@ from repro.tech.miv import MIV_KOZ_DEFAULT
 from repro.tech.node import get_node
 
 # FlowConfig fields a scenario is allowed to set.  Everything else
-# (seed, clock, backend, ...) stays a per-run choice.
+# (seed, clock, activities, ...) stays a per-run choice.
 SCENARIO_KNOBS: Tuple[str, ...] = (
     "circuit", "scale", "node_name", "tiers", "fold_style",
     "miv_koz_diameters",
@@ -45,7 +45,7 @@ class ScenarioSpec:
     """One named point in the scenario space.
 
     A scenario only pins the *physical* knobs; run-level choices
-    (seed, backend, clock target) pass through ``to_flow_config``
+    (seed, clock target, activities) pass through ``to_flow_config``
     overrides untouched.
     """
 

@@ -49,8 +49,8 @@ from repro.runtime.session import current_session
 # + CTS — so a router-only change can reuse it.)
 STAGE_PARAMS: Dict[str, Tuple[str, ...]] = {
     "prepare": ("node_name", "is_3d", "pin_cap_scale", "metal_stack",
-                "local_resistivity_scale", "kernel_backend",
-                "tiers", "fold_style", "miv_koz_diameters"),
+                "local_resistivity_scale", "tiers", "fold_style",
+                "miv_koz_diameters"),
     "synthesis": ("circuit", "scale", "seed", "target_clock_ns",
                   "tightness", "target_utilization", "use_tmi_wlm"),
     "placement": ("target_utilization",),

@@ -1,68 +1,14 @@
-"""Kernel backend selection: pure-Python reference vs numpy-vectorized.
+"""Array kernels: one implementation per hot numerical loop.
 
-Every hot numerical kernel in the flow (quadratic placement assembly,
-spreading, median improvement, STA levelization/propagation, the
-router's layer assignment and tile booking, the MNA characterization
-sweep) exists twice: a pure-Python reference implementation — the
-original, loop-per-element code — and a vectorized numpy/scipy
-implementation.  Both produce the same results (byte-identical where
-the algorithm permits, within the declared golden tolerances
-elsewhere); ``tests/test_kernel_equivalence.py`` holds the
-differential harness and ``tests/test_backend_parity.py`` the
-full-flow parity nets.
+Each kernel lives next to the code that calls it, as array code on
+numpy/scipy: quadratic placement assembly, spreading and median
+improvement (:mod:`repro.place.quadratic_numpy`), STA levelization and
+propagation (:mod:`repro.timing.sta_numpy`), the router's layer
+assignment and tile booking (:mod:`repro.route.router_numpy`), and the
+MNA characterization sweep (:mod:`repro.characterize.mna_batch`).
+Each reproduces the scalar loop it replaced bit for bit; those loops
+are frozen in ``tests/kernel_oracle.py``, and
+``tests/test_kernel_equivalence.py`` holds the kernels to them.
 
-Selection:
-
-* the ``REPRO_KERNEL_BACKEND`` environment variable picks the process
-  default (``numpy`` when unset);
-* :func:`use_backend` scopes an override (the differential tests and
-  ``repro``'s ``--kernel-backend`` flag use it);
-* ``FlowConfig.kernel_backend`` pins a flow run — ``run_flow`` wraps
-  the whole flow in :func:`use_backend`, and the stage-digest chain
-  keys on the field, so switching backends never aliases checkpoints.
+This package keeps what the kernels share: :mod:`repro.kernels.arrays`.
 """
-
-from __future__ import annotations
-
-import os
-import threading
-from contextlib import contextmanager
-from typing import Iterator, Tuple
-
-KERNEL_BACKENDS: Tuple[str, ...] = ("python", "numpy")
-ENV_VAR = "REPRO_KERNEL_BACKEND"
-
-
-def _validated(name: str) -> str:
-    name = (name or "").strip().lower()
-    if name not in KERNEL_BACKENDS:
-        raise ValueError(
-            f"unknown kernel backend {name!r}; expected one of "
-            f"{', '.join(KERNEL_BACKENDS)}")
-    return name
-
-
-_state = threading.local()
-_DEFAULT = _validated(os.environ.get(ENV_VAR) or "numpy")
-
-
-def current_backend() -> str:
-    """The kernel backend in effect for this thread."""
-    return getattr(_state, "backend", _DEFAULT)
-
-
-def set_backend(name: str) -> str:
-    """Set the thread's backend; returns the previous value."""
-    previous = current_backend()
-    _state.backend = _validated(name)
-    return previous
-
-
-@contextmanager
-def use_backend(name: str) -> Iterator[str]:
-    """Scope a kernel-backend override to a ``with`` block."""
-    previous = set_backend(name)
-    try:
-        yield current_backend()
-    finally:
-        _state.backend = previous

@@ -1,4 +1,4 @@
-"""Shared array utilities for the vectorized kernel backends.
+"""Shared array utilities for the array kernels.
 
 Centralizes the float64 coercion of externally-sourced numbers (tech
 tables, geometry files, user config) so integer-typed inputs can never

@@ -16,15 +16,15 @@ from __future__ import annotations
 from typing import List, Optional, Tuple
 
 import numpy as np
-from scipy.sparse import coo_matrix, csr_matrix
 from scipy.sparse.linalg import cg
 
 from repro.errors import PlacementError
-from repro.circuits.netlist import Module, PIN_DRIVER, PO_SINK
-from repro.kernels import current_backend
+from repro.circuits.netlist import Module
 from repro.obs import metrics as obs_metrics
 from repro.obs.trace import kernel
+from repro.place import quadratic_numpy
 from repro.place.floorplan import Floorplan
+from repro.place.quadratic_numpy import MedianPlan, PlacementSystem
 
 # Star-model weight per net: 1 / (pins - 1), the usual clique/star scaling.
 # Small anchor weight keeps the system positive definite even for cells
@@ -32,78 +32,6 @@ from repro.place.floorplan import Floorplan
 ANCHOR_WEIGHT = 1.0e-4
 CG_TOL = 1.0e-5
 CG_MAX_ITER = 400
-# Stop bisection when regions hold this few cells.
-LEAF_CELLS = 4
-
-
-def _build_system(module: Module, floorplan: Floorplan,
-                  anchor_x: Optional[np.ndarray] = None,
-                  anchor_y: Optional[np.ndarray] = None,
-                  anchor_weight: float = ANCHOR_WEIGHT
-                  ) -> Tuple[csr_matrix, np.ndarray, np.ndarray]:
-    """Laplacian and pad/hold-anchor right-hand sides for x and y.
-
-    When ``anchor_x``/``anchor_y`` are given, every cell is pulled toward
-    its anchor with ``anchor_weight`` — the hold force that alternates with
-    spreading in the placement loop.
-    """
-    n = len(module.instances)
-    rows: List[int] = []
-    cols: List[int] = []
-    vals: List[float] = []
-    diag = np.full(n, anchor_weight)
-    if anchor_x is not None and anchor_y is not None:
-        bx = anchor_weight * anchor_x.copy()
-        by = anchor_weight * anchor_y.copy()
-    else:
-        bx = np.full(n, anchor_weight * floorplan.width_um / 2.0)
-        by = np.full(n, anchor_weight * floorplan.height_um / 2.0)
-
-    for net in module.nets:
-        if net.is_clock:
-            continue
-        members: List[int] = []
-        pads: List[Tuple[float, float]] = []
-        if net.driver is not None:
-            if net.driver[0] >= 0:
-                members.append(net.driver[0])
-            elif net.driver[0] == PIN_DRIVER:
-                pos = floorplan.io_positions.get(net.index)
-                if pos is not None:
-                    pads.append(pos)
-        for inst_idx, _pin in net.sinks:
-            if inst_idx >= 0:
-                members.append(inst_idx)
-            elif inst_idx == PO_SINK:
-                pos = floorplan.io_positions.get(net.index)
-                if pos is not None:
-                    pads.append(pos)
-        k = len(members) + len(pads)
-        if k < 2:
-            continue
-        w = 1.0 / (k - 1)
-        # Clique over movable members (star collapsed for small nets).
-        for i in range(len(members)):
-            for j in range(i + 1, len(members)):
-                a, b = members[i], members[j]
-                diag[a] += w
-                diag[b] += w
-                rows.append(a)
-                cols.append(b)
-                vals.append(-w)
-                rows.append(b)
-                cols.append(a)
-                vals.append(-w)
-        for (px, py) in pads:
-            for a in members:
-                diag[a] += w
-                bx[a] += w * px
-                by[a] += w * py
-
-    lap = coo_matrix((vals, (rows, cols)), shape=(n, n)).tocsr()
-    lap = lap + csr_matrix(
-        (diag, (np.arange(n), np.arange(n))), shape=(n, n))
-    return lap, bx, by
 
 
 def quadratic_solve(module: Module, floorplan: Floorplan,
@@ -113,21 +41,15 @@ def quadratic_solve(module: Module, floorplan: Floorplan,
                     system=None) -> Tuple[np.ndarray, np.ndarray]:
     """Solve the quadratic placement; returns (x, y) arrays.
 
-    ``system`` may carry a prebuilt
-    :class:`~repro.place.quadratic_numpy.PlacementSystem`, letting the
-    placement loop amortize the netlist scan across its solves.
+    ``system`` may carry a prebuilt :class:`PlacementSystem`, letting
+    the placement loop amortize the netlist scan across its solves.
     """
     n = len(module.instances)
     if n == 0:
         raise PlacementError("no instances to place")
-    if current_backend() == "numpy":
-        from repro.place.quadratic_numpy import PlacementSystem
-        if system is None:
-            system = PlacementSystem(module, floorplan)
-        lap, bx, by = system.build(anchor_x, anchor_y, anchor_weight)
-    else:
-        lap, bx, by = _build_system(module, floorplan, anchor_x, anchor_y,
-                                    anchor_weight)
+    if system is None:
+        system = PlacementSystem(module, floorplan)
+    lap, bx, by = system.build(anchor_x, anchor_y, anchor_weight)
     if anchor_x is not None:
         x0, y0 = anchor_x.copy(), anchor_y.copy()
     else:
@@ -145,53 +67,9 @@ def quadratic_solve(module: Module, floorplan: Floorplan,
 def spread(module: Module, library, floorplan: Floorplan,
            x: np.ndarray, y: np.ndarray) -> Tuple[np.ndarray, np.ndarray]:
     """Recursive area bisection: distribute cells uniformly, keep order."""
-    n = len(module.instances)
     areas = np.array([library.cell(i.cell_name).area_um2
                       for i in module.instances])
-    if current_backend() == "numpy":
-        from repro.place import quadratic_numpy
-        return quadratic_numpy.spread(areas, floorplan, x, y)
-    order = np.arange(n)
-    out_x = np.empty(n)
-    out_y = np.empty(n)
-
-    def recurse(idx: np.ndarray, x0: float, y0: float,
-                x1: float, y1: float, vertical_cut: bool) -> None:
-        if idx.size == 0:
-            return
-        if idx.size <= LEAF_CELLS:
-            # Scatter within the leaf region, ordered by the QP solution.
-            xs = x[idx]
-            sub = idx[np.argsort(xs, kind="stable")]
-            for k, cell_idx in enumerate(sub):
-                frac = (k + 0.5) / sub.size
-                out_x[cell_idx] = x0 + frac * (x1 - x0)
-                out_y[cell_idx] = (y0 + y1) / 2.0
-            return
-        if vertical_cut:
-            keys = x[idx]
-        else:
-            keys = y[idx]
-        sorted_idx = idx[np.argsort(keys, kind="stable")]
-        csum = np.cumsum(areas[sorted_idx])
-        half = csum[-1] / 2.0
-        split = int(np.searchsorted(csum, half))
-        split = min(max(split, 1), sorted_idx.size - 1)
-        left = sorted_idx[:split]
-        right = sorted_idx[split:]
-        frac = csum[split - 1] / csum[-1]
-        if vertical_cut:
-            xm = x0 + frac * (x1 - x0)
-            recurse(left, x0, y0, xm, y1, False)
-            recurse(right, xm, y0, x1, y1, False)
-        else:
-            ym = y0 + frac * (y1 - y0)
-            recurse(left, x0, y0, x1, ym, True)
-            recurse(right, x0, ym, x1, y1, True)
-
-    recurse(order, 0.0, 0.0, floorplan.width_um, floorplan.height_um,
-            floorplan.width_um >= floorplan.height_um)
-    return out_x, out_y
+    return quadratic_numpy.spread(areas, floorplan, x, y)
 
 
 # Hold-force schedule for the QP <-> spreading loop: relative weight of
@@ -200,8 +78,6 @@ HOLD_WEIGHTS = (0.1, 0.4, 1.6, 4.0)
 # Median-improvement sweeps interleaved with spreading.
 MEDIAN_ROUNDS = 5
 MEDIAN_SWEEPS_PER_ROUND = 3
-# Fraction of the way each cell moves toward its connectivity median.
-MEDIAN_STEP = 0.8
 
 
 def _cell_pin_adjacency(module: Module, floorplan: Floorplan):
@@ -242,37 +118,6 @@ def _cell_pin_adjacency(module: Module, floorplan: Floorplan):
     return adjacency
 
 
-def median_sweep(module: Module, floorplan: Floorplan,
-                 x: np.ndarray, y: np.ndarray,
-                 adjacency, sweeps: int) -> None:
-    """Move each cell toward the median of its connected pins, in place.
-
-    The half-step damping plus the interleaved spreading keeps density
-    under control (GordianL-style linearization of the objective).
-    """
-    if current_backend() == "numpy":
-        from repro.place.quadratic_numpy import MedianPlan
-        plan = adjacency if isinstance(adjacency, MedianPlan) \
-            else MedianPlan(adjacency)
-        plan.sweep(x, y, sweeps)
-        return
-    adjacency = getattr(adjacency, "adjacency", adjacency)
-    n = len(module.instances)
-    for _ in range(sweeps):
-        for i in range(n):
-            neigh = adjacency[i]
-            if not neigh:
-                continue
-            xs = [x[j] if j >= 0 else px for (j, px, _py) in neigh]
-            ys = [y[j] if j >= 0 else py for (j, _px, py) in neigh]
-            xs.sort()
-            ys.sort()
-            mx = xs[len(xs) // 2]
-            my = ys[len(ys) // 2]
-            x[i] += MEDIAN_STEP * (mx - x[i])
-            y[i] += MEDIAN_STEP * (my - y[i])
-
-
 def place_global(module: Module, library, floorplan: Floorplan
                  ) -> Tuple[np.ndarray, np.ndarray]:
     """Full global placement.
@@ -282,10 +127,7 @@ def place_global(module: Module, library, floorplan: Floorplan
     refinement) each followed by a spreading pass to restore density.
     """
     iterations = obs_metrics.counter("placer.iterations")
-    system = None
-    if current_backend() == "numpy":
-        from repro.place.quadratic_numpy import PlacementSystem
-        system = PlacementSystem(module, floorplan)
+    system = PlacementSystem(module, floorplan)
     with kernel("place.quadratic_solve"):
         x, y = quadratic_solve(module, floorplan, system=system)
     with kernel("place.spread"):
@@ -299,21 +141,20 @@ def place_global(module: Module, library, floorplan: Floorplan
         with kernel("place.spread"):
             x, y = spread(module, library, floorplan, x, y)
         iterations.inc()
-    adjacency = _cell_pin_adjacency(module, floorplan)
-    if current_backend() == "numpy":
-        from repro.place.quadratic_numpy import MedianPlan
-        adjacency = MedianPlan(adjacency)
+    # Median improvement: each sweep moves every cell toward the median
+    # of its connected pins (GordianL-style linearization of the
+    # objective); the interleaved spreading keeps density under control.
+    plan = MedianPlan(_cell_pin_adjacency(module, floorplan))
     for _ in range(MEDIAN_ROUNDS):
         with kernel("place.median_sweep"):
-            median_sweep(module, floorplan, x, y, adjacency,
-                         MEDIAN_SWEEPS_PER_ROUND)
+            plan.sweep(x, y, MEDIAN_SWEEPS_PER_ROUND)
         with kernel("place.spread"):
             x, y = spread(module, library, floorplan, x, y)
         iterations.inc()
     # One final gentle median pass; the closing spread restores the
     # uniform density the Tetris legalizer needs.
     with kernel("place.median_sweep"):
-        median_sweep(module, floorplan, x, y, adjacency, 1)
+        plan.sweep(x, y, 1)
     with kernel("place.spread"):
         x, y = spread(module, library, floorplan, x, y)
     iterations.inc()

@@ -1,7 +1,7 @@
-"""Vectorized (numpy) backend for the global-placement kernels.
+"""The global-placement kernels as array code.
 
-Three kernels, each the array twin of a loop in
-:mod:`repro.place.quadratic`:
+Three kernels, each bit-identical to the scalar loop it replaced (the
+reference, frozen in ``tests/kernel_oracle.py``):
 
 * :class:`PlacementSystem` — the quadratic system assembled once as
   flat index/weight arrays (clique pairs and pad pulls in the exact
@@ -30,9 +30,10 @@ from repro.circuits.netlist import Module, PIN_DRIVER, PO_SINK
 from repro.kernels.arrays import as_f64, as_index, ranges
 from repro.place.floorplan import Floorplan
 
-# Mirrors of the reference constants (import cycle keeps them local).
-_LEAF_CELLS = 4
-_MEDIAN_STEP = 0.8
+# Stop bisection when regions hold this few cells.
+LEAF_CELLS = 4
+# Fraction of the way each cell moves toward its connectivity median.
+MEDIAN_STEP = 0.8
 
 
 class PlacementSystem:
@@ -218,7 +219,7 @@ def spread(areas: np.ndarray, floorplan: Floorplan,
     sizes = np.array([n], dtype=np.intp)
 
     while order.size:
-        leaf_seg = sizes <= _LEAF_CELLS
+        leaf_seg = sizes <= LEAF_CELLS
         leaf_entry = leaf_seg[seg_of]
         if leaf_entry.any():
             lord = order[leaf_entry]
@@ -311,7 +312,6 @@ class MedianPlan:
     """
 
     def __init__(self, adjacency) -> None:
-        self.adjacency = adjacency
         n = len(adjacency)
         level = [0] * n
         for i, neigh in enumerate(adjacency):
@@ -368,5 +368,5 @@ class MedianPlan:
                 rows = np.arange(cells.size, dtype=np.intp)
                 mx = vx[rows, deg // 2]
                 my = vy[rows, deg // 2]
-                x[cells] += _MEDIAN_STEP * (mx - x[cells])
-                y[cells] += _MEDIAN_STEP * (my - y[cells])
+                x[cells] += MEDIAN_STEP * (mx - x[cells])
+                y[cells] += MEDIAN_STEP * (my - y[cells])

@@ -11,7 +11,7 @@ Table 17 stack study.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Dict, Tuple
+from typing import Dict
 
 import numpy as np
 
@@ -71,52 +71,6 @@ class RoutingGrid:
             capacity[layer_class] = cap
         return cls(width_um=width_um, height_um=height_um,
                    n_x=n_x, n_y=n_y, tile_capacity_um=capacity)
-
-    # -- demand accounting ----------------------------------------------------
-
-    def _tile_of(self, x_um: float, y_um: float) -> Tuple[int, int]:
-        tx = min(max(int(x_um / self.width_um * self.n_x), 0), self.n_x - 1)
-        ty = min(max(int(y_um / self.height_um * self.n_y), 0), self.n_y - 1)
-        return tx, ty
-
-    def add_edge_demand(self, layer_class: LayerClass,
-                        x0: float, y0: float, x1: float, y1: float) -> None:
-        """Book an edge's wirelength over the tiles it crosses.
-
-        Probabilistic L-routing: half the demand follows the lower-L
-        (horizontal first), half the upper-L (vertical first), the usual
-        congestion-estimation smoothing.  Each tile is charged the actual
-        length the leg runs inside it.
-        """
-        if layer_class not in self.demand:
-            raise RoutingError(f"no {layer_class.value} capacity in grid")
-        self._book_l(layer_class, x0, y0, x1, y1, 0.5)
-        self._book_l(layer_class, x1, y1, x0, y0, 0.5)
-
-    def _book_l(self, layer_class: LayerClass, x0: float, y0: float,
-                x1: float, y1: float, weight: float) -> None:
-        """One L route: horizontal at y0 from x0..x1, vertical at x1."""
-        dm = self.demand[layer_class]
-        tile_w = self.width_um / self.n_x
-        tile_h = self.height_um / self.n_y
-        _tx, ty0 = self._tile_of(x0, y0)
-        xa, xb = sorted((x0, x1))
-        tx_lo, _ = self._tile_of(xa, y0)
-        tx_hi, _ = self._tile_of(xb, y0)
-        for tx in range(tx_lo, tx_hi + 1):
-            seg_lo = max(xa, tx * tile_w)
-            seg_hi = min(xb, (tx + 1) * tile_w)
-            if seg_hi > seg_lo:
-                dm[tx, ty0] += (seg_hi - seg_lo) * weight
-        tx1, _ = self._tile_of(x1, y0)
-        ya, yb = sorted((y0, y1))
-        _, ty_lo = self._tile_of(x1, ya)
-        _, ty_hi = self._tile_of(x1, yb)
-        for ty in range(ty_lo, ty_hi + 1):
-            seg_lo = max(ya, ty * tile_h)
-            seg_hi = min(yb, (ty + 1) * tile_h)
-            if seg_hi > seg_lo:
-                dm[tx1, ty] += (seg_hi - seg_lo) * weight
 
     # -- congestion metrics -----------------------------------------------------
 

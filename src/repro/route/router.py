@@ -20,12 +20,9 @@ from dataclasses import dataclass
 from typing import Dict, List, Tuple
 
 from repro.circuits.netlist import Module, Net
-from repro.kernels import current_backend
-from repro.obs import metrics as obs_metrics
-from repro.obs.trace import kernel
 from repro.place.floorplan import Floorplan
 from repro.route.grid import RoutingGrid
-from repro.route.steiner import rsmt_edges, rsmt_length_um, MAX_EXACT_PINS
+from repro.route.router_numpy import run_numpy
 from repro.tech.interconnect import InterconnectModel
 from repro.tech.metal import LayerClass
 
@@ -146,139 +143,5 @@ class GlobalRouter:
 
     def run(self, module: Module,
             include_clock: bool = True) -> RoutingResult:
-        if current_backend() == "numpy":
-            from repro.route.router_numpy import run_numpy
-            return run_numpy(self, module, include_clock)
-        grid = RoutingGrid.for_core(self.floorplan.width_um,
-                                    self.floorplan.height_um,
-                                    self.interconnect.stack,
-                                    self.capacity_scale)
-        # Pass 1: topologies and preferred classes.
-        net_length: Dict[int, float] = {}
-        net_points: Dict[int, List[Tuple[float, float]]] = {}
-        with kernel("route.topology"):
-            for net in module.nets:
-                if net.is_clock and not include_clock:
-                    continue
-                points = self._net_points(module, net)
-                length = rsmt_length_um(points)
-                net_length[net.index] = length
-                net_points[net.index] = points
-
-        # Layer assignment: each net first tries the class its length
-        # prefers (long nets avoid the resistive local layers — the
-        # Section 6 router preference), then spills along a class-specific
-        # order while classes are under the fill target; once everything
-        # is full, overflow is balanced by fill ratio.  Shortest nets go
-        # first, as in track-assignment order.
-        class_cap_total = {
-            cls: cap * grid.n_x * grid.n_y
-            for cls, cap in grid.tile_capacity_um.items()
-        }
-        class_used = {cls: 0.0 for cls in class_cap_total}
-        assignment: Dict[int, LayerClass] = {}
-        fill_order = [cls for cls in (LayerClass.LOCAL,
-                                      LayerClass.INTERMEDIATE,
-                                      LayerClass.GLOBAL)
-                      if cls in class_cap_total]
-        spill = {
-            LayerClass.LOCAL: (LayerClass.LOCAL, LayerClass.INTERMEDIATE,
-                               LayerClass.GLOBAL),
-            LayerClass.INTERMEDIATE: (LayerClass.INTERMEDIATE,
-                                      LayerClass.LOCAL,
-                                      LayerClass.GLOBAL),
-            LayerClass.GLOBAL: (LayerClass.GLOBAL,
-                                LayerClass.INTERMEDIATE,
-                                LayerClass.LOCAL),
-        }
-        fill_target = 0.85
-        spills = obs_metrics.counter("router.spills")
-        ripups = obs_metrics.counter("router.ripups")
-        with kernel("route.layer_assign"):
-            for net_idx in sorted(net_length, key=net_length.get):
-                length = net_length[net_idx]
-                preferred = self._preferred_class(length)
-                chosen = None
-                for cls in spill.get(preferred, tuple(fill_order)):
-                    if cls not in class_cap_total:
-                        continue
-                    if (class_used[cls] + length
-                            <= class_cap_total[cls] * fill_target):
-                        chosen = cls
-                        break
-                if chosen is None:
-                    # Everything is at the fill target: balance the
-                    # overflow across classes by current fill ratio.
-                    chosen = min(fill_order,
-                                 key=lambda c: class_used[c]
-                                 / class_cap_total[c])
-                    ripups.inc()
-                elif chosen is not preferred:
-                    spills.inc()
-                assignment[net_idx] = chosen
-                class_used[chosen] += length
-
-        # Pass 2: book tile demand along L-routed tree edges.
-        with kernel("route.tile_demand"):
-            for net_idx, points in net_points.items():
-                if len(points) < 2:
-                    continue
-                cls = assignment[net_idx]
-                if cls not in grid.tile_capacity_um:
-                    continue
-                if len(points) <= MAX_EXACT_PINS:
-                    for a, b in rsmt_edges(points):
-                        grid.add_edge_demand(cls, points[a][0],
-                                             points[a][1],
-                                             points[b][0], points[b][1])
-                else:
-                    xs = [p[0] for p in points]
-                    ys = [p[1] for p in points]
-                    grid.add_edge_demand(cls, min(xs), min(ys),
-                                         max(xs), max(ys))
-
-        # Per-class detour factors from that class's peak overflow.
-        detour_by_class: Dict[LayerClass, float] = {}
-        for cls in class_cap_total:
-            over = max(0.0, grid.peak_overflow_ratio(cls) - 1.0)
-            detour_by_class[cls] = min(1.0 + self.detour_coeff * over, 1.35)
-        detour = max(detour_by_class.values()) if detour_by_class else 1.0
-
-        lengths: Dict[int, float] = {}
-        res: Dict[int, float] = {}
-        cap: Dict[int, float] = {}
-        by_class: Dict[LayerClass, float] = {
-            cls: 0.0 for cls in class_cap_total}
-        total = 0.0
-        with kernel("route.rc_annotate"):
-            for net_idx, base_len in net_length.items():
-                cls = assignment[net_idx]
-                length = base_len * detour_by_class.get(cls, 1.0)
-                rc = self.interconnect.class_rc(cls) \
-                    if cls in grid.tile_capacity_um \
-                    else self.interconnect.class_rc(LayerClass.LOCAL)
-                lengths[net_idx] = length
-                res[net_idx] = length * rc.resistance_kohm_per_um
-                cap[net_idx] = length * rc.capacitance_ff_per_um
-                by_class[cls] = by_class.get(cls, 0.0) + length
-                total += length
-
-        # MB1 usage for T-MI: the shortest nets dip to the bottom tier.
-        mb1_len = 0.0
-        if self.interconnect.stack.is_3d and net_length:
-            ordered = sorted(net_length, key=net_length.get)
-            take = max(1, int(len(ordered) * MB1_NET_FRACTION))
-            for net_idx in ordered[:take]:
-                mb1_len += lengths.get(net_idx, 0.0) * MB1_LENGTH_SHARE
-
-        return RoutingResult(
-            lengths_um=lengths,
-            resistances_kohm=res,
-            capacitances_ff=cap,
-            layer_class=assignment,
-            grid=grid,
-            total_wirelength_um=total,
-            wirelength_by_class=by_class,
-            mb1_wirelength_um=mb1_len,
-            detour_factor=detour,
-        )
+        """Route the module's nets (:mod:`repro.route.router_numpy`)."""
+        return run_numpy(self, module, include_clock)

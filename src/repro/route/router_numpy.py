@@ -1,7 +1,8 @@
-"""Array-batched global routing (the ``numpy`` kernel backend).
+"""Array-batched global routing.
 
 The three router passes vectorize along different axes while keeping
-the reference engine's sequential arithmetic bit-for-bit:
+the sequential arithmetic of the scalar reference engine (frozen in
+``tests/kernel_oracle.py``) bit-for-bit:
 
 * **topology** — 2- and 3-pin nets (the overwhelming majority) get
   closed-form rectilinear MSTs evaluated as arrays; Prim's algorithm
@@ -40,7 +41,7 @@ _CODE = {cls: code for code, cls in enumerate(_CLASSES)}
 
 
 def run_numpy(router, module: Module, include_clock: bool):
-    """Vectorized :meth:`GlobalRouter.run`."""
+    """The body of :meth:`GlobalRouter.run`."""
     from repro.route.router import (MB1_LENGTH_SHARE, MB1_NET_FRACTION,
                                     RoutingResult)
 

@@ -93,7 +93,10 @@ logger = logging.getLogger(__name__)
 
 # Bump when LayoutResult/ComparisonResult (or anything they embed)
 # changes shape: every existing checkpoint entry becomes invisible.
-SCHEMA_VERSION = 3   # 3: FlowConfig.router_detour_coeff + stage entries
+# 3: FlowConfig.router_detour_coeff + stage entries.
+# 4: the kernel-backend field left FlowConfig (one implementation per
+#    kernel), so every config and stage digest changed.
+SCHEMA_VERSION = 4
 
 _MAGIC = b"repro-ckpt"
 

@@ -302,7 +302,7 @@ def levelize_levels(module: Module, library) -> List[np.ndarray]:
 
     Same graph, start points, and loop diagnostics as :func:`levelize`,
     but the Kahn frontier advances one whole level per round so the
-    vectorized STA backend can propagate each level as one batch.  The
+    level-batched STA can propagate each level as one batch.  The
     concatenation of the returned levels is :func:`levelize`'s order.
     """
     return CombGraph(module, library).levels()

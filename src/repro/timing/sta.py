@@ -23,10 +23,9 @@ from typing import Dict, Optional, Tuple
 
 from repro.errors import TimingError
 from repro.circuits.netlist import Module, Net, PO_SINK
-from repro.kernels import current_backend
-from repro.obs.trace import kernel
 from repro.timing.graph import levelize
 from repro.timing.netmodel import NetModel
+from repro.timing.sta_numpy import run_numpy
 
 LN2 = math.log(2.0)
 
@@ -59,10 +58,10 @@ class TimingReport:
 class TimingAnalyzer:
     """Reusable STA over a module + library + net model.
 
-    The numpy backend keeps its timing graph and per-cell lookup tables
-    on the analyzer between runs (see :mod:`repro.timing.sta_numpy`), so
-    one analyzer per optimization loop re-times each edit batch without
-    rebuilding what the batch left unchanged.
+    The analyzer keeps its timing graph and per-cell lookup tables
+    between runs (see :mod:`repro.timing.sta_numpy`), so one analyzer
+    per optimization loop re-times each edit batch without rebuilding
+    what the batch left unchanged.
     """
 
     def __init__(self, module: Module, library, net_model: NetModel,
@@ -77,7 +76,7 @@ class TimingAnalyzer:
         self.clock_ps = clock_ns * 1000.0
         self.input_slew_ps = input_slew_ps
         self.output_load_ff = output_load_ff
-        self._incremental = None      # numpy backend's persistent state
+        self._incremental = None      # sta_numpy's state between runs
 
     # -- helpers ---------------------------------------------------------------
 
@@ -98,147 +97,11 @@ class TimingAnalyzer:
         _r, c_wire = self.net_model.net_rc(net)
         return c_wire + self._sink_pin_cap_ff(net)
 
-    def _wire_delay_slew(self, net: Net, slew_in: float
-                         ) -> Tuple[float, float]:
-        r, c_wire = self.net_model.net_rc(net)
-        c_pins = self._sink_pin_cap_ff(net)
-        delay = LN2 * r * (c_wire / 2.0 + c_pins)
-        degraded = math.sqrt(slew_in * slew_in
-                             + (2.2 * r * (c_wire / 2.0 + c_pins)) ** 2)
-        return delay, degraded
-
     # -- main ---------------------------------------------------------------
 
     def run(self) -> TimingReport:
-        if current_backend() == "numpy":
-            from repro.timing.sta_numpy import run_numpy
-            return run_numpy(self)
-        module = self.module
-        library = self.library
-        with kernel("sta.levelize"):
-            order = levelize(module, library)
-        is_seq = [library.cell(i.cell_name).is_sequential
-                  for i in module.instances]
-
-        arrival: Dict[int, float] = {}
-        slew: Dict[int, float] = {}
-        loads: Dict[int, float] = {}
-
-        # Start points: primary inputs.
-        for net_idx in module.primary_inputs:
-            net = module.nets[net_idx]
-            if net.is_clock:
-                continue
-            wire_d, wire_s = self._wire_delay_slew(net, self.input_slew_ps)
-            arrival[net_idx] = wire_d
-            slew[net_idx] = wire_s
-
-        # Start points: sequential outputs (clk -> Q).
-        for inst in module.instances:
-            if not is_seq[inst.index]:
-                continue
-            cell = library.cell(inst.cell_name)
-            for pin_name, net_idx in inst.pin_nets.items():
-                if cell.pin(pin_name).direction.value != "output":
-                    continue
-                net = module.nets[net_idx]
-                load = self.net_load_ff(net)
-                loads[net_idx] = load
-                d = cell.delay_ps(DEFAULT_CLOCK_SLEW_PS, load)
-                s = cell.output_slew_ps(DEFAULT_CLOCK_SLEW_PS, load)
-                wire_d, wire_s = self._wire_delay_slew(net, s)
-                prev = arrival.get(net_idx, -1.0)
-                if d + wire_d > prev:
-                    arrival[net_idx] = d + wire_d
-                    slew[net_idx] = wire_s
-
-        # Combinational propagation.
-        with kernel("sta.propagate", instances=len(order)):
-            for inst_idx in order:
-                inst = module.instances[inst_idx]
-                cell = library.cell(inst.cell_name)
-                in_arrival = 0.0
-                in_slew = self.input_slew_ps
-                for pin_name, net_idx in inst.pin_nets.items():
-                    if cell.pin(pin_name).direction.value != "input":
-                        continue
-                    a = arrival.get(net_idx, 0.0)
-                    if a >= in_arrival:
-                        in_arrival = a
-                        in_slew = slew.get(net_idx, self.input_slew_ps)
-                for pin_name, net_idx in inst.pin_nets.items():
-                    if cell.pin(pin_name).direction.value != "output":
-                        continue
-                    net = module.nets[net_idx]
-                    load = self.net_load_ff(net)
-                    loads[net_idx] = load
-                    d = cell.delay_ps(in_slew, load)
-                    s = cell.output_slew_ps(in_slew, load)
-                    wire_d, wire_s = self._wire_delay_slew(net, s)
-                    a = in_arrival + d + wire_d
-                    if a > arrival.get(net_idx, -1.0):
-                        arrival[net_idx] = a
-                        slew[net_idx] = wire_s
-
-        return self._finish_report(arrival, slew, loads)
-
-    def _finish_report(self, arrival: Dict[int, float],
-                       slew: Dict[int, float],
-                       loads: Dict[int, float]) -> TimingReport:
-        """Endpoint slack / WNS / TNS from propagated arrivals.
-
-        The numpy backend vectorizes the same accumulation over its
-        cached endpoint arrays: same endpoint order, first minimum for
-        WNS, sequential TNS sum.
-        """
-        module = self.module
-        library = self.library
-        meta_of = library.timing_meta
-        is_seq = [meta_of(i.cell_name).is_sequential
-                  for i in module.instances]
-        endpoint_slack: Dict[Tuple[int, str], float] = {}
-        wns = float("inf")
-        tns = 0.0
-        critical = None
-        for inst in module.instances:
-            if not is_seq[inst.index]:
-                continue
-            cell = library.cell(inst.cell_name)
-            setup = (cell.characterization.setup_time_ps
-                     if cell.characterization else 0.0)
-            for pin_name, net_idx in inst.pin_nets.items():
-                pin = cell.pin(pin_name)
-                if pin.direction.value != "input" or pin.is_clock:
-                    continue
-                a = arrival.get(net_idx, 0.0)
-                slack = self.clock_ps - setup - a
-                endpoint_slack[(inst.index, pin_name)] = slack
-                if slack < wns:
-                    wns = slack
-                    critical = (inst.index, pin_name)
-                if slack < 0.0:
-                    tns += slack
-        for net_idx in module.primary_outputs:
-            a = arrival.get(net_idx, 0.0)
-            slack = self.clock_ps - a
-            endpoint_slack[(PO_SINK, module.nets[net_idx].name)] = slack
-            if slack < wns:
-                wns = slack
-                critical = (PO_SINK, module.nets[net_idx].name)
-            if slack < 0.0:
-                tns += slack
-        if wns == float("inf"):
-            wns = self.clock_ps
-        return TimingReport(
-            clock_ps=self.clock_ps,
-            arrival_ps=arrival,
-            slew_ps=slew,
-            endpoint_slack_ps=endpoint_slack,
-            wns_ps=wns,
-            tns_ps=tns,
-            critical_endpoint=critical,
-            load_ff=loads,
-        )
+        """Level-batched setup STA (:mod:`repro.timing.sta_numpy`)."""
+        return run_numpy(self)
 
     def run_min(self) -> Dict[Tuple[int, str], float]:
         """Hold-check slacks: min-path arrival minus hold requirement.

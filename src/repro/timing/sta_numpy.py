@@ -1,13 +1,13 @@
-"""Level-batched STA propagation (the ``numpy`` kernel backend).
+"""Level-batched STA propagation.
 
 Propagates arrival/slew one topological level at a time: within a level
 the worst input arrival (and the slew of the pin that set it, with the
 reference engine's last-max-wins tie-break) is found by a padded-row
 max, and the NLDM lookups of the whole level run as one batched bilinear
 interpolation against tables stacked by cell id.  Every arithmetic
-expression mirrors the scalar engine in :mod:`repro.timing.sta` term for
-term, so arrivals, slews, loads and slacks come out bit-identical to the
-pure-Python backend.
+expression mirrors the scalar reference engine (frozen in
+``tests/kernel_oracle.py``) term for term, so arrivals, slews, loads and
+slacks come out bit-identical to it.
 
 The engine keeps its state on the :class:`~repro.timing.sta.TimingAnalyzer`
 between runs.  A :class:`TimingGraph` snapshot (levels, padded input
@@ -272,7 +272,7 @@ class TimingGraph:
 
 
 class IncrementalState:
-    """What a :class:`TimingAnalyzer` keeps between numpy-backend runs."""
+    """What a :class:`TimingAnalyzer` keeps between runs."""
 
     def __init__(self, library) -> None:
         self.library = library
@@ -297,7 +297,7 @@ def _two_tables(cids: np.ndarray) -> np.ndarray:
 
 
 def run_numpy(analyzer) -> "TimingReport":
-    """Vectorized :meth:`TimingAnalyzer.run` (max-delay propagation)."""
+    """The body of :meth:`TimingAnalyzer.run` (max-delay propagation)."""
     from repro.timing.sta import DEFAULT_CLOCK_SLEW_PS, LN2, TimingReport
 
     module = analyzer.module

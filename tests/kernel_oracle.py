@@ -1,0 +1,768 @@
+"""Frozen scalar reference for the placement, routing, STA and MNA
+characterization kernels.
+
+A verbatim copy of the loop-per-element implementations that the array
+kernels replaced: the quadratic-system assembly, recursive spreading
+and median sweep of ``repro.place.quadratic``, the global router's
+passes and L-route demand booking (``repro.route``), the STA
+propagation and endpoint accounting of ``repro.timing.sta``, and the
+one-transient-at-a-time characterization grid of
+``repro.characterize.charlib``.  ``test_kernel_equivalence.py`` demands
+that the array code reproduce these results bit for bit on the same
+inputs, so this module must not change with it.
+
+Deliberate edits, none of which touches the arithmetic:
+
+* methods became functions taking the object they were bound to
+  (``router``, ``grid``, ``analyzer``);
+* the trace spans and metric counters are gone: the whole-flow checks
+  run the oracle beside the flow, where they would add to its trace;
+* helpers the array kernels still call (net points and layer
+  preference, pin loads, cell-circuit assembly, measurement windows,
+  leakage, the pin adjacency lists, ``levelize``) are imported from
+  ``repro``; the numeric constants the loops read are copied.
+"""
+
+from __future__ import annotations
+
+import math
+from typing import Dict, List, Optional, Sequence, Tuple
+
+import numpy as np
+from scipy.sparse import coo_matrix, csr_matrix
+from scipy.sparse.linalg import cg
+
+from repro.cells.logic import is_combinational, sensitizing_vector
+from repro.cells.netlist import CellNetlist
+from repro.characterize.charlib import (
+    CharacterizationSetup,
+    _build_circuit,
+    _leakage_mw,
+    _window_ns,
+    preferred_arc,
+)
+from repro.characterize.liberty import (
+    CellCharacterization,
+    NLDMTable,
+    TimingArc,
+)
+from repro.characterize.mna import MNACircuit
+from repro.characterize.waveforms import (
+    RampStimulus,
+    constant,
+    measure_delay_slew,
+)
+from repro.circuits.netlist import Module, Net, PIN_DRIVER, PO_SINK
+from repro.errors import CharacterizationError, PlacementError, RoutingError
+from repro.extraction.rc import CellParasitics
+from repro.place.floorplan import Floorplan
+from repro.place.quadratic import _cell_pin_adjacency
+from repro.route.grid import RoutingGrid
+from repro.route.router import RoutingResult
+from repro.route.steiner import MAX_EXACT_PINS, rsmt_edges, rsmt_length_um
+from repro.tech.metal import LayerClass
+from repro.timing.graph import levelize
+from repro.timing.sta import TimingReport
+
+# -- placement (repro.place.quadratic) ---------------------------------------
+
+ANCHOR_WEIGHT = 1.0e-4
+CG_TOL = 1.0e-5
+CG_MAX_ITER = 400
+LEAF_CELLS = 4
+HOLD_WEIGHTS = (0.1, 0.4, 1.6, 4.0)
+MEDIAN_ROUNDS = 5
+MEDIAN_SWEEPS_PER_ROUND = 3
+MEDIAN_STEP = 0.8
+
+
+def build_system(module: Module, floorplan: Floorplan,
+                 anchor_x: Optional[np.ndarray] = None,
+                 anchor_y: Optional[np.ndarray] = None,
+                 anchor_weight: float = ANCHOR_WEIGHT
+                 ) -> Tuple[csr_matrix, np.ndarray, np.ndarray]:
+    """Laplacian and pad/hold-anchor right-hand sides for x and y.
+
+    When ``anchor_x``/``anchor_y`` are given, every cell is pulled toward
+    its anchor with ``anchor_weight`` — the hold force that alternates with
+    spreading in the placement loop.
+    """
+    n = len(module.instances)
+    rows: List[int] = []
+    cols: List[int] = []
+    vals: List[float] = []
+    diag = np.full(n, anchor_weight)
+    if anchor_x is not None and anchor_y is not None:
+        bx = anchor_weight * anchor_x.copy()
+        by = anchor_weight * anchor_y.copy()
+    else:
+        bx = np.full(n, anchor_weight * floorplan.width_um / 2.0)
+        by = np.full(n, anchor_weight * floorplan.height_um / 2.0)
+
+    for net in module.nets:
+        if net.is_clock:
+            continue
+        members: List[int] = []
+        pads: List[Tuple[float, float]] = []
+        if net.driver is not None:
+            if net.driver[0] >= 0:
+                members.append(net.driver[0])
+            elif net.driver[0] == PIN_DRIVER:
+                pos = floorplan.io_positions.get(net.index)
+                if pos is not None:
+                    pads.append(pos)
+        for inst_idx, _pin in net.sinks:
+            if inst_idx >= 0:
+                members.append(inst_idx)
+            elif inst_idx == PO_SINK:
+                pos = floorplan.io_positions.get(net.index)
+                if pos is not None:
+                    pads.append(pos)
+        k = len(members) + len(pads)
+        if k < 2:
+            continue
+        w = 1.0 / (k - 1)
+        # Clique over movable members (star collapsed for small nets).
+        for i in range(len(members)):
+            for j in range(i + 1, len(members)):
+                a, b = members[i], members[j]
+                diag[a] += w
+                diag[b] += w
+                rows.append(a)
+                cols.append(b)
+                vals.append(-w)
+                rows.append(b)
+                cols.append(a)
+                vals.append(-w)
+        for (px, py) in pads:
+            for a in members:
+                diag[a] += w
+                bx[a] += w * px
+                by[a] += w * py
+
+    lap = coo_matrix((vals, (rows, cols)), shape=(n, n)).tocsr()
+    lap = lap + csr_matrix(
+        (diag, (np.arange(n), np.arange(n))), shape=(n, n))
+    return lap, bx, by
+
+
+def quadratic_solve(module: Module, floorplan: Floorplan,
+                    anchor_x: Optional[np.ndarray] = None,
+                    anchor_y: Optional[np.ndarray] = None,
+                    anchor_weight: float = ANCHOR_WEIGHT
+                    ) -> Tuple[np.ndarray, np.ndarray]:
+    """Solve the quadratic placement; returns (x, y) arrays."""
+    n = len(module.instances)
+    if n == 0:
+        raise PlacementError("no instances to place")
+    lap, bx, by = build_system(module, floorplan, anchor_x, anchor_y,
+                               anchor_weight)
+    if anchor_x is not None:
+        x0, y0 = anchor_x.copy(), anchor_y.copy()
+    else:
+        x0 = np.full(n, floorplan.width_um / 2.0)
+        y0 = np.full(n, floorplan.height_um / 2.0)
+    x, info_x = cg(lap, bx, x0=x0, rtol=CG_TOL, maxiter=CG_MAX_ITER)
+    y, info_y = cg(lap, by, x0=y0, rtol=CG_TOL, maxiter=CG_MAX_ITER)
+    # CG non-convergence still yields a usable (if suboptimal) seed; the
+    # spreading stage tolerates it.
+    np.clip(x, 0.0, floorplan.width_um, out=x)
+    np.clip(y, 0.0, floorplan.height_um, out=y)
+    return x, y
+
+
+def spread(module: Module, library, floorplan: Floorplan,
+           x: np.ndarray, y: np.ndarray) -> Tuple[np.ndarray, np.ndarray]:
+    """Recursive area bisection: distribute cells uniformly, keep order."""
+    n = len(module.instances)
+    areas = np.array([library.cell(i.cell_name).area_um2
+                      for i in module.instances])
+    order = np.arange(n)
+    out_x = np.empty(n)
+    out_y = np.empty(n)
+
+    def recurse(idx: np.ndarray, x0: float, y0: float,
+                x1: float, y1: float, vertical_cut: bool) -> None:
+        if idx.size == 0:
+            return
+        if idx.size <= LEAF_CELLS:
+            # Scatter within the leaf region, ordered by the QP solution.
+            xs = x[idx]
+            sub = idx[np.argsort(xs, kind="stable")]
+            for k, cell_idx in enumerate(sub):
+                frac = (k + 0.5) / sub.size
+                out_x[cell_idx] = x0 + frac * (x1 - x0)
+                out_y[cell_idx] = (y0 + y1) / 2.0
+            return
+        if vertical_cut:
+            keys = x[idx]
+        else:
+            keys = y[idx]
+        sorted_idx = idx[np.argsort(keys, kind="stable")]
+        csum = np.cumsum(areas[sorted_idx])
+        half = csum[-1] / 2.0
+        split = int(np.searchsorted(csum, half))
+        split = min(max(split, 1), sorted_idx.size - 1)
+        left = sorted_idx[:split]
+        right = sorted_idx[split:]
+        frac = csum[split - 1] / csum[-1]
+        if vertical_cut:
+            xm = x0 + frac * (x1 - x0)
+            recurse(left, x0, y0, xm, y1, False)
+            recurse(right, xm, y0, x1, y1, False)
+        else:
+            ym = y0 + frac * (y1 - y0)
+            recurse(left, x0, y0, x1, ym, True)
+            recurse(right, x0, ym, x1, y1, True)
+
+    recurse(order, 0.0, 0.0, floorplan.width_um, floorplan.height_um,
+            floorplan.width_um >= floorplan.height_um)
+    return out_x, out_y
+
+
+def median_sweep(module: Module, floorplan: Floorplan,
+                 x: np.ndarray, y: np.ndarray,
+                 adjacency, sweeps: int) -> None:
+    """Move each cell toward the median of its connected pins, in place.
+
+    The half-step damping plus the interleaved spreading keeps density
+    under control (GordianL-style linearization of the objective).
+    """
+    n = len(module.instances)
+    for _ in range(sweeps):
+        for i in range(n):
+            neigh = adjacency[i]
+            if not neigh:
+                continue
+            xs = [x[j] if j >= 0 else px for (j, px, _py) in neigh]
+            ys = [y[j] if j >= 0 else py for (j, _px, py) in neigh]
+            xs.sort()
+            ys.sort()
+            mx = xs[len(xs) // 2]
+            my = ys[len(ys) // 2]
+            x[i] += MEDIAN_STEP * (mx - x[i])
+            y[i] += MEDIAN_STEP * (my - y[i])
+
+
+def place_global(module: Module, library, floorplan: Floorplan
+                 ) -> Tuple[np.ndarray, np.ndarray]:
+    """Full global placement.
+
+    Quadratic solve, then alternating hold-anchored QP refinement and
+    spreading, then median-improvement rounds (linear-wirelength local
+    refinement) each followed by a spreading pass to restore density.
+    """
+    x, y = quadratic_solve(module, floorplan)
+    x, y = spread(module, library, floorplan, x, y)
+    for hold in HOLD_WEIGHTS:
+        x, y = quadratic_solve(module, floorplan, anchor_x=x,
+                               anchor_y=y, anchor_weight=hold)
+        x, y = spread(module, library, floorplan, x, y)
+    adjacency = _cell_pin_adjacency(module, floorplan)
+    for _ in range(MEDIAN_ROUNDS):
+        median_sweep(module, floorplan, x, y, adjacency,
+                     MEDIAN_SWEEPS_PER_ROUND)
+        x, y = spread(module, library, floorplan, x, y)
+    # One final gentle median pass; the closing spread restores the
+    # uniform density the Tetris legalizer needs.
+    median_sweep(module, floorplan, x, y, adjacency, 1)
+    x, y = spread(module, library, floorplan, x, y)
+    return x, y
+
+
+# -- routing (repro.route.grid, repro.route.router) --------------------------
+
+MB1_NET_FRACTION = 0.04
+MB1_LENGTH_SHARE = 0.20
+
+
+def tile_of(grid: RoutingGrid, x_um: float, y_um: float) -> Tuple[int, int]:
+    tx = min(max(int(x_um / grid.width_um * grid.n_x), 0), grid.n_x - 1)
+    ty = min(max(int(y_um / grid.height_um * grid.n_y), 0), grid.n_y - 1)
+    return tx, ty
+
+
+def add_edge_demand(grid: RoutingGrid, layer_class: LayerClass,
+                    x0: float, y0: float, x1: float, y1: float) -> None:
+    """Book an edge's wirelength over the tiles it crosses.
+
+    Probabilistic L-routing: half the demand follows the lower-L
+    (horizontal first), half the upper-L (vertical first), the usual
+    congestion-estimation smoothing.  Each tile is charged the actual
+    length the leg runs inside it.
+    """
+    if layer_class not in grid.demand:
+        raise RoutingError(f"no {layer_class.value} capacity in grid")
+    book_l(grid, layer_class, x0, y0, x1, y1, 0.5)
+    book_l(grid, layer_class, x1, y1, x0, y0, 0.5)
+
+
+def book_l(grid: RoutingGrid, layer_class: LayerClass, x0: float,
+           y0: float, x1: float, y1: float, weight: float) -> None:
+    """One L route: horizontal at y0 from x0..x1, vertical at x1."""
+    dm = grid.demand[layer_class]
+    tile_w = grid.width_um / grid.n_x
+    tile_h = grid.height_um / grid.n_y
+    _tx, ty0 = tile_of(grid, x0, y0)
+    xa, xb = sorted((x0, x1))
+    tx_lo, _ = tile_of(grid, xa, y0)
+    tx_hi, _ = tile_of(grid, xb, y0)
+    for tx in range(tx_lo, tx_hi + 1):
+        seg_lo = max(xa, tx * tile_w)
+        seg_hi = min(xb, (tx + 1) * tile_w)
+        if seg_hi > seg_lo:
+            dm[tx, ty0] += (seg_hi - seg_lo) * weight
+    tx1, _ = tile_of(grid, x1, y0)
+    ya, yb = sorted((y0, y1))
+    _, ty_lo = tile_of(grid, x1, ya)
+    _, ty_hi = tile_of(grid, x1, yb)
+    for ty in range(ty_lo, ty_hi + 1):
+        seg_lo = max(ya, ty * tile_h)
+        seg_hi = min(yb, (ty + 1) * tile_h)
+        if seg_hi > seg_lo:
+            dm[tx1, ty] += (seg_hi - seg_lo) * weight
+
+
+def route(router, module: Module,
+          include_clock: bool = True) -> RoutingResult:
+    """:meth:`GlobalRouter.run` as one net at a time."""
+    grid = RoutingGrid.for_core(router.floorplan.width_um,
+                                router.floorplan.height_um,
+                                router.interconnect.stack,
+                                router.capacity_scale)
+    # Pass 1: topologies and preferred classes.
+    net_length: Dict[int, float] = {}
+    net_points: Dict[int, List[Tuple[float, float]]] = {}
+    for net in module.nets:
+        if net.is_clock and not include_clock:
+            continue
+        points = router._net_points(module, net)
+        length = rsmt_length_um(points)
+        net_length[net.index] = length
+        net_points[net.index] = points
+
+    # Layer assignment: each net first tries the class its length
+    # prefers (long nets avoid the resistive local layers — the
+    # Section 6 router preference), then spills along a class-specific
+    # order while classes are under the fill target; once everything
+    # is full, overflow is balanced by fill ratio.  Shortest nets go
+    # first, as in track-assignment order.
+    class_cap_total = {
+        cls: cap * grid.n_x * grid.n_y
+        for cls, cap in grid.tile_capacity_um.items()
+    }
+    class_used = {cls: 0.0 for cls in class_cap_total}
+    assignment: Dict[int, LayerClass] = {}
+    fill_order = [cls for cls in (LayerClass.LOCAL,
+                                  LayerClass.INTERMEDIATE,
+                                  LayerClass.GLOBAL)
+                  if cls in class_cap_total]
+    spill = {
+        LayerClass.LOCAL: (LayerClass.LOCAL, LayerClass.INTERMEDIATE,
+                           LayerClass.GLOBAL),
+        LayerClass.INTERMEDIATE: (LayerClass.INTERMEDIATE,
+                                  LayerClass.LOCAL,
+                                  LayerClass.GLOBAL),
+        LayerClass.GLOBAL: (LayerClass.GLOBAL,
+                            LayerClass.INTERMEDIATE,
+                            LayerClass.LOCAL),
+    }
+    fill_target = 0.85
+    for net_idx in sorted(net_length, key=net_length.get):
+        length = net_length[net_idx]
+        preferred = router._preferred_class(length)
+        chosen = None
+        for cls in spill.get(preferred, tuple(fill_order)):
+            if cls not in class_cap_total:
+                continue
+            if (class_used[cls] + length
+                    <= class_cap_total[cls] * fill_target):
+                chosen = cls
+                break
+        if chosen is None:
+            # Everything is at the fill target: balance the
+            # overflow across classes by current fill ratio.
+            chosen = min(fill_order,
+                         key=lambda c: class_used[c]
+                         / class_cap_total[c])
+        assignment[net_idx] = chosen
+        class_used[chosen] += length
+
+    # Pass 2: book tile demand along L-routed tree edges.
+    for net_idx, points in net_points.items():
+        if len(points) < 2:
+            continue
+        cls = assignment[net_idx]
+        if cls not in grid.tile_capacity_um:
+            continue
+        if len(points) <= MAX_EXACT_PINS:
+            for a, b in rsmt_edges(points):
+                add_edge_demand(grid, cls, points[a][0], points[a][1],
+                                points[b][0], points[b][1])
+        else:
+            xs = [p[0] for p in points]
+            ys = [p[1] for p in points]
+            add_edge_demand(grid, cls, min(xs), min(ys), max(xs), max(ys))
+
+    # Per-class detour factors from that class's peak overflow.
+    detour_by_class: Dict[LayerClass, float] = {}
+    for cls in class_cap_total:
+        over = max(0.0, grid.peak_overflow_ratio(cls) - 1.0)
+        detour_by_class[cls] = min(1.0 + router.detour_coeff * over, 1.35)
+    detour = max(detour_by_class.values()) if detour_by_class else 1.0
+
+    lengths: Dict[int, float] = {}
+    res: Dict[int, float] = {}
+    cap: Dict[int, float] = {}
+    by_class: Dict[LayerClass, float] = {
+        cls: 0.0 for cls in class_cap_total}
+    total = 0.0
+    for net_idx, base_len in net_length.items():
+        cls = assignment[net_idx]
+        length = base_len * detour_by_class.get(cls, 1.0)
+        rc = router.interconnect.class_rc(cls) \
+            if cls in grid.tile_capacity_um \
+            else router.interconnect.class_rc(LayerClass.LOCAL)
+        lengths[net_idx] = length
+        res[net_idx] = length * rc.resistance_kohm_per_um
+        cap[net_idx] = length * rc.capacitance_ff_per_um
+        by_class[cls] = by_class.get(cls, 0.0) + length
+        total += length
+
+    # MB1 usage for T-MI: the shortest nets dip to the bottom tier.
+    mb1_len = 0.0
+    if router.interconnect.stack.is_3d and net_length:
+        ordered = sorted(net_length, key=net_length.get)
+        take = max(1, int(len(ordered) * MB1_NET_FRACTION))
+        for net_idx in ordered[:take]:
+            mb1_len += lengths.get(net_idx, 0.0) * MB1_LENGTH_SHARE
+
+    return RoutingResult(
+        lengths_um=lengths,
+        resistances_kohm=res,
+        capacitances_ff=cap,
+        layer_class=assignment,
+        grid=grid,
+        total_wirelength_um=total,
+        wirelength_by_class=by_class,
+        mb1_wirelength_um=mb1_len,
+        detour_factor=detour,
+    )
+
+
+# -- static timing (repro.timing.sta) ----------------------------------------
+
+LN2 = math.log(2.0)
+DEFAULT_CLOCK_SLEW_PS = 30.0
+
+
+def wire_delay_slew(analyzer, net: Net, slew_in: float
+                    ) -> Tuple[float, float]:
+    r, c_wire = analyzer.net_model.net_rc(net)
+    c_pins = analyzer._sink_pin_cap_ff(net)
+    delay = LN2 * r * (c_wire / 2.0 + c_pins)
+    degraded = math.sqrt(slew_in * slew_in
+                         + (2.2 * r * (c_wire / 2.0 + c_pins)) ** 2)
+    return delay, degraded
+
+
+def sta_run(analyzer) -> TimingReport:
+    """:meth:`TimingAnalyzer.run` as one instance at a time."""
+    module = analyzer.module
+    library = analyzer.library
+    order = levelize(module, library)
+    is_seq = [library.cell(i.cell_name).is_sequential
+              for i in module.instances]
+
+    arrival: Dict[int, float] = {}
+    slew: Dict[int, float] = {}
+    loads: Dict[int, float] = {}
+
+    # Start points: primary inputs.
+    for net_idx in module.primary_inputs:
+        net = module.nets[net_idx]
+        if net.is_clock:
+            continue
+        wire_d, wire_s = wire_delay_slew(analyzer, net,
+                                         analyzer.input_slew_ps)
+        arrival[net_idx] = wire_d
+        slew[net_idx] = wire_s
+
+    # Start points: sequential outputs (clk -> Q).
+    for inst in module.instances:
+        if not is_seq[inst.index]:
+            continue
+        cell = library.cell(inst.cell_name)
+        for pin_name, net_idx in inst.pin_nets.items():
+            if cell.pin(pin_name).direction.value != "output":
+                continue
+            net = module.nets[net_idx]
+            load = analyzer.net_load_ff(net)
+            loads[net_idx] = load
+            d = cell.delay_ps(DEFAULT_CLOCK_SLEW_PS, load)
+            s = cell.output_slew_ps(DEFAULT_CLOCK_SLEW_PS, load)
+            wire_d, wire_s = wire_delay_slew(analyzer, net, s)
+            prev = arrival.get(net_idx, -1.0)
+            if d + wire_d > prev:
+                arrival[net_idx] = d + wire_d
+                slew[net_idx] = wire_s
+
+    # Combinational propagation.
+    for inst_idx in order:
+        inst = module.instances[inst_idx]
+        cell = library.cell(inst.cell_name)
+        in_arrival = 0.0
+        in_slew = analyzer.input_slew_ps
+        for pin_name, net_idx in inst.pin_nets.items():
+            if cell.pin(pin_name).direction.value != "input":
+                continue
+            a = arrival.get(net_idx, 0.0)
+            if a >= in_arrival:
+                in_arrival = a
+                in_slew = slew.get(net_idx, analyzer.input_slew_ps)
+        for pin_name, net_idx in inst.pin_nets.items():
+            if cell.pin(pin_name).direction.value != "output":
+                continue
+            net = module.nets[net_idx]
+            load = analyzer.net_load_ff(net)
+            loads[net_idx] = load
+            d = cell.delay_ps(in_slew, load)
+            s = cell.output_slew_ps(in_slew, load)
+            wire_d, wire_s = wire_delay_slew(analyzer, net, s)
+            a = in_arrival + d + wire_d
+            if a > arrival.get(net_idx, -1.0):
+                arrival[net_idx] = a
+                slew[net_idx] = wire_s
+
+    return finish_report(analyzer, arrival, slew, loads)
+
+
+def finish_report(analyzer, arrival: Dict[int, float],
+                  slew: Dict[int, float],
+                  loads: Dict[int, float]) -> TimingReport:
+    """Endpoint slack / WNS / TNS from propagated arrivals."""
+    module = analyzer.module
+    library = analyzer.library
+    meta_of = library.timing_meta
+    is_seq = [meta_of(i.cell_name).is_sequential
+              for i in module.instances]
+    endpoint_slack: Dict[Tuple[int, str], float] = {}
+    wns = float("inf")
+    tns = 0.0
+    critical = None
+    for inst in module.instances:
+        if not is_seq[inst.index]:
+            continue
+        cell = library.cell(inst.cell_name)
+        setup = (cell.characterization.setup_time_ps
+                 if cell.characterization else 0.0)
+        for pin_name, net_idx in inst.pin_nets.items():
+            pin = cell.pin(pin_name)
+            if pin.direction.value != "input" or pin.is_clock:
+                continue
+            a = arrival.get(net_idx, 0.0)
+            slack = analyzer.clock_ps - setup - a
+            endpoint_slack[(inst.index, pin_name)] = slack
+            if slack < wns:
+                wns = slack
+                critical = (inst.index, pin_name)
+            if slack < 0.0:
+                tns += slack
+    for net_idx in module.primary_outputs:
+        a = arrival.get(net_idx, 0.0)
+        slack = analyzer.clock_ps - a
+        endpoint_slack[(PO_SINK, module.nets[net_idx].name)] = slack
+        if slack < wns:
+            wns = slack
+            critical = (PO_SINK, module.nets[net_idx].name)
+        if slack < 0.0:
+            tns += slack
+    if wns == float("inf"):
+        wns = analyzer.clock_ps
+    return TimingReport(
+        clock_ps=analyzer.clock_ps,
+        arrival_ps=arrival,
+        slew_ps=slew,
+        endpoint_slack_ps=endpoint_slack,
+        wns_ps=wns,
+        tns_ps=tns,
+        critical_endpoint=critical,
+        load_ff=loads,
+    )
+
+
+# -- characterization (repro.characterize.charlib) ---------------------------
+
+SETUP_FRACTION_OF_CLK_Q = 0.6
+_SEQ_SIDE_VALUES = {"RN": True, "SE": False, "SI": False}
+
+
+def settle(circuit: MNACircuit, setup: CharacterizationSetup,
+           initial: Optional[Dict[str, float]] = None) -> Dict[str, float]:
+    """Run the settling phase; returns final node voltages."""
+    result = circuit.transient(setup.settle_ns, setup.settle_dt_ns,
+                               initial=initial)
+    return {name: float(wave[-1]) for name, wave in result.voltages.items()}
+
+
+def measure_combinational(netlist: CellNetlist,
+                          parasitics: Optional[CellParasitics],
+                          cell_type: str, in_pin: str, out_pin: str,
+                          slew_ps: float, load_ff: float,
+                          setup: CharacterizationSetup
+                          ) -> Tuple[float, float, float]:
+    """(delay_ps, slew_ps, energy_fj) averaged over rise and fall."""
+    node = setup.node
+    vdd = node.vdd
+    side = sensitizing_vector(cell_type, in_pin, out_pin)
+    delays, slews, energies = [], [], []
+    for input_rising in (True, False):
+        circuit, far = _build_circuit(netlist, parasitics, node, load_ff,
+                                      out_pin)
+        v0 = 0.0 if input_rising else vdd
+        for pin, value in side.items():
+            circuit.drive(pin, constant(vdd if value else 0.0))
+        circuit.drive(in_pin, constant(v0))
+        initial = settle(circuit, setup)
+        out_start = initial.get(far[out_pin], 0.0)
+        output_rising = out_start < vdd / 2.0
+
+        circuit2, far2 = _build_circuit(netlist, parasitics, node, load_ff,
+                                        out_pin)
+        for pin, value in side.items():
+            circuit2.drive(pin, constant(vdd if value else 0.0))
+        start_ns = 0.02
+        stim = RampStimulus(v0=v0, v1=vdd - v0, start_ns=start_ns,
+                            slew_ps=slew_ps)
+        circuit2.drive(in_pin, stim)
+        t_stop, dt = _window_ns(node, slew_ps, load_ff, setup)
+        result = circuit2.transient(t_stop + start_ns, dt,
+                                    record=[far2[out_pin]],
+                                    initial=initial)
+        out_wave = result.voltage(far2[out_pin])
+        delay_ps, out_slew_ps = measure_delay_slew(
+            result.times_ns, out_wave, vdd, stim.mid_crossing_ns,
+            output_rising)
+        e_supply = result.supply_energy_fj
+        # Subtract leakage baseline and, for a rising output, the energy
+        # delivered into the external load (Liberty internal-power
+        # convention).
+        leak_fj = (_leakage_mw(netlist, node) * 1.0e3) * (t_stop + start_ns)
+        e_int = e_supply - leak_fj
+        if output_rising:
+            e_int -= load_ff * vdd * vdd
+        energies.append(max(e_int, 0.0))
+        delays.append(delay_ps)
+        slews.append(out_slew_ps)
+    return (float(np.mean(delays)), float(np.mean(slews)),
+            float(np.mean(energies)))
+
+
+def measure_sequential(netlist: CellNetlist,
+                       parasitics: Optional[CellParasitics],
+                       clk_pin: str, out_pin: str,
+                       slew_ps: float, load_ff: float,
+                       setup: CharacterizationSetup
+                       ) -> Tuple[float, float, float]:
+    """Clock->Q measurement, averaged over Q rising and falling."""
+    node = setup.node
+    vdd = node.vdd
+    data_pin = netlist.input_pins[0]
+    delays, slews, energies = [], [], []
+    for q_rising in (True, False):
+        d_value = vdd if q_rising else 0.0
+        circuit, far = _build_circuit(netlist, parasitics, node, load_ff,
+                                      out_pin)
+        circuit.drive(data_pin, constant(d_value))
+        for pin in netlist.input_pins[1:]:
+            held = _SEQ_SIDE_VALUES.get(pin, False)
+            circuit.drive(pin, constant(vdd if held else 0.0))
+        circuit.drive(clk_pin, constant(0.0))
+        # Seed the slave latch in the *pre-edge* state (Q at the opposite
+        # rail of its post-edge value) so the clock edge produces a
+        # measurable output transition.  The feedback keeper then holds the
+        # state through the settle phase.
+        seed_s_in = vdd if q_rising else 0.0
+        seed = {"s_in": seed_s_in, "s_in__w": seed_s_in,
+                "s_fb": seed_s_in, "s_fb__w": seed_s_in,
+                "s_out": vdd - seed_s_in, "s_out__w": vdd - seed_s_in}
+        initial = settle(circuit, setup, initial=seed)
+
+        circuit2, far2 = _build_circuit(netlist, parasitics, node, load_ff,
+                                        out_pin)
+        circuit2.drive(data_pin, constant(d_value))
+        for pin in netlist.input_pins[1:]:
+            held = _SEQ_SIDE_VALUES.get(pin, False)
+            circuit2.drive(pin, constant(vdd if held else 0.0))
+        start_ns = 0.02
+        stim = RampStimulus(v0=0.0, v1=vdd, start_ns=start_ns,
+                            slew_ps=slew_ps)
+        circuit2.drive(clk_pin, stim)
+        t_stop, dt = _window_ns(node, slew_ps, load_ff + 6.0, setup)
+        result = circuit2.transient(t_stop + start_ns, dt,
+                                    record=[far2[out_pin]],
+                                    initial=initial)
+        out_wave = result.voltage(far2[out_pin])
+        delay_ps, out_slew_ps = measure_delay_slew(
+            result.times_ns, out_wave, vdd, stim.mid_crossing_ns, q_rising)
+        leak_fj = (_leakage_mw(netlist, node) * 1.0e3) * (t_stop + start_ns)
+        e_int = result.supply_energy_fj - leak_fj
+        if q_rising:
+            e_int -= load_ff * vdd * vdd
+        energies.append(max(e_int, 0.0))
+        delays.append(delay_ps)
+        slews.append(out_slew_ps)
+    return (float(np.mean(delays)), float(np.mean(slews)),
+            float(np.mean(energies)))
+
+
+def characterize_cell(netlist: CellNetlist,
+                      parasitics: Optional[CellParasitics] = None,
+                      setup: Optional[CharacterizationSetup] = None,
+                      cell_type: Optional[str] = None
+                      ) -> CellCharacterization:
+    """Full-grid characterization of one cell, one transient at a time."""
+    setup = setup or CharacterizationSetup()
+    if cell_type is None:
+        cell_type = netlist.cell_name.split("_X")[0]
+    sequential = bool(netlist.clock_pins)
+    in_pin, out_pin = preferred_arc(netlist, cell_type)
+    slews: Sequence[float] = list(setup.seq_slews_ps if sequential
+                                  else setup.slews_ps)
+    loads: Sequence[float] = list(setup.loads_ff)
+
+    if not sequential and not is_combinational(cell_type):
+        raise CharacterizationError(
+            f"cannot characterize cell type {cell_type!r}")
+    delay = np.zeros((len(slews), len(loads)))
+    oslew = np.zeros_like(delay)
+    energy = np.zeros_like(delay)
+    for i, slew_ps in enumerate(slews):
+        for j, load_ff in enumerate(loads):
+            if sequential:
+                d, s, e = measure_sequential(
+                    netlist, parasitics, in_pin, out_pin, slew_ps,
+                    load_ff, setup)
+            else:
+                d, s, e = measure_combinational(
+                    netlist, parasitics, cell_type, in_pin, out_pin,
+                    slew_ps, load_ff, setup)
+            delay[i, j] = d
+            oslew[i, j] = s
+            energy[i, j] = e
+
+    arc = TimingArc(
+        input_pin=in_pin,
+        output_pin=out_pin,
+        delay=NLDMTable(slews, loads, delay),
+        output_slew=NLDMTable(slews, loads, oslew),
+        internal_energy=NLDMTable(slews, loads, energy),
+    )
+    mid_delay = float(delay[len(slews) // 2, len(loads) // 2])
+    return CellCharacterization(
+        cell_name=netlist.cell_name,
+        arcs={out_pin: arc},
+        leakage_mw=_leakage_mw(netlist, setup.node),
+        setup_time_ps=(SETUP_FRACTION_OF_CLK_Q * mid_delay
+                       if sequential else 0.0),
+    )

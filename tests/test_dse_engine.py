@@ -51,6 +51,30 @@ def test_grid_explore_evaluates_every_point_and_replays_the_front():
     assert result.cache_hits == 5 * len(result.front)
 
 
+def test_stage_cached_points_equal_cold_isolated_flows():
+    """A layout knob crossed with a power knob: the points share the
+    synthesis and placement checkpoints, and two of them only the power
+    stage apart.  Each point's objectives must still equal a cold,
+    isolated ``run_flow`` of its config (no store, empty memos)."""
+    from repro.dse.cost import resolve_objectives
+    from repro.flow.design_flow import run_flow
+
+    names = ("power", "wirelength")
+    space = SweepSpace(BASE, [
+        Axis(name="router_detour_coeff", values=(0.3, 0.7)),
+        Axis(name="pi_activity", values=(0.1, 0.3)),
+    ])
+    result = DseEngine(space, objectives=names).explore()
+    assert len(result.points) == space.size == 4
+    objectives = resolve_objectives(names)
+    for point in result.points:
+        runner.clear_caches()
+        runner.disable_persistent_cache()
+        cold = run_flow(space.config_for(point.assignment))
+        assert [point.objectives[name] for name in names] == \
+            [objective.value(cold) for objective in objectives]
+
+
 def test_reports_are_byte_identical_across_cold_sessions():
     first = DseEngine(_space(), objectives=("power", "leakage")).explore()
     runner.clear_caches()

@@ -1,11 +1,11 @@
-"""Differential tests: vectorized kernels vs their pure-Python references.
+"""Differential tests: the array kernels vs the frozen scalar oracle.
 
-Every hot kernel keeps its scalar implementation as a selectable
-reference backend (``REPRO_KERNEL_BACKEND``); these tests pin the
-``numpy`` backend to it bit-for-bit on seeded inputs, plus property
-tests for the structural assumptions the vectorized code relies on
-(within-level permutation invariance of STA propagation, CG residuals
-against a direct solve, monotone router demand booking).
+Every hot kernel was once a loop-per-element implementation; those
+loops are frozen in ``kernel_oracle.py``.  These tests pin the array
+kernels to them bit-for-bit on seeded inputs and through whole flows,
+plus property tests for the structural assumptions the array code
+relies on (within-level permutation invariance of STA propagation, CG
+residuals against a direct solve, monotone router demand booking).
 """
 
 from __future__ import annotations
@@ -16,17 +16,9 @@ import numpy as np
 import pytest
 
 from repro.circuits.generators import generate_benchmark
-from repro.kernels import use_backend
 from repro.place.floorplan import Floorplan
 from repro.place import quadratic
-from repro.place.quadratic import (
-    _build_system,
-    _cell_pin_adjacency,
-    median_sweep,
-    place_global,
-    quadratic_solve,
-    spread,
-)
+from repro.place.quadratic import _cell_pin_adjacency, place_global, spread
 from repro.place.quadratic_numpy import MedianPlan, PlacementSystem
 from repro.route.router import GlobalRouter
 from repro.route.grid import RoutingGrid
@@ -36,6 +28,7 @@ from repro.tech.node import get_node
 from repro.timing.graph import levelize, levelize_levels
 from repro.timing.netmodel import PlacedNetModel
 from repro.timing.sta import TimingAnalyzer
+from tests import kernel_oracle as oracle
 
 
 @pytest.fixture(scope="module")
@@ -47,9 +40,11 @@ def aes_small(lib45_2d):
 
 @pytest.fixture(scope="module")
 def aes_placed(aes_small, lib45_2d):
-    module, floorplan = aes_small
-    with use_backend("numpy"):
-        x, y = place_global(module, lib45_2d, floorplan)
+    return _placed(*aes_small, lib45_2d)
+
+
+def _placed(module, floorplan, library):
+    x, y = place_global(module, library, floorplan)
     for inst, xi, yi in zip(module.instances, x, y):
         inst.x_um = float(xi)
         inst.y_um = float(yi)
@@ -67,7 +62,7 @@ def _interconnect(is_3d: bool = False) -> InterconnectModel:
 
 def test_placement_system_matches_scalar_build(aes_small):
     module, floorplan = aes_small
-    lap_py, bx_py, by_py = _build_system(module, floorplan)
+    lap_py, bx_py, by_py = oracle.build_system(module, floorplan)
     lap_np, bx_np, by_np = PlacementSystem(module, floorplan).build(
         None, None, quadratic.ANCHOR_WEIGHT)
     # Bit-exact: the batched assembly emits COO entries and replays the
@@ -84,10 +79,8 @@ def test_spread_bit_identical(aes_small, lib45_2d):
     rng = np.random.default_rng(11)
     x = rng.uniform(0.0, floorplan.width_um, len(module.instances))
     y = rng.uniform(0.0, floorplan.height_um, len(module.instances))
-    with use_backend("python"):
-        xp, yp = spread(module, lib45_2d, floorplan, x.copy(), y.copy())
-    with use_backend("numpy"):
-        xn, yn = spread(module, lib45_2d, floorplan, x.copy(), y.copy())
+    xp, yp = oracle.spread(module, lib45_2d, floorplan, x.copy(), y.copy())
+    xn, yn = spread(module, lib45_2d, floorplan, x.copy(), y.copy())
     assert np.array_equal(xp, xn)
     assert np.array_equal(yp, yn)
 
@@ -99,21 +92,17 @@ def test_median_sweep_bit_identical(aes_small):
     y0 = rng.uniform(0.0, floorplan.height_um, len(module.instances))
     adjacency = _cell_pin_adjacency(module, floorplan)
     xp, yp = x0.copy(), y0.copy()
-    with use_backend("python"):
-        median_sweep(module, floorplan, xp, yp, adjacency, 3)
+    oracle.median_sweep(module, floorplan, xp, yp, adjacency, 3)
     xn, yn = x0.copy(), y0.copy()
-    with use_backend("numpy"):
-        median_sweep(module, floorplan, xn, yn, MedianPlan(adjacency), 3)
+    MedianPlan(adjacency).sweep(xn, yn, 3)
     assert np.array_equal(xp, xn)
     assert np.array_equal(yp, yn)
 
 
 def test_place_global_bit_identical(aes_small, lib45_2d):
     module, floorplan = aes_small
-    with use_backend("python"):
-        xp, yp = place_global(module, lib45_2d, floorplan)
-    with use_backend("numpy"):
-        xn, yn = place_global(module, lib45_2d, floorplan)
+    xp, yp = oracle.place_global(module, lib45_2d, floorplan)
+    xn, yn = place_global(module, lib45_2d, floorplan)
     assert np.array_equal(xp, xn)
     assert np.array_equal(yp, yn)
 
@@ -121,9 +110,9 @@ def test_place_global_bit_identical(aes_small, lib45_2d):
 def test_cg_residual_bounded_by_direct_solve(aes_small):
     """Property: the CG placement solve stays near the exact solution."""
     module, floorplan = aes_small
-    lap, bx, _by = _build_system(module, floorplan)
-    with use_backend("python"):
-        x, _y = quadratic_solve(module, floorplan)
+    lap, bx, _by = PlacementSystem(module, floorplan).build(
+        None, None, quadratic.ANCHOR_WEIGHT)
+    x, _y = quadratic.quadratic_solve(module, floorplan)
     dense = lap.toarray()
     exact = np.linalg.solve(dense, bx)
     np.clip(exact, 0.0, floorplan.width_um, out=exact)
@@ -145,7 +134,7 @@ def test_levelize_levels_matches_levelize(aes_small, lib45_2d):
         else np.zeros(0, dtype=np.intp)
     assert sorted(flat.tolist()) == sorted(order)
     # Every level only depends on nets produced by strictly earlier
-    # levels: re-running the scalar engine in level-concatenated order
+    # levels: re-running the scalar oracle in level-concatenated order
     # must give a valid topological order (checked by position).
     pos = {int(i): k for k, lvl in enumerate(levels)
            for i in lvl.tolist()}
@@ -210,19 +199,19 @@ def test_net_rc_bulk_matches_scalar(aes_placed):
         assert c[net.index] == cc
 
 
+def _sta_pair(module, library, floorplan, interconnect):
+    """(oracle, kernel) reports of one fresh analyzer per engine."""
+    def analyzer():
+        model = PlacedNetModel(module, interconnect,
+                               io_positions=floorplan.io_positions)
+        return TimingAnalyzer(module, library, model, clock_ns=2.0)
+
+    return oracle.sta_run(analyzer()), analyzer().run()
+
+
 def test_sta_run_bit_identical(aes_placed, lib45_2d):
     module, floorplan = aes_placed
-    interconnect = _interconnect()
-
-    def run(backend):
-        with use_backend(backend):
-            model = PlacedNetModel(module, interconnect,
-                                   io_positions=floorplan.io_positions)
-            return TimingAnalyzer(module, lib45_2d, model,
-                                  clock_ns=2.0).run()
-
-    rp = run("python")
-    rn = run("numpy")
+    rp, rn = _sta_pair(module, lib45_2d, floorplan, _interconnect())
     assert rp.arrival_ps == rn.arrival_ps
     assert rp.slew_ps == rn.slew_ps
     assert rp.load_ff == rn.load_ff
@@ -234,18 +223,17 @@ def test_sta_run_bit_identical(aes_placed, lib45_2d):
 
 def test_propagate_invariant_to_within_level_order(aes_placed, lib45_2d,
                                                    monkeypatch):
-    """Property: the scalar engine's result does not depend on the order
+    """Property: the scalar oracle's result does not depend on the order
     instances are visited *within* a topological level (the assumption
     level-batched propagation rests on)."""
     module, floorplan = aes_placed
     interconnect = _interconnect()
 
     def run():
-        with use_backend("python"):
-            model = PlacedNetModel(module, interconnect,
-                                   io_positions=floorplan.io_positions)
-            return TimingAnalyzer(module, lib45_2d, model,
-                                  clock_ns=2.0).run()
+        model = PlacedNetModel(module, interconnect,
+                               io_positions=floorplan.io_positions)
+        return oracle.sta_run(TimingAnalyzer(module, lib45_2d, model,
+                                             clock_ns=2.0))
 
     baseline = run()
     levels = levelize_levels(module, lib45_2d)
@@ -255,8 +243,7 @@ def test_propagate_invariant_to_within_level_order(aes_placed, lib45_2d,
         perm = lvl.copy()
         rng.shuffle(perm)
         shuffled.extend(int(i) for i in perm)
-    monkeypatch.setattr("repro.timing.sta.levelize",
-                        lambda _m, _l: shuffled)
+    monkeypatch.setattr(oracle, "levelize", lambda _m, _l: shuffled)
     permuted = run()
     assert permuted.arrival_ps == baseline.arrival_ps
     assert permuted.slew_ps == baseline.slew_ps
@@ -266,30 +253,31 @@ def test_propagate_invariant_to_within_level_order(aes_placed, lib45_2d,
 # -- routing kernels ---------------------------------------------------------
 
 
+def _assert_routes_equal(got, want):
+    assert got.lengths_um == want.lengths_um
+    assert list(got.lengths_um) == list(want.lengths_um)
+    assert got.resistances_kohm == want.resistances_kohm
+    assert got.capacitances_ff == want.capacitances_ff
+    assert got.layer_class == want.layer_class
+    assert list(got.layer_class) == list(want.layer_class)
+    assert got.total_wirelength_um == want.total_wirelength_um
+    assert got.wirelength_by_class == want.wirelength_by_class
+    assert got.mb1_wirelength_um == want.mb1_wirelength_um
+    assert got.detour_factor == want.detour_factor
+    assert list(got.grid.demand) == list(want.grid.demand)
+    for cls, demand in want.grid.demand.items():
+        assert np.array_equal(got.grid.demand[cls], demand)
+
+
+def _assert_router_matches_oracle(router, module):
+    _assert_routes_equal(router.run(module), oracle.route(router, module))
+
+
 @pytest.mark.parametrize("is_3d", [False, True])
 def test_router_run_bit_identical(aes_placed, lib45_2d, is_3d):
     module, floorplan = aes_placed
-    interconnect = _interconnect(is_3d)
-
-    def run(backend):
-        with use_backend(backend):
-            router = GlobalRouter(lib45_2d, interconnect, floorplan)
-            return router.run(module)
-
-    rp = run("python")
-    rn = run("numpy")
-    assert rp.lengths_um == rn.lengths_um
-    assert list(rp.lengths_um) == list(rn.lengths_um)
-    assert rp.resistances_kohm == rn.resistances_kohm
-    assert rp.capacitances_ff == rn.capacitances_ff
-    assert rp.layer_class == rn.layer_class
-    assert list(rp.layer_class) == list(rn.layer_class)
-    assert rp.total_wirelength_um == rn.total_wirelength_um
-    assert rp.wirelength_by_class == rn.wirelength_by_class
-    assert rp.mb1_wirelength_um == rn.mb1_wirelength_um
-    assert rp.detour_factor == rn.detour_factor
-    for cls, demand in rp.grid.demand.items():
-        assert np.array_equal(demand, rn.grid.demand[cls])
+    router = GlobalRouter(lib45_2d, _interconnect(is_3d), floorplan)
+    _assert_router_matches_oracle(router, module)
 
 
 def test_grid_demand_booking_is_monotone():
@@ -302,7 +290,8 @@ def test_grid_demand_booking_is_monotone():
     prev = grid.demand[cls].copy()
     for _ in range(200):
         x0, y0, x1, y1 = rng.uniform(0.0, 120.0, 4)
-        grid.add_edge_demand(cls, float(x0), float(y0), float(x1), float(y1))
+        oracle.add_edge_demand(grid, cls, float(x0), float(y0), float(x1),
+                               float(y1))
         now = grid.demand[cls]
         assert np.all(now >= prev - 1e-12)
         assert np.all(now >= 0.0)
@@ -311,7 +300,7 @@ def test_grid_demand_booking_is_monotone():
 
 # -- scenario-space workloads ------------------------------------------------
 #
-# The kernels must stay backend-equivalent off the paper's operating
+# The kernels must match the oracle off the paper's operating
 # point too: the mesh-NoC workload (regular medium-range channels
 # instead of random-logic clusters) and a 4-tier interleaved fold with
 # a derated routing capacity exercise branch patterns the AES runs
@@ -322,37 +311,20 @@ def test_grid_demand_booking_is_monotone():
 def noc_placed(lib45_2d):
     module = generate_benchmark("noc", scale=0.05, seed=5)
     floorplan = Floorplan.for_module(module, lib45_2d, 0.75)
-    with use_backend("numpy"):
-        x, y = place_global(module, lib45_2d, floorplan)
-    for inst, xi, yi in zip(module.instances, x, y):
-        inst.x_um = float(xi)
-        inst.y_um = float(yi)
-    return module, floorplan
+    return _placed(module, floorplan, lib45_2d)
 
 
 def test_noc_place_global_bit_identical(noc_placed, lib45_2d):
     module, floorplan = noc_placed
-    with use_backend("python"):
-        xp, yp = place_global(module, lib45_2d, floorplan)
-    with use_backend("numpy"):
-        xn, yn = place_global(module, lib45_2d, floorplan)
+    xp, yp = oracle.place_global(module, lib45_2d, floorplan)
+    xn, yn = place_global(module, lib45_2d, floorplan)
     assert np.array_equal(xp, xn)
     assert np.array_equal(yp, yn)
 
 
 def test_noc_sta_run_bit_identical(noc_placed, lib45_2d):
     module, floorplan = noc_placed
-    interconnect = _interconnect()
-
-    def run(backend):
-        with use_backend(backend):
-            model = PlacedNetModel(module, interconnect,
-                                   io_positions=floorplan.io_positions)
-            return TimingAnalyzer(module, lib45_2d, model,
-                                  clock_ns=2.0).run()
-
-    rp = run("python")
-    rn = run("numpy")
+    rp, rn = _sta_pair(module, lib45_2d, floorplan, _interconnect())
     assert rp.arrival_ps == rn.arrival_ps
     assert rp.slew_ps == rn.slew_ps
     assert rp.endpoint_slack_ps == rn.endpoint_slack_ps
@@ -362,33 +334,15 @@ def test_noc_sta_run_bit_identical(noc_placed, lib45_2d):
 
 def test_noc_router_run_bit_identical(noc_placed, lib45_2d):
     module, floorplan = noc_placed
-    interconnect = _interconnect(is_3d=True)
-
-    def run(backend):
-        with use_backend(backend):
-            router = GlobalRouter(lib45_2d, interconnect, floorplan)
-            return router.run(module)
-
-    rp = run("python")
-    rn = run("numpy")
-    assert rp.lengths_um == rn.lengths_um
-    assert rp.layer_class == rn.layer_class
-    assert rp.total_wirelength_um == rn.total_wirelength_um
-    assert rp.wirelength_by_class == rn.wirelength_by_class
-    for cls, demand in rp.grid.demand.items():
-        assert np.array_equal(demand, rn.grid.demand[cls])
+    router = GlobalRouter(lib45_2d, _interconnect(is_3d=True), floorplan)
+    _assert_router_matches_oracle(router, module)
 
 
 @pytest.fixture(scope="module")
 def quad_placed(lib45_quad):
     module = generate_benchmark("aes", scale=0.05, seed=7)
     floorplan = Floorplan.for_module(module, lib45_quad, 0.75)
-    with use_backend("numpy"):
-        x, y = place_global(module, lib45_quad, floorplan)
-    for inst, xi, yi in zip(module.instances, x, y):
-        inst.x_um = float(xi)
-        inst.y_um = float(yi)
-    return module, floorplan
+    return _placed(module, floorplan, lib45_quad)
 
 
 def test_quad_tier_router_with_koz_derate_bit_identical(quad_placed,
@@ -398,39 +352,17 @@ def test_quad_tier_router_with_koz_derate_bit_identical(quad_placed,
     from repro.tech.miv import routing_capacity_scale
 
     module, floorplan = quad_placed
-    interconnect = _interconnect(is_3d=True)
     scale = routing_capacity_scale(get_node("45nm"), 1.0, 4)
     assert scale < 1.0
-
-    def run(backend):
-        with use_backend(backend):
-            router = GlobalRouter(lib45_quad, interconnect, floorplan,
-                                  capacity_scale=scale)
-            return router.run(module)
-
-    rp = run("python")
-    rn = run("numpy")
-    assert rp.lengths_um == rn.lengths_um
-    assert rp.layer_class == rn.layer_class
-    assert rp.total_wirelength_um == rn.total_wirelength_um
-    assert rp.detour_factor == rn.detour_factor
-    for cls, demand in rp.grid.demand.items():
-        assert np.array_equal(demand, rn.grid.demand[cls])
+    router = GlobalRouter(lib45_quad, _interconnect(is_3d=True), floorplan,
+                          capacity_scale=scale)
+    _assert_router_matches_oracle(router, module)
 
 
 def test_quad_tier_sta_run_bit_identical(quad_placed, lib45_quad):
     module, floorplan = quad_placed
-    interconnect = _interconnect(is_3d=True)
-
-    def run(backend):
-        with use_backend(backend):
-            model = PlacedNetModel(module, interconnect,
-                                   io_positions=floorplan.io_positions)
-            return TimingAnalyzer(module, lib45_quad, model,
-                                  clock_ns=2.0).run()
-
-    rp = run("python")
-    rn = run("numpy")
+    rp, rn = _sta_pair(module, lib45_quad, floorplan,
+                       _interconnect(is_3d=True))
     assert rp.arrival_ps == rn.arrival_ps
     assert rp.slew_ps == rn.slew_ps
     assert rp.wns_ps == rn.wns_ps
@@ -454,10 +386,8 @@ def test_mna_characterization_bit_identical():
     parasitics = extract_cell(build_cell_geometry_2d(nl, NODE_45NM),
                               ExtractionMode.FLAT)
     setup = CharacterizationSetup(node=NODE_45NM)
-    with use_backend("python"):
-        cp = characterize_cell(nl, parasitics, setup)
-    with use_backend("numpy"):
-        cn = characterize_cell(nl, parasitics, setup)
+    cp = oracle.characterize_cell(nl, parasitics, setup)
+    cn = characterize_cell(nl, parasitics, setup)
     ap, an = cp.worst_arc(), cn.worst_arc()
     assert np.array_equal(ap.delay.values, an.delay.values)
     assert np.array_equal(ap.output_slew.values, an.output_slew.values)
@@ -482,10 +412,8 @@ def test_mna_characterization_bit_identical_sequential():
     parasitics = extract_cell(build_cell_geometry_2d(nl, NODE_45NM),
                               ExtractionMode.FLAT)
     setup = CharacterizationSetup(node=NODE_45NM)
-    with use_backend("python"):
-        cp = characterize_cell(nl, parasitics, setup)
-    with use_backend("numpy"):
-        cn = characterize_cell(nl, parasitics, setup)
+    cp = oracle.characterize_cell(nl, parasitics, setup)
+    cn = characterize_cell(nl, parasitics, setup)
     ap, an = cp.worst_arc(), cn.worst_arc()
     assert np.array_equal(ap.delay.values, an.delay.values)
     assert np.array_equal(ap.output_slew.values, an.output_slew.values)
@@ -582,10 +510,10 @@ def test_netmodel_degenerate_nets_match(aes_placed):
 
 # -- incremental STA -----------------------------------------------------------
 #
-# The numpy backend keeps its timing graph and wire-RC arrays alive
-# between the runs of one analyzer, and the optimizer invalidates only
-# the nets it buffers.  These tests re-time every numpy run of whole
-# flows from scratch with the reference engine on a fresh net model.
+# The analyzer keeps its timing graph and wire-RC arrays alive between
+# runs, and the optimizer invalidates only the nets it buffers.  These
+# tests re-time every run of whole flows from scratch with the scalar
+# oracle on a fresh net model.
 
 
 def _fresh_net_model(model):
@@ -613,13 +541,11 @@ def _assert_reports_equal(got, want):
 
 @pytest.fixture()
 def checked_sta(monkeypatch):
-    """Compare every numpy-backend STA run with a from-scratch reference.
+    """Compare every STA run with a from-scratch oracle run.
 
     Yields a tally: ``runs`` compared and ``reused`` runs that kept the
     analyzer's timing graph from its previous run.
     """
-    from repro.kernels import current_backend
-
     run = TimingAnalyzer.run
     tally = {"runs": 0, "reused": 0}
 
@@ -627,16 +553,12 @@ def checked_sta(monkeypatch):
         state = self._incremental
         graph = state.graph if state is not None else None
         report = run(self)
-        if current_backend() != "numpy":
-            return report
         tally["runs"] += 1
         tally["reused"] += int(graph is not None
                                and self._incremental.graph is graph)
         reference = copy.copy(self)
         reference.net_model = _fresh_net_model(self.net_model)
-        reference._incremental = None
-        with use_backend("python"):
-            _assert_reports_equal(report, run(reference))
+        _assert_reports_equal(report, oracle.sta_run(reference))
         return report
 
     monkeypatch.setattr(TimingAnalyzer, "run", checked)
@@ -654,13 +576,60 @@ def test_incremental_sta_matches_reference_through_flow(
         checked_sta, circuit, scale, is_3d, extra):
     from repro.flow.design_flow import FlowConfig, run_flow
 
-    with use_backend("numpy"):
-        run_flow(FlowConfig(circuit=circuit, scale=scale, seed=1,
-                            is_3d=is_3d, kernel_backend="numpy", **extra))
+    run_flow(FlowConfig(circuit=circuit, scale=scale, seed=1,
+                        is_3d=is_3d, **extra))
     # Synthesis, DRV fixing, the optimizer loop, recovery and sign-off
     # all ran, and resize-only batches re-timed on the kept graph.
     assert checked_sta["runs"] >= 5
     assert checked_sta["reused"] >= 1
+
+
+@pytest.fixture()
+def checked_layout(monkeypatch):
+    """Compare every global placement and route with the oracle, each on
+    the inputs the flow passed.
+
+    Yields a tally of the ``place`` and ``route`` calls compared.
+    """
+    from repro.place import placer
+
+    place = placer.place_global
+    route = GlobalRouter.run
+    tally = {"place": 0, "route": 0}
+
+    def checked_place(module, library, floorplan):
+        x, y = place(module, library, floorplan)
+        want_x, want_y = oracle.place_global(module, library, floorplan)
+        assert np.array_equal(x, want_x)
+        assert np.array_equal(y, want_y)
+        tally["place"] += 1
+        return x, y
+
+    def checked_route(self, module, include_clock=True):
+        result = route(self, module, include_clock)
+        _assert_routes_equal(result,
+                             oracle.route(self, module, include_clock))
+        tally["route"] += 1
+        return result
+
+    monkeypatch.setattr(placer, "place_global", checked_place)
+    monkeypatch.setattr(GlobalRouter, "run", checked_route)
+    return tally
+
+
+@pytest.mark.parametrize("circuit,seed,is_3d", [
+    ("aes", 1, False),
+    ("des", 2, True),
+], ids=["aes_2d", "des_3d"])
+def test_flow_kernels_match_oracle(checked_layout, checked_sta,
+                                   circuit, seed, is_3d):
+    from repro.flow.design_flow import FlowConfig, run_flow
+
+    run_flow(FlowConfig(circuit=circuit, scale=0.06, seed=seed,
+                        is_3d=is_3d))
+    assert checked_layout["place"] >= 1
+    assert checked_layout["route"] >= 1
+    assert checked_sta["runs"] >= 5
 
 
 def _split_net(module):
@@ -720,40 +689,36 @@ def test_incremental_sta_tracks_resizes_and_buffers(aes_placed, lib45_2d):
     analyzer = TimingAnalyzer(module, lib45_2d, model, clock_ns=2.0)
 
     def reference():
-        fresh = TimingAnalyzer(module, lib45_2d, _fresh_net_model(model),
-                               clock_ns=2.0)
-        with use_backend("python"):
-            return fresh.run()
+        return oracle.sta_run(TimingAnalyzer(
+            module, lib45_2d, _fresh_net_model(model), clock_ns=2.0))
 
-    with use_backend("numpy"):
-        analyzer.run()
-        graph = analyzer._incremental.graph
-        # A resize keeps the graph and re-reads the cell.
-        inst = next(i for i in module.instances
-                    if i.cell_name == "NAND2_X1")
-        module.resize_instance(inst, "NAND2_X2")
-        _assert_reports_equal(analyzer.run(), reference())
-        assert analyzer._incremental.graph is graph
-        # A structural edit that adds no instance (a new primary-output
-        # endpoint) rebuilds it.
-        net = module.nets[inst.pin_nets["ZN"]]
-        assert net.index not in module.primary_outputs
-        module.mark_primary_output(net.index)
-        model.invalidate(net.index)
-        _assert_reports_equal(analyzer.run(), reference())
-        assert analyzer._incremental.graph is not graph
-        graph = analyzer._incremental.graph
-        # So does a buffer insertion.
-        net_idx, _buf = _split_net(module)
-        model.invalidate(net_idx)
-        _assert_reports_equal(analyzer.run(), reference())
-        assert analyzer._incremental.graph is not graph
+    analyzer.run()
+    graph = analyzer._incremental.graph
+    # A resize keeps the graph and re-reads the cell.
+    inst = next(i for i in module.instances if i.cell_name == "NAND2_X1")
+    module.resize_instance(inst, "NAND2_X2")
+    _assert_reports_equal(analyzer.run(), reference())
+    assert analyzer._incremental.graph is graph
+    # A structural edit that adds no instance (a new primary-output
+    # endpoint) rebuilds it.
+    net = module.nets[inst.pin_nets["ZN"]]
+    assert net.index not in module.primary_outputs
+    module.mark_primary_output(net.index)
+    model.invalidate(net.index)
+    _assert_reports_equal(analyzer.run(), reference())
+    assert analyzer._incremental.graph is not graph
+    graph = analyzer._incremental.graph
+    # So does a buffer insertion.
+    net_idx, _buf = _split_net(module)
+    model.invalidate(net_idx)
+    _assert_reports_equal(analyzer.run(), reference())
+    assert analyzer._incremental.graph is not graph
 
 
 def test_incremental_sta_rejects_resize_to_other_pins(aes_placed,
                                                       lib45_2d):
     # A resize to a cell with other pin names changes no topology, but
-    # the kept graph no longer fits: like the reference, the run fails
+    # the kept graph no longer fits: like the oracle, the run fails
     # instead of timing a pin the cell does not have.
     from repro.errors import ReproError
 
@@ -761,10 +726,10 @@ def test_incremental_sta_rejects_resize_to_other_pins(aes_placed,
     model = PlacedNetModel(module, _interconnect(),
                            io_positions=aes_placed[1].io_positions)
     analyzer = TimingAnalyzer(module, lib45_2d, model, clock_ns=2.0)
-    with use_backend("numpy"):
-        analyzer.run()
+    analyzer.run()
     inst = next(i for i in module.instances if i.cell_name == "NAND2_X1")
     module.resize_instance(inst, "INV_X1")
-    for backend in ("numpy", "python"):
-        with use_backend(backend), pytest.raises(ReproError):
-            analyzer.run()
+    with pytest.raises(ReproError):
+        analyzer.run()
+    with pytest.raises(ReproError):
+        oracle.sta_run(analyzer)

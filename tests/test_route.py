@@ -11,6 +11,7 @@ from repro.route.router import GlobalRouter
 from repro.tech.interconnect import InterconnectModel
 from repro.tech.metal import LayerClass, build_stack_2d, build_stack_tmi
 from repro.tech.node import NODE_45NM
+from tests.kernel_oracle import add_edge_demand
 
 
 class TestSteiner:
@@ -62,7 +63,7 @@ class TestGrid:
     def test_demand_booking(self):
         grid = RoutingGrid.for_core(100.0, 100.0,
                                     build_stack_2d(NODE_45NM))
-        grid.add_edge_demand(LayerClass.LOCAL, 10.0, 10.0, 60.0, 10.0)
+        add_edge_demand(grid, LayerClass.LOCAL, 10.0, 10.0, 60.0, 10.0)
         total = grid.demand[LayerClass.LOCAL].sum()
         assert total == pytest.approx(50.0, rel=0.05)
 
@@ -71,7 +72,7 @@ class TestGrid:
                                     build_stack_2d(NODE_45NM))
         assert grid.overflow_ratio(LayerClass.LOCAL) == 0.0
         for _ in range(2000):
-            grid.add_edge_demand(LayerClass.LOCAL, 0.0, 50.0, 100.0, 50.0)
+            add_edge_demand(grid, LayerClass.LOCAL, 0.0, 50.0, 100.0, 50.0)
         assert grid.peak_overflow_ratio(LayerClass.LOCAL) > 0.0
         assert grid.worst_overflow() >= \
             grid.peak_overflow_ratio(LayerClass.LOCAL)
