@@ -67,6 +67,21 @@ def ranges(counts: np.ndarray) -> np.ndarray:
     return np.arange(total, dtype=np.intp) - np.repeat(starts, counts)
 
 
+def group_order(keys: np.ndarray, bound: int) -> np.ndarray:
+    """Stable argsort of non-negative integers below ``bound``.
+
+    An LSD radix sort on 16-bit digits: numpy radix-sorts 16-bit keys,
+    several times faster than its stable sort of wider ones.
+    """
+    if bound <= 1 << 16:
+        return np.argsort(keys.astype(np.uint16), kind="stable")
+    if bound > 1 << 32:
+        return np.argsort(keys, kind="stable")
+    low = np.argsort((keys & 0xFFFF).astype(np.uint16), kind="stable")
+    high = np.argsort((keys[low] >> 16).astype(np.uint16), kind="stable")
+    return low[high]
+
+
 def padded_rows(values: Sequence[Sequence], fill) -> np.ndarray:
     """Ragged rows packed into a dense (n, max_len) array with ``fill``.
 

@@ -12,8 +12,11 @@ import math
 from dataclasses import dataclass, field
 from typing import Dict, List, Tuple
 
+import numpy as np
+
 from repro.errors import PlacementError
 from repro.circuits.netlist import Module
+from repro.kernels.arrays import as_f64, as_index
 
 
 @dataclass
@@ -93,3 +96,53 @@ class Floorplan:
         total_area = sum(library.cell(i.cell_name).area_um2
                          for i in module.instances)
         return total_area / self.area_um2
+
+
+class NetPoints:
+    """Where the pins of a set of nets sit, as CSR arrays read from the
+    module's pin-table snapshot (:meth:`Module.connectivity`).
+
+    The points of net ``nets[r]`` are ``off[r]:off[r + 1]``: its driver,
+    then its sinks in ``net.sinks`` order.  An instance pin sits at its
+    instance (``inst``); a primary I/O pin sits at the net's pad in
+    ``Floorplan.io_positions`` (``inst`` -1, coordinates in ``pad_x``/
+    ``pad_y``) and is left out where the net has no pad.  ``row`` gives
+    each point's net as its position in ``nets``.
+    """
+
+    def __init__(self, module: Module, floorplan: Floorplan,
+                 include_clock: bool = False) -> None:
+        conn = module.connectivity()
+        nets = np.arange(conn.n_nets, dtype=np.intp) if include_clock \
+            else np.flatnonzero(~conn.is_clock)
+        off, inst = conn.net_pins(nets)
+        row = np.repeat(np.arange(nets.size, dtype=np.intp), np.diff(off))
+        has_pad = np.zeros(conn.n_nets, dtype=bool)
+        pad_x = np.zeros(conn.n_nets)
+        pad_y = np.zeros(conn.n_nets)
+        io = floorplan.io_positions
+        if io:
+            keys = as_index(list(io))
+            xy = as_f64(list(io.values()))
+            has_pad[keys] = True
+            pad_x[keys] = xy[:, 0]
+            pad_y[keys] = xy[:, 1]
+        keep = (inst >= 0) | has_pad[nets[row]]
+        self.nets = nets
+        self.inst = np.maximum(inst[keep], -1)
+        self.row = row[keep]
+        self.counts = np.bincount(self.row, minlength=nets.size)
+        self.off = np.concatenate(([0], np.cumsum(self.counts)))
+        pad = self.inst < 0
+        self.pad_x = np.where(pad, pad_x[nets[self.row]], 0.0)
+        self.pad_y = np.where(pad, pad_y[nets[self.row]], 0.0)
+
+    def coords(self, x: np.ndarray, y: np.ndarray
+               ) -> Tuple[np.ndarray, np.ndarray]:
+        """Every point's (x, y), instances at ``x``/``y``."""
+        cell = self.inst >= 0
+        px = self.pad_x.copy()
+        py = self.pad_y.copy()
+        px[cell] = x[self.inst[cell]]
+        py[cell] = y[self.inst[cell]]
+        return px, py

@@ -33,21 +33,24 @@ def legalize(module: Module, library, floorplan: Floorplan,
     n = len(module.instances)
     if n == 0:
         return
-    widths = np.array([library.cell(i.cell_name).width_um
-                       for i in module.instances])
-    # Effective widths shrink when rows host multiple tiers.
-    widths = widths / capacity_factor
+    # The Tetris loop runs on Python floats: the same IEEE doubles as
+    # numpy scalars, at a fraction of the cost per operation.
+    widths = (np.array([library.cell(i.cell_name).width_um
+                        for i in module.instances])
+              / capacity_factor).tolist()
+    xs = x.tolist()
+    ys = y.tolist()
     row_h = floorplan.row_height_um
     n_rows = floorplan.n_rows
     capacity = floorplan.width_um
-    edges = np.zeros(n_rows)          # current right edge per row
-    used = np.zeros(n_rows)           # occupied width per row
+    edges = [0.0] * n_rows            # current right edge per row
+    used = [0.0] * n_rows             # occupied width per row
 
-    order = np.argsort(x, kind="stable")
-    for i in order:
+    for i in np.argsort(x, kind="stable").tolist():
         w = widths[i]
-        desired_x = x[i]
-        desired_row = min(max(int(y[i] / row_h), 0), n_rows - 1)
+        desired_x = xs[i]
+        y_i = ys[i]
+        desired_row = min(max(int(y_i / row_h), 0), n_rows - 1)
         best_row = -1
         best_cost = float("inf")
         best_pos = 0.0
@@ -63,7 +66,7 @@ def legalize(module: Module, library, floorplan: Floorplan,
                 if pos + w > capacity:
                     continue
                 dx = abs(pos + w / 2.0 - desired_x)
-                dy = abs((r + 0.5) * row_h - y[i])
+                dy = abs((r + 0.5) * row_h - y_i)
                 cost = dx + Y_COST_WEIGHT * dy
                 if cost < best_cost:
                     best_cost = cost
@@ -77,7 +80,7 @@ def legalize(module: Module, library, floorplan: Floorplan,
                     for r in range(n_rows):
                         if edges[r] + w <= capacity:
                             pos = edges[r]
-                            dy = abs((r + 0.5) * row_h - y[i])
+                            dy = abs((r + 0.5) * row_h - y_i)
                             cost = abs(pos + w / 2.0 - desired_x) \
                                 + Y_COST_WEIGHT * dy
                             if cost < best_cost:
@@ -88,7 +91,7 @@ def legalize(module: Module, library, floorplan: Floorplan,
                         # Last resort: tolerate a small overlap at the
                         # right edge of the least-used row rather than
                         # fail — harmless at global-routing abstraction.
-                        best_row = int(np.argmin(used))
+                        best_row = used.index(min(used))
                         best_pos = max(capacity - w, 0.0)
                     break
                 radius *= 2

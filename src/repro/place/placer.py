@@ -5,9 +5,11 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Optional
 
+import numpy as np
 
 from repro.circuits.netlist import Module
-from repro.place.floorplan import Floorplan
+from repro.kernels.arrays import sequential_sum
+from repro.place.floorplan import Floorplan, NetPoints
 from repro.place.quadratic import place_global
 from repro.place.legalize import legalize
 
@@ -43,30 +45,20 @@ class Placer:
 
 def total_hpwl(module: Module, floorplan: Floorplan) -> float:
     """Half-perimeter wirelength over all signal nets, um."""
-    total = 0.0
-    for net in module.nets:
-        if net.is_clock:
-            continue
-        xs, ys = [], []
-        if net.driver is not None and net.driver[0] >= 0:
-            inst = module.instances[net.driver[0]]
-            xs.append(inst.x_um)
-            ys.append(inst.y_um)
-        elif net.driver is not None:
-            pos = floorplan.io_positions.get(net.index)
-            if pos:
-                xs.append(pos[0])
-                ys.append(pos[1])
-        for inst_idx, _pin in net.sinks:
-            if inst_idx >= 0:
-                inst = module.instances[inst_idx]
-                xs.append(inst.x_um)
-                ys.append(inst.y_um)
-            else:
-                pos = floorplan.io_positions.get(net.index)
-                if pos:
-                    xs.append(pos[0])
-                    ys.append(pos[1])
-        if len(xs) >= 2:
-            total += (max(xs) - min(xs)) + (max(ys) - min(ys))
-    return total
+    points = NetPoints(module, floorplan)
+    x = np.array([inst.x_um for inst in module.instances])
+    y = np.array([inst.y_um for inst in module.instances])
+    px, py = points.coords(x, y)
+    # Nets of two or more points, each one segment of the point arrays.
+    wide = points.counts >= 2
+    counts = points.counts[wide]
+    if not counts.size:
+        return 0.0
+    keep = wide[points.row]
+    px = px[keep]
+    py = py[keep]
+    starts = np.cumsum(counts) - counts
+    span = ((np.maximum.reduceat(px, starts) - np.minimum.reduceat(px, starts))
+            + (np.maximum.reduceat(py, starts)
+               - np.minimum.reduceat(py, starts)))
+    return float(sequential_sum(span))

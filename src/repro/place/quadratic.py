@@ -13,7 +13,7 @@ emerges purely from the smaller core, as in the paper.
 
 from __future__ import annotations
 
-from typing import List, Optional, Tuple
+from typing import Optional, Tuple
 
 import numpy as np
 from scipy.sparse.linalg import cg
@@ -23,7 +23,7 @@ from repro.circuits.netlist import Module
 from repro.obs import metrics as obs_metrics
 from repro.obs.trace import kernel
 from repro.place import quadratic_numpy
-from repro.place.floorplan import Floorplan
+from repro.place.floorplan import Floorplan, NetPoints
 from repro.place.quadratic_numpy import MedianPlan, PlacementSystem
 
 # Star-model weight per net: 1 / (pins - 1), the usual clique/star scaling.
@@ -64,12 +64,17 @@ def quadratic_solve(module: Module, floorplan: Floorplan,
     return x, y
 
 
+def cell_areas(module: Module, library) -> np.ndarray:
+    """Every instance's cell area, um^2."""
+    return np.array([library.cell(i.cell_name).area_um2
+                     for i in module.instances])
+
+
 def spread(module: Module, library, floorplan: Floorplan,
            x: np.ndarray, y: np.ndarray) -> Tuple[np.ndarray, np.ndarray]:
     """Recursive area bisection: distribute cells uniformly, keep order."""
-    areas = np.array([library.cell(i.cell_name).area_um2
-                      for i in module.instances])
-    return quadratic_numpy.spread(areas, floorplan, x, y)
+    return quadratic_numpy.spread(cell_areas(module, library), floorplan,
+                                  x, y)
 
 
 # Hold-force schedule for the QP <-> spreading loop: relative weight of
@@ -78,44 +83,6 @@ HOLD_WEIGHTS = (0.1, 0.4, 1.6, 4.0)
 # Median-improvement sweeps interleaved with spreading.
 MEDIAN_ROUNDS = 5
 MEDIAN_SWEEPS_PER_ROUND = 3
-
-
-def _cell_pin_adjacency(module: Module, floorplan: Floorplan):
-    """Per cell: list of (neighbor index or -1, pad x, pad y) tuples.
-
-    Neighbor index -1 marks a fixed pad position stored in the second and
-    third slots.
-    """
-    adjacency: List[List[Tuple[int, float, float]]] = [
-        [] for _ in module.instances]
-    for net in module.nets:
-        if net.is_clock:
-            continue
-        members: List[int] = []
-        pads: List[Tuple[float, float]] = []
-        if net.driver is not None:
-            if net.driver[0] >= 0:
-                members.append(net.driver[0])
-            else:
-                pos = floorplan.io_positions.get(net.index)
-                if pos is not None:
-                    pads.append(pos)
-        for inst_idx, _pin in net.sinks:
-            if inst_idx >= 0:
-                members.append(inst_idx)
-            else:
-                pos = floorplan.io_positions.get(net.index)
-                if pos is not None:
-                    pads.append(pos)
-        if len(members) + len(pads) < 2 or len(members) > 12:
-            continue
-        for a in members:
-            for b in members:
-                if a != b:
-                    adjacency[a].append((b, 0.0, 0.0))
-            for (px, py) in pads:
-                adjacency[a].append((-1, px, py))
-    return adjacency
 
 
 def place_global(module: Module, library, floorplan: Floorplan
@@ -127,11 +94,17 @@ def place_global(module: Module, library, floorplan: Floorplan
     refinement) each followed by a spreading pass to restore density.
     """
     iterations = obs_metrics.counter("placer.iterations")
-    system = PlacementSystem(module, floorplan)
+    # Cell sizes and the netlist are fixed for the whole placement: one
+    # area array and one scan of the pin table serve every pass.
+    areas = cell_areas(module, library)
+    points = NetPoints(module, floorplan)
+    system = PlacementSystem(module, floorplan, points)
+    plan = MedianPlan(module, floorplan, points)
+    del points
     with kernel("place.quadratic_solve"):
         x, y = quadratic_solve(module, floorplan, system=system)
     with kernel("place.spread"):
-        x, y = spread(module, library, floorplan, x, y)
+        x, y = quadratic_numpy.spread(areas, floorplan, x, y)
     iterations.inc()
     for hold in HOLD_WEIGHTS:
         with kernel("place.quadratic_solve", hold=hold):
@@ -139,23 +112,22 @@ def place_global(module: Module, library, floorplan: Floorplan
                                    anchor_y=y, anchor_weight=hold,
                                    system=system)
         with kernel("place.spread"):
-            x, y = spread(module, library, floorplan, x, y)
+            x, y = quadratic_numpy.spread(areas, floorplan, x, y)
         iterations.inc()
     # Median improvement: each sweep moves every cell toward the median
     # of its connected pins (GordianL-style linearization of the
     # objective); the interleaved spreading keeps density under control.
-    plan = MedianPlan(_cell_pin_adjacency(module, floorplan))
     for _ in range(MEDIAN_ROUNDS):
         with kernel("place.median_sweep"):
             plan.sweep(x, y, MEDIAN_SWEEPS_PER_ROUND)
         with kernel("place.spread"):
-            x, y = spread(module, library, floorplan, x, y)
+            x, y = quadratic_numpy.spread(areas, floorplan, x, y)
         iterations.inc()
     # One final gentle median pass; the closing spread restores the
     # uniform density the Tetris legalizer needs.
     with kernel("place.median_sweep"):
         plan.sweep(x, y, 1)
     with kernel("place.spread"):
-        x, y = spread(module, library, floorplan, x, y)
+        x, y = quadratic_numpy.spread(areas, floorplan, x, y)
     iterations.inc()
     return x, y

@@ -1,7 +1,9 @@
 """The global-placement kernels as array code.
 
 Three kernels, each bit-identical to the scalar loop it replaced (the
-reference, frozen in ``tests/kernel_oracle.py``):
+reference, frozen in ``tests/kernel_oracle.py``), and each reading the
+netlist from one :class:`~repro.place.floorplan.NetPoints` built from
+the module's pin-table snapshot, not from the ``Net`` objects:
 
 * :class:`PlacementSystem` — the quadratic system assembled once as
   flat index/weight arrays (clique pairs and pad pulls in the exact
@@ -16,19 +18,20 @@ reference, frozen in ``tests/kernel_oracle.py``):
   dependency waves: within a wave no cell reads another wave member,
   lower-indexed neighbors are read post-update and higher-indexed ones
   from the sweep-start snapshot, reproducing the reference's ascending
-  in-place update bit for bit.
+  in-place update bit for bit; a wave is one gather and one sort of a
+  buffer holding both coordinates.
 """
 
 from __future__ import annotations
 
-from typing import List, Optional, Tuple
+from typing import Optional, Tuple
 
 import numpy as np
 from scipy.sparse import coo_matrix, csr_matrix
 
-from repro.circuits.netlist import Module, PIN_DRIVER, PO_SINK
-from repro.kernels.arrays import as_f64, as_index, ranges
-from repro.place.floorplan import Floorplan
+from repro.circuits.netlist import Module
+from repro.kernels.arrays import as_index, group_order, ranges
+from repro.place.floorplan import Floorplan, NetPoints
 
 # Stop bisection when regions hold this few cells.
 LEAF_CELLS = 4
@@ -45,156 +48,119 @@ class PlacementSystem:
     handful of vectorized scatters.
     """
 
-    def __init__(self, module: Module, floorplan: Floorplan) -> None:
+    def __init__(self, module: Module, floorplan: Floorplan,
+                 points: Optional[NetPoints] = None) -> None:
         self.n = len(module.instances)
         self.width_um = floorplan.width_um
         self.height_um = floorplan.height_um
+        if points is None:
+            points = NetPoints(module, floorplan)
 
-        mem_flat: List[int] = []
-        mem_counts: List[int] = []
-        pad_x: List[float] = []
-        pad_y: List[float] = []
-        pad_counts: List[int] = []
-        weights: List[float] = []
-        for net in module.nets:
-            if net.is_clock:
-                continue
-            members: List[int] = []
-            pads: List[Tuple[float, float]] = []
-            if net.driver is not None:
-                if net.driver[0] >= 0:
-                    members.append(net.driver[0])
-                elif net.driver[0] == PIN_DRIVER:
-                    pos = floorplan.io_positions.get(net.index)
-                    if pos is not None:
-                        pads.append(pos)
-            for inst_idx, _pin in net.sinks:
-                if inst_idx >= 0:
-                    members.append(inst_idx)
-                elif inst_idx == PO_SINK:
-                    pos = floorplan.io_positions.get(net.index)
-                    if pos is not None:
-                        pads.append(pos)
-            k = len(members) + len(pads)
-            if k < 2:
-                continue
-            weights.append(1.0 / (k - 1))
-            mem_flat.extend(members)
-            mem_counts.append(len(members))
-            for (px, py) in pads:
-                pad_x.append(px)
-                pad_y.append(py)
-            pad_counts.append(len(pads))
-
-        mem_flat_a = as_index(mem_flat)
-        mem_counts_a = as_index(mem_counts)
-        pad_counts_a = as_index(pad_counts)
-        w = as_f64(weights)
+        # Every signal net with two or more points: its cells in point
+        # order, and as many pad pulls as it has I/O pins at its pad.
+        cell = points.inst >= 0
+        cells_of = np.bincount(points.row[cell], minlength=points.nets.size)
+        k = points.counts
+        net_ok = k >= 2
+        kept = net_ok[points.row]
+        mem_flat_a = points.inst[cell & kept]
+        mem_counts_a = cells_of[net_ok]
+        pad_counts_a = (k - cells_of)[net_ok]
+        pad = ~cell & kept
+        pad_x = points.pad_x[pad]
+        pad_y = points.pad_y[pad]
+        w = 1.0 / (k[net_ok] - 1)
+        n_kept = mem_counts_a.size
 
         # Clique pairs (i < j within each net, nets in order): the
         # ragged-range expansion of the reference's nested loop.
-        local_i = ranges(mem_counts_a)
-        k_rep = np.repeat(mem_counts_a, mem_counts_a)
-        reps = k_rep - 1 - local_i
+        reps = np.repeat(mem_counts_a, mem_counts_a) - 1 \
+            - ranges(mem_counts_a)
         first_pos = np.repeat(np.arange(mem_flat_a.size, dtype=np.intp),
                               reps)
-        second_pos = first_pos + 1 + ranges(reps)
-        self.pair_a = mem_flat_a[first_pos]
-        self.pair_b = mem_flat_a[second_pos]
-        self.pair_w = np.repeat(np.repeat(w, mem_counts_a), reps)
+        pair_b = mem_flat_a[first_pos + 1 + ranges(reps)]
+        pair_a = mem_flat_a[first_pos]
+        pair_w = np.repeat(np.repeat(w, mem_counts_a), reps)
+        del reps, first_pos
 
         # Pad pulls, pad-major within each net as the reference emits
         # them: for every (pad, member) pair, weight w and w * pad.
         mem_off = np.cumsum(mem_counts_a) - mem_counts_a
-        net_of_pad = np.repeat(np.arange(len(mem_counts), dtype=np.intp),
+        net_of_pad = np.repeat(np.arange(n_kept, dtype=np.intp),
                                pad_counts_a)
         m_of_pad = mem_counts_a[net_of_pad]
         entry_pad = np.repeat(np.arange(net_of_pad.size, dtype=np.intp),
                               m_of_pad)
         net_of_entry = net_of_pad[entry_pad]
-        member_pos = ranges(m_of_pad) + mem_off[net_of_entry]
-        self.pull_idx = mem_flat_a[member_pos]
-        self.pull_w = w[net_of_entry]
-        self.pull_bx = self.pull_w * as_f64(pad_x)[entry_pad]
-        self.pull_by = self.pull_w * as_f64(pad_y)[entry_pad]
+        pull_idx = mem_flat_a[ranges(m_of_pad) + mem_off[net_of_entry]]
+        pull_w = w[net_of_entry]
 
         # Off-diagonal COO entries interleaved exactly as the reference
-        # appends them: (a, b, -w) then (b, a, -w) per pair.
-        npairs = self.pair_a.size
+        # appends them: (a, b, -w) then (b, a, -w) per pair.  Their
+        # values never change across solves (only the diagonal and the
+        # right-hand sides track the anchors), so the CSR is built once.
+        n = self.n
+        npairs = pair_a.size
         rows = np.empty(2 * npairs, dtype=np.intp)
         cols = np.empty(2 * npairs, dtype=np.intp)
-        rows[0::2] = self.pair_a
-        rows[1::2] = self.pair_b
-        cols[0::2] = self.pair_b
-        cols[1::2] = self.pair_a
-        vals = np.repeat(-self.pair_w, 2)
-        self._rows = rows
-        self._cols = cols
-        self._vals = vals
+        rows[0::2] = pair_a
+        rows[1::2] = pair_b
+        cols[0::2] = pair_b
+        cols[1::2] = pair_a
+        del pair_a, pair_b
+        self._offdiag = coo_matrix(
+            (np.repeat(-pair_w, 2), (rows, cols)), shape=(n, n)).tocsr()
+        del cols
 
         # Diagonal contributions in the reference's chronological order:
         # per net, every pair hits its (a, then b) diagonal, then the pad
-        # pulls hit theirs.  ``np.add.at`` in :meth:`build` replays this
-        # sequence, so each cell's diagonal accumulates in the exact same
-        # float order as the scalar loop (addition is not associative;
-        # bin-at-a-time sums drift by an ulp, which CG then amplifies).
-        pair_cnt = mem_counts_a * (mem_counts_a - 1) // 2
-        pair_ent = 2 * pair_cnt
+        # pulls hit theirs.  :meth:`build` replays this sequence with
+        # ``bincount``, which accumulates each bin sequentially in input
+        # order, after one leading anchor entry per cell -- so each
+        # cell's diagonal accumulates in the exact float order of the
+        # scalar loop (addition is not associative; bin-at-a-time sums
+        # drift by an ulp, which CG then amplifies).  The right-hand
+        # sides replay the pad pulls the same way.
+        pair_ent = mem_counts_a * (mem_counts_a - 1)
         pull_ent = pad_counts_a * mem_counts_a
         tot_ent = pair_ent + pull_ent
-        start = np.cumsum(tot_ent) - tot_ent
-        diag_idx = np.empty(int(tot_ent.sum()), dtype=np.intp)
-        diag_w = np.empty(diag_idx.size)
-        net_of_pair_ent = np.repeat(
-            np.arange(len(mem_counts), dtype=np.intp), pair_ent)
-        pair_pos = start[net_of_pair_ent] + ranges(pair_ent)
-        diag_idx[pair_pos] = rows  # (a, b) interleaved per pair
-        diag_w[pair_pos] = np.repeat(self.pair_w, 2)
+        start = n + np.cumsum(tot_ent) - tot_ent
+        size = n + int(tot_ent.sum())
+        self._diag_idx = np.empty(size, dtype=np.intp)
+        self._diag_w = np.empty(size)
+        self._diag_idx[:n] = np.arange(n, dtype=np.intp)
+        pair_pos = np.repeat(start, pair_ent) + ranges(pair_ent)
+        self._diag_idx[pair_pos] = rows  # (a, b) interleaved per pair
+        self._diag_w[pair_pos] = np.repeat(pair_w, 2)
+        del rows, pair_w, pair_pos
         pull_pos = (start[net_of_entry] + pair_ent[net_of_entry]
                     + ranges(pull_ent))
-        diag_idx[pull_pos] = self.pull_idx
-        diag_w[pull_pos] = self.pull_w
-        self._diag_idx = diag_idx
-        self._diag_w = diag_w
-
-        # Static pieces of :meth:`build`: the off-diagonal CSR (its
-        # values never change across solves — only the diagonal and
-        # right-hand sides track the anchors) and the index vectors of
-        # the bincount replays.  ``bincount`` accumulates each bin
-        # sequentially in input order, so prepending one base entry per
-        # cell reproduces "start from the anchor term, then add the
-        # chronological contributions" bit for bit — at a fraction of
-        # ``np.add.at``'s cost.
-        n = self.n
-        idx0 = np.arange(n, dtype=np.intp)
-        self._offdiag = coo_matrix(
-            (self._vals, (self._rows, self._cols)), shape=(n, n)).tocsr()
-        self._diag_cat_idx = np.concatenate((idx0, diag_idx))
-        self._pull_cat_idx = np.concatenate((idx0, self.pull_idx))
-        self._eye_rows = idx0
+        self._diag_idx[pull_pos] = pull_idx
+        self._diag_w[pull_pos] = pull_w
+        self._pull_idx = np.concatenate((np.arange(n, dtype=np.intp),
+                                         pull_idx))
+        self._pull_bx = np.concatenate((np.zeros(n),
+                                        pull_w * pad_x[entry_pad]))
+        self._pull_by = np.concatenate((np.zeros(n),
+                                        pull_w * pad_y[entry_pad]))
+        self._eye_rows = self._diag_idx[:n]
 
     def build(self, anchor_x: Optional[np.ndarray],
               anchor_y: Optional[np.ndarray], anchor_weight: float
               ) -> Tuple[csr_matrix, np.ndarray, np.ndarray]:
         """(Laplacian, bx, by) for one solve."""
         n = self.n
-        diag = np.bincount(
-            self._diag_cat_idx,
-            weights=np.concatenate((np.full(n, anchor_weight),
-                                    self._diag_w)),
-            minlength=n)
+        self._diag_w[:n] = anchor_weight
+        diag = np.bincount(self._diag_idx, weights=self._diag_w,
+                           minlength=n)
         if anchor_x is not None and anchor_y is not None:
-            bx0 = anchor_weight * anchor_x
-            by0 = anchor_weight * anchor_y
+            self._pull_bx[:n] = anchor_weight * anchor_x
+            self._pull_by[:n] = anchor_weight * anchor_y
         else:
-            bx0 = np.full(n, anchor_weight * self.width_um / 2.0)
-            by0 = np.full(n, anchor_weight * self.height_um / 2.0)
-        bx = np.bincount(self._pull_cat_idx,
-                         weights=np.concatenate((bx0, self.pull_bx)),
-                         minlength=n)
-        by = np.bincount(self._pull_cat_idx,
-                         weights=np.concatenate((by0, self.pull_by)),
-                         minlength=n)
+            self._pull_bx[:n] = anchor_weight * self.width_um / 2.0
+            self._pull_by[:n] = anchor_weight * self.height_um / 2.0
+        bx = np.bincount(self._pull_idx, weights=self._pull_bx, minlength=n)
+        by = np.bincount(self._pull_idx, weights=self._pull_by, minlength=n)
         lap = self._offdiag + csr_matrix(
             (diag, (self._eye_rows, self._eye_rows)), shape=(n, n))
         return lap, bx, by
@@ -304,69 +270,121 @@ def spread(areas: np.ndarray, floorplan: Floorplan,
 class MedianPlan:
     """Wave schedule for the Gauss–Seidel median sweep.
 
-    Wave ``w`` holds cells whose lower-indexed neighbors all live in
-    earlier waves, so a whole wave updates at once while reading
-    lower-indexed neighbors post-update (``x_cur``) and higher-indexed
-    ones from the sweep-start snapshot (``x_pre``) — exactly the
-    reference's ascending in-place sweep.
+    A cell's median runs over its connected pins: for every signal net
+    of two to twelve cells it is on, each other cell of the net (once
+    per pin pair) and the net's pad (once per pin pair with an I/O pin).
+    Only that multiset matters, as the median sorts it.  Wave ``w``
+    holds cells whose lower-indexed neighbors all live in earlier
+    waves, so a whole wave updates at once while reading lower-indexed
+    neighbors post-update and higher-indexed ones from the sweep-start
+    snapshot -- exactly the reference's ascending in-place sweep.
+
+    Both coordinates live in one buffer, ``[current | sweep start | pads
+    | +inf]`` for x over the same for y, and every wave keeps one flat
+    source index per entry (``+inf`` pads a short row), so a wave is one
+    gather, one sort, one median gather and one update.
     """
 
-    def __init__(self, adjacency) -> None:
-        n = len(adjacency)
+    def __init__(self, module: Module, floorplan: Floorplan,
+                 points: Optional[NetPoints] = None) -> None:
+        n = self.n = len(module.instances)
+        if points is None:
+            points = NetPoints(module, floorplan)
+        cell = points.inst >= 0
+        cells_of = np.bincount(points.row[cell], minlength=points.nets.size)
+        k = points.counts
+        net_ok = (k >= 2) & (cells_of <= 12)
+
+        # The member pins of every kept net, and for each member pin one
+        # entry per other member pin on another cell and per pad pin.
+        member = cell & net_ok[points.row]
+        m_inst = points.inst[member]
+        m_row = points.row[member]
+        m_count = np.where(net_ok, cells_of, 0)
+        m_start = np.cumsum(m_count) - m_count
+        reps = m_count[m_row]
+        a = np.repeat(np.arange(m_inst.size, dtype=np.intp), reps)
+        b = np.repeat(m_start[m_row], reps) + ranges(reps)
+        nb_cell = m_inst[a]
+        nb = m_inst[b]
+        other = nb_cell != nb
+        nb_cell = nb_cell[other]
+        nb = nb[other]
+        has_pad = net_ok & (k > cells_of)
+        slot = np.cumsum(has_pad) - 1
+        pad_reps = (k - cells_of)[m_row]
+        pad_cell = np.repeat(m_inst, pad_reps)
+        pad_slot = np.repeat(slot[m_row], pad_reps)
+        # One buffer slot per net pad (a net's I/O pins share its pad).
+        pad_xy = np.zeros((2, points.nets.size))
+        pad_xy[0, points.row[~cell]] = points.pad_x[~cell]
+        pad_xy[1, points.row[~cell]] = points.pad_y[~cell]
+        self.pads = pad_xy[:, has_pad]
+        n_slots = self.pads.shape[1]
+
+        # Levels: one more than the deepest lower-indexed neighbor.
+        lower = nb < nb_cell
+        lo_cell = nb_cell[lower]
+        lo_nb = nb[lower]
+        order = group_order(lo_cell, max(n, 1))
+        lo_cell = lo_cell[order]
+        lo_nb = lo_nb[order].tolist()
         level = [0] * n
-        for i, neigh in enumerate(adjacency):
-            worst = -1
-            for (j, _px, _py) in neigh:
-                if 0 <= j < i and level[j] > worst:
-                    worst = level[j]
-            level[i] = worst + 1
+        starts = np.flatnonzero(np.diff(lo_cell, prepend=-1))
+        stops = np.append(starts[1:], lo_cell.size)
+        for i, lo, hi in zip(lo_cell[starts].tolist(), starts.tolist(),
+                             stops.tolist()):
+            level[i] = max(map(level.__getitem__, lo_nb[lo:hi])) + 1
 
-        by_level = {}
-        for i, neigh in enumerate(adjacency):
-            if neigh:
-                by_level.setdefault(level[i], []).append(i)
-
+        # Entries by cell, as flat buffer indices.
+        e_cell = np.concatenate((nb_cell, pad_cell))
+        e_src = np.concatenate((np.where(lower, nb, n + nb),
+                                2 * n + pad_slot))
+        deg = np.bincount(e_cell, minlength=n)
+        cells = np.flatnonzero(deg)
+        lev = as_index(level)[cells]
+        cells = cells[np.argsort(lev, kind="stable")]
+        lev = np.sort(lev, kind="stable")
+        w_start = np.flatnonzero(np.diff(lev, prepend=-1))
+        sizes = np.diff(np.append(w_start, cells.size))
+        widths = np.maximum.reduceat(deg[cells], w_start)
+        wave = np.repeat(np.arange(sizes.size, dtype=np.intp), sizes)
+        base = np.cumsum(sizes * widths) - sizes * widths
+        row_base = np.zeros(n, dtype=np.intp)
+        row_base[cells] = base[wave] + (np.arange(cells.size, dtype=np.intp)
+                                        - w_start[wave]) * widths[wave]
+        order = group_order(e_cell, max(n, 1))
+        e_cell = e_cell[order]
+        col = np.arange(e_cell.size, dtype=np.intp) \
+            - (np.cumsum(deg) - deg)[e_cell]
+        self.inf = 2 * n + n_slots
+        flat = np.full(int((sizes * widths).sum()), self.inf, dtype=np.intp)
+        flat[row_base[e_cell] + col] = e_src[order]
         self.waves = []
-        for lev in sorted(by_level):
-            cells = np.asarray(by_level[lev], dtype=np.intp)
-            deg = np.asarray([len(adjacency[i]) for i in cells],
-                             dtype=np.intp)
-            width = int(deg.max())
-            nbj = np.full((cells.size, width), -1, dtype=np.intp)
-            px = np.zeros((cells.size, width))
-            py = np.zeros((cells.size, width))
-            is_pad = np.zeros((cells.size, width), dtype=bool)
-            valid = np.zeros((cells.size, width), dtype=bool)
-            for r, i in enumerate(cells):
-                for c, (j, jx, jy) in enumerate(adjacency[i]):
-                    valid[r, c] = True
-                    if j >= 0:
-                        nbj[r, c] = j
-                    else:
-                        is_pad[r, c] = True
-                        px[r, c] = jx
-                        py[r, c] = jy
-            lower = valid & ~is_pad & (nbj < cells[:, None])
-            self.waves.append((cells, nbj, px, py, is_pad, valid, lower,
-                               deg))
+        for w0, size, width, b0 in zip(w_start.tolist(), sizes.tolist(),
+                                       widths.tolist(), base.tolist()):
+            wave_cells = cells[w0:w0 + size]
+            self.waves.append((
+                wave_cells,
+                flat[b0:b0 + size * width].reshape(size, width),
+                np.arange(size, dtype=np.intp),
+                deg[wave_cells] // 2))
 
     def sweep(self, x: np.ndarray, y: np.ndarray, sweeps: int) -> None:
         """Run ``sweeps`` median sweeps in place over x and y."""
+        n = self.n
+        buf = np.empty((2, self.inf + 1))
+        buf[0, :n] = x
+        buf[1, :n] = y
+        buf[:, 2 * n:self.inf] = self.pads
+        buf[:, self.inf] = np.inf
+        cur = buf[:, :n]
         for _ in range(sweeps):
-            x_pre = x.copy()
-            y_pre = y.copy()
-            for (cells, nbj, px, py, is_pad, valid, lower, deg) in \
-                    self.waves:
-                vx = np.where(lower, x[nbj], x_pre[nbj])
-                vx = np.where(is_pad, px, vx)
-                vx = np.where(valid, vx, np.inf)
-                vy = np.where(lower, y[nbj], y_pre[nbj])
-                vy = np.where(is_pad, py, vy)
-                vy = np.where(valid, vy, np.inf)
-                vx.sort(axis=1)
-                vy.sort(axis=1)
-                rows = np.arange(cells.size, dtype=np.intp)
-                mx = vx[rows, deg // 2]
-                my = vy[rows, deg // 2]
-                x[cells] += MEDIAN_STEP * (mx - x[cells])
-                y[cells] += MEDIAN_STEP * (my - y[cells])
+            buf[:, n:2 * n] = cur
+            for cells, src, rows, half in self.waves:
+                vals = buf[:, src]
+                vals.sort(axis=-1)
+                at = buf[:, cells]
+                buf[:, cells] = at + MEDIAN_STEP * (vals[:, rows, half] - at)
+        x[:] = buf[0, :n]
+        y[:] = buf[1, :n]

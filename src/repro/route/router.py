@@ -17,9 +17,9 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Dict, List, Tuple
+from typing import Dict
 
-from repro.circuits.netlist import Module, Net
+from repro.circuits.netlist import Module
 from repro.place.floorplan import Floorplan
 from repro.route.grid import RoutingGrid
 from repro.route.router_numpy import run_numpy
@@ -80,27 +80,6 @@ class GlobalRouter:
         self.capacity_scale = capacity_scale
 
     # -- helpers -----------------------------------------------------------
-
-    def _net_points(self, module: Module, net: Net
-                    ) -> List[Tuple[float, float]]:
-        points = []
-        if net.driver is not None:
-            if net.driver[0] >= 0:
-                inst = module.instances[net.driver[0]]
-                points.append((inst.x_um, inst.y_um))
-            else:
-                pos = self.floorplan.io_positions.get(net.index)
-                if pos:
-                    points.append(pos)
-        for inst_idx, _pin in net.sinks:
-            if inst_idx >= 0:
-                inst = module.instances[inst_idx]
-                points.append((inst.x_um, inst.y_um))
-            else:
-                pos = self.floorplan.io_positions.get(net.index)
-                if pos:
-                    points.append(pos)
-        return points
 
     def _class_crossover_um(self, lower: LayerClass, upper: LayerClass,
                             penalty_ps: float) -> float:

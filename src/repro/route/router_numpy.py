@@ -4,33 +4,40 @@ The three router passes vectorize along different axes while keeping
 the sequential arithmetic of the scalar reference engine (frozen in
 ``tests/kernel_oracle.py``) bit-for-bit:
 
-* **topology** — 2- and 3-pin nets (the overwhelming majority) get
-  closed-form rectilinear MSTs evaluated as arrays; Prim's algorithm
-  emulation for 3 pins reproduces the reference tie-breaks (argmin
-  first-max, strict-improvement parent updates).  Larger nets fall
-  back to the shared :func:`rsmt_length_um`.
+* **topology** — every net's pin points come as arrays from one
+  :class:`~repro.place.floorplan.NetPoints` over the module's pin-table
+  snapshot (driver, then sinks in order, pads where the net has one).
+  2- and 3-pin nets (the overwhelming majority) get closed-form
+  rectilinear MSTs evaluated as arrays; Prim's algorithm emulation for
+  3 pins reproduces the reference tie-breaks (argmin first-max,
+  strict-improvement parent updates).  Up to ``MAX_EXACT_PINS`` pins
+  one lockstep Prim serves every net, larger nets fall back to the
+  shared :func:`rsmt_length_um`.
 * **layer assignment** — nets sorted by length have monotone preferred
   classes, so each (preference run, spill class) pair admits a prefix
   of fitting nets; the prefix boundary comes from a cumulative sum
   seeded with the class's running usage, which reproduces the scalar
   loop's float accumulation exactly.  The rare balance-overflow tail
   keeps the scalar loop.
-* **tile demand / RC annotation** — every L-booking's per-tile
-  contributions are expanded with ragged ranges and accumulated with
-  ``np.add.at`` in the reference booking order; totals use cumulative
-  sums so the running float state matches the scalar ``+=`` chains.
+* **tile demand / RC annotation** — the tree edges are laid out as
+  point-index arrays in the reference's net order; every L-booking's
+  per-tile contributions are expanded with ragged ranges and
+  accumulated with ``bincount`` in the reference booking order; totals
+  use cumulative sums so the running float state matches the scalar
+  ``+=`` chains.
 """
 
 from __future__ import annotations
 
-from typing import Dict, List, Tuple
+from typing import Dict
 
 import numpy as np
 
 from repro.circuits.netlist import Module
-from repro.kernels.arrays import as_f64, as_index, ranges
+from repro.kernels.arrays import as_f64, ranges
 from repro.obs import metrics as obs_metrics
 from repro.obs.trace import kernel
+from repro.place.floorplan import NetPoints
 from repro.route.grid import RoutingGrid
 from repro.route.steiner import (MAX_EXACT_PINS, RSMT_FACTOR,
                                  rsmt_edges_batch, rsmt_length_um)
@@ -51,33 +58,30 @@ def run_numpy(router, module: Module, include_clock: bool):
                                 router.capacity_scale)
 
     # Pass 1: topologies and lengths.
-    net_ids: List[int] = []
-    points_by_net: Dict[int, List[Tuple[float, float]]] = {}
     with kernel("route.topology"):
-        for net in module.nets:
-            if net.is_clock and not include_clock:
-                continue
-            points_by_net[net.index] = router._net_points(module, net)
-            net_ids.append(net.index)
+        points = NetPoints(module, router.floorplan, include_clock)
+        px, py = points.coords(
+            np.array([inst.x_um for inst in module.instances]),
+            np.array([inst.y_um for inst in module.instances]))
+        net_ids = points.nets.tolist()
         n = len(net_ids)
-        kcounts = as_index([len(points_by_net[i]) for i in net_ids])
+        kcounts = points.counts
+        first = points.off[:-1]
         lens_arr = np.zeros(n)
-        three_pin: Dict[int, Tuple[int, int]] = {}  # net -> (n1, parent)
 
         pos2 = np.flatnonzero(kcounts == 2)
         if pos2.size:
-            pts = [points_by_net[net_ids[p]] for p in pos2.tolist()]
-            c = as_f64([[p[0][0], p[0][1], p[1][0], p[1][1]] for p in pts])
-            lens_arr[pos2] = (np.abs(c[:, 0] - c[:, 2])
-                              + np.abs(c[:, 1] - c[:, 3]))
+            p0 = first[pos2]
+            lens_arr[pos2] = (np.abs(px[p0] - px[p0 + 1])
+                              + np.abs(py[p0] - py[p0 + 1]))
 
         pos3 = np.flatnonzero(kcounts == 3)
         if pos3.size:
-            pts = [points_by_net[net_ids[p]] for p in pos3.tolist()]
-            c = as_f64([[q for p in row for q in p] for row in pts])
-            d01 = np.abs(c[:, 0] - c[:, 2]) + np.abs(c[:, 1] - c[:, 3])
-            d02 = np.abs(c[:, 0] - c[:, 4]) + np.abs(c[:, 1] - c[:, 5])
-            d12 = np.abs(c[:, 2] - c[:, 4]) + np.abs(c[:, 3] - c[:, 5])
+            p0 = first[pos3]
+            d01 = np.abs(px[p0] - px[p0 + 1]) + np.abs(py[p0] - py[p0 + 1])
+            d02 = np.abs(px[p0] - px[p0 + 2]) + np.abs(py[p0] - py[p0 + 2])
+            d12 = (np.abs(px[p0 + 1] - px[p0 + 2])
+                   + np.abs(py[p0 + 1] - py[p0 + 2]))
             # Prim from pin 0: argmin ties pick the lower index.
             n1 = np.where(d02 < d01, 2, 1)
             e1 = np.where(d02 < d01, d02, d01)
@@ -87,25 +91,29 @@ def run_numpy(router, module: Module, include_clock: bool):
             par = np.where(d12 < d0m, n1, 0)
             e2 = np.where(d12 < d0m, d12, d0m)
             lens_arr[pos3] = e1 + e2
-            for row, p in enumerate(pos3.tolist()):
-                three_pin[net_ids[p]] = (int(n1[row]), int(par[row]))
 
-        # 4..MAX_EXACT_PINS nets: one lockstep Prim for the whole set,
-        # then the reference's sequential edge-length sum per net.
-        pos4 = np.flatnonzero((kcounts > 3) & (kcounts <= MAX_EXACT_PINS))
-        if pos4.size:
-            plist = [points_by_net[net_ids[p]] for p in pos4.tolist()]
-            batch_edges = rsmt_edges_batch(plist)
-            for row, p in enumerate(pos4.tolist()):
-                pts = plist[row]
-                mst_len = sum(
-                    abs(pts[a][0] - pts[b][0]) + abs(pts[a][1] - pts[b][1])
-                    for a, b in batch_edges[row])
-                lens_arr[p] = mst_len * RSMT_FACTOR
-        for p in np.flatnonzero(kcounts > MAX_EXACT_PINS).tolist():
-            lens_arr[p] = rsmt_length_um(points_by_net[net_ids[p]])
+        # Larger nets as point lists: 4..MAX_EXACT_PINS get one lockstep
+        # Prim for the whole set, then the reference's sequential
+        # edge-length sum per net.
+        big = np.flatnonzero(kcounts > 3).tolist()
+        off = points.off.tolist()
+        big_points = {p: list(zip(px[off[p]:off[p + 1]].tolist(),
+                                  py[off[p]:off[p + 1]].tolist()))
+                      for p in big}
+        pos4 = [p for p in big if kcounts[p] <= MAX_EXACT_PINS]
+        edges4 = dict(zip(pos4, rsmt_edges_batch(
+            [big_points[p] for p in pos4])))
+        for p in pos4:
+            pts = big_points[p]
+            mst_len = sum(
+                abs(pts[a][0] - pts[b][0]) + abs(pts[a][1] - pts[b][1])
+                for a, b in edges4[p])
+            lens_arr[p] = mst_len * RSMT_FACTOR
+        for p in big:
+            if kcounts[p] > MAX_EXACT_PINS:
+                lens_arr[p] = rsmt_length_um(big_points[p])
 
-        net_length = {net_ids[p]: float(lens_arr[p]) for p in range(n)}
+        net_length = dict(zip(net_ids, lens_arr.tolist()))
 
     # Layer assignment (see GlobalRouter.run for the policy).
     class_cap_total = {
@@ -172,61 +180,56 @@ def run_numpy(router, module: Module, include_clock: bool):
             assignment[net_ids[int(order[p])]] = _CLASSES[int(chosen_code[p])]
 
     # Pass 2: book tile demand along L-routed tree edges.
+    code_ins = np.zeros(n, dtype=np.intp)
+    code_ins[order] = chosen_code
     with kernel("route.tile_demand"):
-        ex0: List[float] = []
-        ey0: List[float] = []
-        ex1: List[float] = []
-        ey1: List[float] = []
-        ecls: List[int] = []
+        # Edges per net, in net order: the rectilinear MST's (one for 2
+        # pins, two for 3, k - 1 for up to MAX_EXACT_PINS) or one
+        # bounding-box diagonal for larger nets; none for a net with
+        # fewer than two points or a class without tile capacity.
+        in_grid = np.array([cls in grid.tile_capacity_um
+                            for cls in _CLASSES])
+        booked = (kcounts >= 2) & in_grid[code_ins]
+        n_edges = np.where(kcounts <= MAX_EXACT_PINS, kcounts - 1, 1)
+        n_edges[~booked] = 0
+        e_first = np.cumsum(n_edges) - n_edges
+        ea = np.empty(int(n_edges.sum()), dtype=np.intp)
+        eb = np.empty_like(ea)
 
-        def _edge(points, a, b, code):
-            ex0.append(points[a][0])
-            ey0.append(points[a][1])
-            ex1.append(points[b][0])
-            ey1.append(points[b][1])
-            ecls.append(code)
+        b2 = pos2[booked[pos2]]
+        ea[e_first[b2]] = first[b2]
+        eb[e_first[b2]] = first[b2] + 1
+        if pos3.size:
+            b3 = booked[pos3]
+            at = e_first[pos3[b3]]
+            p0 = first[pos3[b3]]
+            ea[at] = p0
+            eb[at] = p0 + n1[b3]
+            ea[at + 1] = p0 + par[b3]
+            eb[at + 1] = p0 + 3 - n1[b3]
+        for p in pos4:
+            if booked[p]:
+                at = e_first[p]
+                for k, (a, b) in enumerate(edges4[p]):
+                    ea[at + k] = first[p] + a
+                    eb[at + k] = first[p] + b
+        boxes = [p for p in big
+                 if booked[p] and kcounts[p] > MAX_EXACT_PINS]
+        for p in boxes:
+            ea[e_first[p]] = eb[e_first[p]] = first[p]
+        x0 = px[ea]
+        y0 = py[ea]
+        x1 = px[eb]
+        y1 = py[eb]
+        for p in boxes:
+            xs = [q[0] for q in big_points[p]]
+            ys = [q[1] for q in big_points[p]]
+            at = e_first[p]
+            x0[at], y0[at], x1[at], y1[at] = \
+                min(xs), min(ys), max(xs), max(ys)
+        ncls = np.repeat(code_ins, n_edges)
 
-        # One lockstep Prim for every 4..MAX_EXACT_PINS net that books
-        # demand (the reference calls rsmt_edges per net right here, so
-        # the batch stays charged to this span).
-        booked4 = [net_idx for net_idx in net_ids
-                   if 3 < len(points_by_net[net_idx]) <= MAX_EXACT_PINS
-                   and assignment[net_idx] in grid.tile_capacity_um]
-        edges4 = dict(zip(booked4, rsmt_edges_batch(
-            [points_by_net[net_idx] for net_idx in booked4])))
-
-        for net_idx in net_ids:
-            points = points_by_net[net_idx]
-            if len(points) < 2:
-                continue
-            cls = assignment[net_idx]
-            if cls not in grid.tile_capacity_um:
-                continue
-            code = _CODE[cls]
-            if len(points) == 2:
-                _edge(points, 0, 1, code)
-            elif len(points) == 3:
-                n1, par = three_pin[net_idx]
-                _edge(points, 0, n1, code)
-                _edge(points, par, 3 - n1, code)
-            elif len(points) <= MAX_EXACT_PINS:
-                for a, b in edges4[net_idx]:
-                    _edge(points, a, b, code)
-            else:
-                xs = [p[0] for p in points]
-                ys = [p[1] for p in points]
-                ex0.append(min(xs))
-                ey0.append(min(ys))
-                ex1.append(max(xs))
-                ey1.append(max(ys))
-                ecls.append(code)
-
-        if ecls:
-            x0 = as_f64(ex0)
-            y0 = as_f64(ey0)
-            x1 = as_f64(ex1)
-            y1 = as_f64(ey1)
-            ncls = as_index(ecls)
+        if ncls.size:
             # Two L-bookings per edge, each at half weight: the
             # reference books (x0,y0)->(x1,y1) then the flipped L.
             nb = 2 * ncls.size
@@ -311,8 +314,6 @@ def run_numpy(router, module: Module, include_clock: bool):
     detour = max(detour_by_class.values()) if detour_by_class else 1.0
 
     with kernel("route.rc_annotate"):
-        code_ins = np.zeros(n, dtype=np.intp)
-        code_ins[order] = chosen_code
         det_code = as_f64([detour_by_class.get(cls, 1.0)
                            for cls in _CLASSES])
         r_unit = np.zeros(3)

@@ -96,7 +96,9 @@ logger = logging.getLogger(__name__)
 # 3: FlowConfig.router_detour_coeff + stage entries.
 # 4: the kernel-backend field left FlowConfig (one implementation per
 #    kernel), so every config and stage digest changed.
-SCHEMA_VERSION = 4
+# 5: a pickled Module carries its pin table; a module stored before it
+#    would load without one and read as unconnected.
+SCHEMA_VERSION = 5
 
 _MAGIC = b"repro-ckpt"
 

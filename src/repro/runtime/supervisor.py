@@ -267,7 +267,6 @@ class StageSupervisor:
         """
         policy = self.policy_for(stage, policy)
         attempts = max(1, policy.max_attempts)
-        last_exc: Optional[BaseException] = None
 
         def body() -> object:
             faults.check(stage, "before")
@@ -289,8 +288,12 @@ class StageSupervisor:
                                                policy.timeout_s,
                                                tracer=tracer, parent=span)
                 except StageTimeoutError as exc:
+                    # ``exc`` is not kept past its handler: its traceback
+                    # holds this frame, so a reference from a local
+                    # would keep the failed attempt's state (a congestion
+                    # error carries a whole layout) alive until the next
+                    # full garbage collection.
                     wall = time.perf_counter() - start
-                    last_exc = exc
                     retryable = StageTimeoutError in policy.retry_on or \
                         any(issubclass(StageTimeoutError, cls)
                             for cls in policy.retry_on)
@@ -306,7 +309,6 @@ class StageSupervisor:
                     self._between_attempts(policy, attempt, exc, on_retry)
                 except policy.retry_on as exc:    # type: ignore[misc]
                     wall = time.perf_counter() - start
-                    last_exc = exc
                     if attempt >= attempts:
                         partial = getattr(exc, "partial", None)
                         if policy.degrade and partial is not None:
@@ -343,7 +345,7 @@ class StageSupervisor:
                     obs_metrics.histogram("stage.wall_s").observe(wall)
                     return result
         # Unreachable: every loop path returns or raises.
-        raise RetryExhaustedError(stage, attempts, last_exc)
+        raise RetryExhaustedError(stage, attempts)
 
     def _between_attempts(self, policy: StagePolicy, attempt: int,
                           exc: BaseException,

@@ -8,12 +8,12 @@ and primary outputs are endpoints.  Raises on combinational loops.
 from __future__ import annotations
 
 from collections import deque
-from typing import Dict, FrozenSet, List, Set, Tuple
+from typing import List, Set, Tuple
 
 import numpy as np
 
 from repro.errors import TimingError
-from repro.circuits.netlist import Module, PIN_DRIVER, PO_SINK
+from repro.circuits.netlist import Module, NO_DRIVER, PIN_DRIVER, PO_SINK
 from repro.kernels.arrays import as_index, ranges
 from repro.obs import metrics as obs_metrics
 
@@ -100,149 +100,118 @@ def _gather_ragged(offsets: np.ndarray, flat: np.ndarray,
 class CombGraph:
     """Flat-array view of one module's timing graph.
 
-    Built in a single netlist scan from the library's interned per-cell
-    metadata (:meth:`CellLibrary.timing_meta`): instance -> input/output
-    net CSR maps in pin-declaration order, net -> combinational-sink
-    CSR, start-point readiness, and initial in-degrees for :meth:`levels`
+    Built with array operations from the module's pin-table snapshot
+    (:meth:`Module.connectivity`) and a table of pin facts by (cell id,
+    pin-name id) from the library's interned per-cell metadata
+    (:meth:`CellLibrary.timing_meta`): instance -> input/output net CSR
+    maps in ``pin_nets`` order, net -> combinational-sink CSR,
+    start-point readiness, and initial in-degrees for :meth:`levels`
     (the level-synchronous Kahn walk), plus what the vectorized STA
     engine reads on every run of the same topology: the start points
     (primary inputs, sequential outputs), the endpoints (sequential data
     pins, then primary outputs, in the reference engine's order), and
-    every sink pin that loads a net, in net then sink order.  Only
-    connectivity is captured; cell names are re-read per run, so the
-    graph stays valid across resizes that keep the pin footprint.
+    every sink pin that loads a net, in net then sink order, by
+    module-level pin-name id (``pin_names``; -1 for a primary output).
+    Only connectivity is captured; cell names are re-read per run, so
+    the graph stays valid across resizes that keep the pin footprint.
     """
 
     def __init__(self, module: Module, library) -> None:
-        n_inst = len(module.instances)
-        n_nets = len(module.nets)
+        conn = module.connectivity()
+        n_inst = conn.n_inst
+        n_nets = conn.n_nets
         self.module = module
         self.n_inst = n_inst
         self.n_nets = n_nets
+        self.pin_names = conn.pin_names
 
-        meta_of = library.timing_meta
+        # Pin facts by (cell id, pin-name id).
         cell_names = [inst.cell_name for inst in module.instances]
-        metas = [meta_of(name) for name in cell_names]
-        is_seq_l = [m.is_sequential for m in metas]
-        self.is_seq = np.array(is_seq_l, dtype=bool) if n_inst \
-            else np.zeros(0, dtype=bool)
-        self.comb = ~self.is_seq
+        cid_of = {name: k for k, name in enumerate(dict.fromkeys(cell_names))}
+        cids = np.fromiter(map(cid_of.__getitem__, cell_names),
+                           dtype=np.intp, count=n_inst)
+        pin_ids = {name: k for k, name in enumerate(conn.pin_names)}
+        shape = (len(cid_of), max(len(pin_ids), 1))
+        seq_cell = np.zeros(shape[0], dtype=bool)
+        is_in = np.zeros(shape, dtype=bool)
+        is_out = np.zeros(shape, dtype=bool)
+        is_data = np.zeros(shape, dtype=bool)
+        for cid, name in enumerate(cid_of):
+            meta = library.timing_meta(name)
+            seq_cell[cid] = meta.is_sequential
+            for pins, table in ((meta.input_pins, is_in),
+                                (meta.output_pins, is_out)):
+                table[cid, [pin_ids[p] for p in pins if p in pin_ids]] = True
+            if meta.is_sequential:
+                is_data[cid, [pin_ids[p.name]
+                              for p in library.cell(name).input_pins()
+                              if p.name in pin_ids]] = True
+        is_seq = seq_cell[cids]
+        self.is_seq = is_seq
+        self.comb = ~is_seq
 
         # Nets: readiness, combinational sinks (the Kahn successors) and
-        # load-bearing sink pins.  Pin names are interned to small ids.
-        ready = np.zeros(n_nets, dtype=bool)
-        sink_counts = [0] * n_nets
-        sink_flat: List[int] = []
-        pin_ids: Dict[str, int] = {}
-        load_net: List[int] = []
-        load_inst: List[int] = []
-        load_pin: List[int] = []
-        for net in module.nets:
-            ni = net.index
-            if net.is_clock:
-                ready[ni] = True
-            else:
-                drv = net.driver
-                if drv is None:
-                    raise TimingError(f"net {net.name!r} has no driver")
-                d0 = drv[0]
-                if d0 == PIN_DRIVER or (d0 >= 0 and is_seq_l[d0]):
-                    ready[ni] = True
-            c = 0
-            for sink_idx, sink_pin in net.sinks:
-                if sink_idx >= 0:
-                    if not is_seq_l[sink_idx]:
-                        sink_flat.append(sink_idx)
-                        c += 1
-                    pid = pin_ids.get(sink_pin)
-                    if pid is None:
-                        pid = pin_ids[sink_pin] = len(pin_ids)
-                elif sink_idx == PO_SINK:
-                    pid = -1
-                else:
-                    continue
-                load_net.append(ni)
-                load_inst.append(sink_idx)
-                load_pin.append(pid)
-            sink_counts[ni] = c
-        self.net_ready = ready
-        self.sink_arr = as_index(sink_flat)
-        self.sink_off = np.concatenate(
-            ([0], np.cumsum(as_index(sink_counts))))
-        self.pin_names = list(pin_ids)
-        self.load_net = as_index(load_net)
-        self.load_inst = as_index(load_inst)
-        self.load_pin = as_index(load_pin)
+        # load-bearing sink pins.
+        drv = conn.driver_inst
+        undriven = np.flatnonzero((drv == NO_DRIVER) & ~conn.is_clock)
+        if undriven.size:
+            name = module.nets[int(undriven[0])].name
+            raise TimingError(f"net {name!r} has no driver")
+        seq_driven = drv >= 0
+        seq_driven[seq_driven] = is_seq[drv[seq_driven]]
+        self.net_ready = conn.is_clock | (drv == PIN_DRIVER) | seq_driven
+        sink_inst = conn.sink_inst
+        comb_sink = sink_inst >= 0
+        comb_sink[comb_sink] = ~is_seq[sink_inst[comb_sink]]
+        self.sink_arr = sink_inst[comb_sink]
+        self.sink_off = np.concatenate(([0], np.cumsum(np.bincount(
+            conn.sink_net[comb_sink], minlength=n_nets))))
+        self.load_net = conn.sink_net
+        self.load_inst = sink_inst
+        self.load_pin = np.where(sink_inst >= 0, conn.sink_pin, -1)
 
         # Instances: CSR pin maps, sequential outputs and data pins.
-        in_counts = [0] * n_inst
-        in_flat: List[int] = []
-        out_counts = [0] * n_inst
-        out_flat: List[int] = []
-        seq_out_inst: List[int] = []
-        seq_out_nets: List[int] = []
-        endpoints: List[Tuple[int, str]] = []
-        endpoint_nets: List[int] = []
-        data_pins_of: Dict[str, FrozenSet[str]] = {}
-        comb_count = 0
-        for inst in module.instances:
-            idx = inst.index
-            meta = metas[idx]
-            outs = meta.output_pins
-            if meta.is_sequential:
-                name = cell_names[idx]
-                data = data_pins_of.get(name)
-                if data is None:
-                    data = data_pins_of[name] = frozenset(
-                        p.name for p in library.cell(name).input_pins())
-                for pin_name, net_idx in inst.pin_nets.items():
-                    if pin_name in outs:
-                        seq_out_inst.append(idx)
-                        seq_out_nets.append(net_idx)
-                    elif pin_name in data:
-                        endpoints.append((idx, pin_name))
-                        endpoint_nets.append(net_idx)
-                continue
-            comb_count += 1
-            ins = meta.input_pins
-            ic = oc = 0
-            for pin_name, net_idx in inst.pin_nets.items():
-                if pin_name in ins:
-                    in_flat.append(net_idx)
-                    ic += 1
-                elif pin_name in outs:
-                    out_flat.append(net_idx)
-                    oc += 1
-            in_counts[idx] = ic
-            out_counts[idx] = oc
-        self.comb_count = comb_count
-        self.in_counts = as_index(in_counts)
-        self.in_arr = as_index(in_flat)
-        self.in_off = np.concatenate(
-            ([0], np.cumsum(self.in_counts)))
-        self.out_counts = as_index(out_counts)
-        self.out_arr = as_index(out_flat)
-        self.out_off = np.concatenate(
-            ([0], np.cumsum(self.out_counts)))
-        self.seq_out_inst = as_index(seq_out_inst)
-        self.seq_out_nets = as_index(seq_out_nets)
+        owner = conn.pin_owner
+        pcid = cids[owner]
+        pid = conn.pin_id
+        pin_net = conn.pin_net
+        seq_pin = is_seq[owner]
+        pin_in = is_in[pcid, pid]
+        pin_out = is_out[pcid, pid]
+        comb_in = ~seq_pin & pin_in
+        comb_out = ~seq_pin & ~pin_in & pin_out
+        seq_out = seq_pin & pin_out
+        seq_data = seq_pin & ~pin_out & is_data[pcid, pid]
+        self.comb_count = int(n_inst - np.count_nonzero(is_seq))
+        self.in_counts = np.bincount(owner[comb_in], minlength=n_inst)
+        self.in_arr = pin_net[comb_in]
+        self.in_off = np.concatenate(([0], np.cumsum(self.in_counts)))
+        self.out_counts = np.bincount(owner[comb_out], minlength=n_inst)
+        self.out_arr = pin_net[comb_out]
+        self.out_off = np.concatenate(([0], np.cumsum(self.out_counts)))
+        self.seq_out_inst = owner[seq_out]
+        self.seq_out_nets = pin_net[seq_out]
 
         # Endpoints: sequential data pins, then primary outputs.
-        self.n_seq_endpoints = len(endpoints)
-        self.endpoint_inst = as_index([idx for idx, _pin in endpoints])
-        for net_idx in module.primary_outputs:
-            endpoints.append((PO_SINK, module.nets[net_idx].name))
-            endpoint_nets.append(net_idx)
+        self.endpoint_inst = owner[seq_data]
+        self.n_seq_endpoints = int(self.endpoint_inst.size)
+        names = conn.pin_names
+        endpoints: List[Tuple[int, str]] = [
+            (i, names[p]) for i, p in zip(self.endpoint_inst.tolist(),
+                                          pid[seq_data].tolist())]
+        pos = as_index(module.primary_outputs)
+        endpoints.extend((PO_SINK, module.nets[k].name)
+                         for k in pos.tolist())
         self.endpoints = endpoints
-        self.endpoint_nets = as_index(endpoint_nets)
-        self.pi_nets = as_index([idx for idx in module.primary_inputs
-                                 if not module.nets[idx].is_clock])
+        self.endpoint_nets = np.concatenate((pin_net[seq_data], pos))
+        pis = as_index(module.primary_inputs)
+        self.pi_nets = pis[~conn.is_clock[pis]]
 
         # Initial in-degree: input nets not sourced by a start point.
         if self.in_arr.size:
             inst_of_in = np.repeat(
                 np.arange(n_inst, dtype=np.intp), self.in_counts)
-            pending = inst_of_in[~ready[self.in_arr]]
+            pending = inst_of_in[~self.net_ready[self.in_arr]]
             self.indegree0 = np.bincount(
                 pending, minlength=n_inst).astype(np.intp)
         else:

@@ -2,9 +2,11 @@
 characterization kernels.
 
 A verbatim copy of the loop-per-element implementations that the array
-kernels replaced: the quadratic-system assembly, recursive spreading
-and median sweep of ``repro.place.quadratic``, the global router's
-passes and L-route demand booking (``repro.route``), the STA
+kernels replaced: the quadratic-system assembly, recursive spreading,
+pin adjacency and median sweep of ``repro.place.quadratic``, the Tetris
+legalizer and wirelength sum of ``repro.place``, the global router's
+net points, passes and L-route demand booking (``repro.route``), the
+timing graph's netlist scan (``repro.timing.graph.CombGraph``), the STA
 propagation and endpoint accounting of ``repro.timing.sta``, and the
 one-transient-at-a-time characterization grid of
 ``repro.characterize.charlib``.  ``test_kernel_equivalence.py`` demands
@@ -14,19 +16,20 @@ inputs, so this module must not change with it.
 Deliberate edits, none of which touches the arithmetic:
 
 * methods became functions taking the object they were bound to
-  (``router``, ``grid``, ``analyzer``);
+  (``router``, ``grid``, ``analyzer``), and ``CombGraph.__init__``
+  became the constructor of :class:`CombGraphScan`;
 * the trace spans and metric counters are gone: the whole-flow checks
   run the oracle beside the flow, where they would add to its trace;
-* helpers the array kernels still call (net points and layer
-  preference, pin loads, cell-circuit assembly, measurement windows,
-  leakage, the pin adjacency lists, ``levelize``) are imported from
-  ``repro``; the numeric constants the loops read are copied.
+* helpers the array kernels still call (layer preference, pin loads,
+  cell-circuit assembly, measurement windows, leakage, ``levelize``)
+  are imported from ``repro``; the numeric constants the loops read
+  are copied.
 """
 
 from __future__ import annotations
 
 import math
-from typing import Dict, List, Optional, Sequence, Tuple
+from typing import Dict, FrozenSet, List, Optional, Sequence, Tuple
 
 import numpy as np
 from scipy.sparse import coo_matrix, csr_matrix
@@ -53,10 +56,11 @@ from repro.characterize.waveforms import (
     measure_delay_slew,
 )
 from repro.circuits.netlist import Module, Net, PIN_DRIVER, PO_SINK
-from repro.errors import CharacterizationError, PlacementError, RoutingError
+from repro.errors import (CharacterizationError, PlacementError,
+                          RoutingError, TimingError)
 from repro.extraction.rc import CellParasitics
+from repro.kernels.arrays import as_index
 from repro.place.floorplan import Floorplan
-from repro.place.quadratic import _cell_pin_adjacency
 from repro.route.grid import RoutingGrid
 from repro.route.router import RoutingResult
 from repro.route.steiner import MAX_EXACT_PINS, rsmt_edges, rsmt_length_um
@@ -220,6 +224,44 @@ def spread(module: Module, library, floorplan: Floorplan,
     return out_x, out_y
 
 
+def _cell_pin_adjacency(module: Module, floorplan: Floorplan):
+    """Per cell: list of (neighbor index or -1, pad x, pad y) tuples.
+
+    Neighbor index -1 marks a fixed pad position stored in the second and
+    third slots.
+    """
+    adjacency: List[List[Tuple[int, float, float]]] = [
+        [] for _ in module.instances]
+    for net in module.nets:
+        if net.is_clock:
+            continue
+        members: List[int] = []
+        pads: List[Tuple[float, float]] = []
+        if net.driver is not None:
+            if net.driver[0] >= 0:
+                members.append(net.driver[0])
+            else:
+                pos = floorplan.io_positions.get(net.index)
+                if pos is not None:
+                    pads.append(pos)
+        for inst_idx, _pin in net.sinks:
+            if inst_idx >= 0:
+                members.append(inst_idx)
+            else:
+                pos = floorplan.io_positions.get(net.index)
+                if pos is not None:
+                    pads.append(pos)
+        if len(members) + len(pads) < 2 or len(members) > 12:
+            continue
+        for a in members:
+            for b in members:
+                if a != b:
+                    adjacency[a].append((b, 0.0, 0.0))
+            for (px, py) in pads:
+                adjacency[a].append((-1, px, py))
+    return adjacency
+
+
 def median_sweep(module: Module, floorplan: Floorplan,
                  x: np.ndarray, y: np.ndarray,
                  adjacency, sweeps: int) -> None:
@@ -268,6 +310,120 @@ def place_global(module: Module, library, floorplan: Floorplan
     median_sweep(module, floorplan, x, y, adjacency, 1)
     x, y = spread(module, library, floorplan, x, y)
     return x, y
+
+
+# -- legalization and wirelength (repro.place.legalize, .placer) -------------
+
+Y_COST_WEIGHT = 2.0
+ROW_SEARCH_RADIUS = 6
+
+
+def legalize(module: Module, library, floorplan: Floorplan,
+             x: np.ndarray, y: np.ndarray,
+             capacity_factor: float = 1.0) -> None:
+    """Assign legal positions in place (writes inst.x_um / inst.y_um).
+
+    ``capacity_factor`` scales each row's width capacity — 2.0 models a
+    two-tier (G-MI) core where planar cells on both tiers share x/y.
+    """
+    n = len(module.instances)
+    if n == 0:
+        return
+    widths = np.array([library.cell(i.cell_name).width_um
+                       for i in module.instances])
+    # Effective widths shrink when rows host multiple tiers.
+    widths = widths / capacity_factor
+    row_h = floorplan.row_height_um
+    n_rows = floorplan.n_rows
+    capacity = floorplan.width_um
+    edges = np.zeros(n_rows)          # current right edge per row
+    used = np.zeros(n_rows)           # occupied width per row
+
+    order = np.argsort(x, kind="stable")
+    for i in order:
+        w = widths[i]
+        desired_x = x[i]
+        desired_row = min(max(int(y[i] / row_h), 0), n_rows - 1)
+        best_row = -1
+        best_cost = float("inf")
+        best_pos = 0.0
+        radius = ROW_SEARCH_RADIUS
+        while best_row < 0:
+            lo = max(desired_row - radius, 0)
+            hi = min(desired_row + radius, n_rows - 1)
+            for r in range(lo, hi + 1):
+                if used[r] + w > capacity:
+                    continue
+                pos = max(edges[r], min(desired_x - w / 2.0,
+                                        capacity - w))
+                if pos + w > capacity:
+                    continue
+                dx = abs(pos + w / 2.0 - desired_x)
+                dy = abs((r + 0.5) * row_h - y[i])
+                cost = dx + Y_COST_WEIGHT * dy
+                if cost < best_cost:
+                    best_cost = cost
+                    best_row = r
+                    best_pos = pos
+            if best_row < 0:
+                if lo == 0 and hi == n_rows - 1:
+                    # Gap fragmentation left no row with edge space near
+                    # the desired x: fall back to the emptiest row,
+                    # left-packed.  Some row must fit at <= 100 % density.
+                    for r in range(n_rows):
+                        if edges[r] + w <= capacity:
+                            pos = edges[r]
+                            dy = abs((r + 0.5) * row_h - y[i])
+                            cost = abs(pos + w / 2.0 - desired_x) \
+                                + Y_COST_WEIGHT * dy
+                            if cost < best_cost:
+                                best_cost = cost
+                                best_row = r
+                                best_pos = pos
+                    if best_row < 0:
+                        # Last resort: tolerate a small overlap at the
+                        # right edge of the least-used row rather than
+                        # fail — harmless at global-routing abstraction.
+                        best_row = int(np.argmin(used))
+                        best_pos = max(capacity - w, 0.0)
+                    break
+                radius *= 2
+        inst = module.instances[i]
+        inst.x_um = best_pos + w / 2.0
+        inst.y_um = (best_row + 0.5) * row_h
+        edges[best_row] = best_pos + w
+        used[best_row] += w
+
+
+def total_hpwl(module: Module, floorplan: Floorplan) -> float:
+    """Half-perimeter wirelength over all signal nets, um."""
+    total = 0.0
+    for net in module.nets:
+        if net.is_clock:
+            continue
+        xs, ys = [], []
+        if net.driver is not None and net.driver[0] >= 0:
+            inst = module.instances[net.driver[0]]
+            xs.append(inst.x_um)
+            ys.append(inst.y_um)
+        elif net.driver is not None:
+            pos = floorplan.io_positions.get(net.index)
+            if pos:
+                xs.append(pos[0])
+                ys.append(pos[1])
+        for inst_idx, _pin in net.sinks:
+            if inst_idx >= 0:
+                inst = module.instances[inst_idx]
+                xs.append(inst.x_um)
+                ys.append(inst.y_um)
+            else:
+                pos = floorplan.io_positions.get(net.index)
+                if pos:
+                    xs.append(pos[0])
+                    ys.append(pos[1])
+        if len(xs) >= 2:
+            total += (max(xs) - min(xs)) + (max(ys) - min(ys))
+    return total
 
 
 # -- routing (repro.route.grid, repro.route.router) --------------------------
@@ -323,6 +479,28 @@ def book_l(grid: RoutingGrid, layer_class: LayerClass, x0: float,
             dm[tx1, ty] += (seg_hi - seg_lo) * weight
 
 
+def router_net_points(router, module: Module, net: Net
+                      ) -> List[Tuple[float, float]]:
+    points = []
+    if net.driver is not None:
+        if net.driver[0] >= 0:
+            inst = module.instances[net.driver[0]]
+            points.append((inst.x_um, inst.y_um))
+        else:
+            pos = router.floorplan.io_positions.get(net.index)
+            if pos:
+                points.append(pos)
+    for inst_idx, _pin in net.sinks:
+        if inst_idx >= 0:
+            inst = module.instances[inst_idx]
+            points.append((inst.x_um, inst.y_um))
+        else:
+            pos = router.floorplan.io_positions.get(net.index)
+            if pos:
+                points.append(pos)
+    return points
+
+
 def route(router, module: Module,
           include_clock: bool = True) -> RoutingResult:
     """:meth:`GlobalRouter.run` as one net at a time."""
@@ -336,7 +514,7 @@ def route(router, module: Module,
     for net in module.nets:
         if net.is_clock and not include_clock:
             continue
-        points = router._net_points(module, net)
+        points = router_net_points(router, module, net)
         length = rsmt_length_um(points)
         net_length[net.index] = length
         net_points[net.index] = points
@@ -448,6 +626,150 @@ def route(router, module: Module,
         mb1_wirelength_um=mb1_len,
         detour_factor=detour,
     )
+
+
+# -- timing graph (repro.timing.graph) ----------------------------------------
+
+
+class CombGraphScan:
+    """:class:`repro.timing.graph.CombGraph`'s attributes, built by one
+    walk over the ``Instance`` and ``Net`` objects."""
+
+    def __init__(self, module: Module, library) -> None:
+        n_inst = len(module.instances)
+        n_nets = len(module.nets)
+        self.module = module
+        self.n_inst = n_inst
+        self.n_nets = n_nets
+
+        meta_of = library.timing_meta
+        cell_names = [inst.cell_name for inst in module.instances]
+        metas = [meta_of(name) for name in cell_names]
+        is_seq_l = [m.is_sequential for m in metas]
+        self.is_seq = np.array(is_seq_l, dtype=bool) if n_inst \
+            else np.zeros(0, dtype=bool)
+        self.comb = ~self.is_seq
+
+        # Nets: readiness, combinational sinks (the Kahn successors) and
+        # load-bearing sink pins.  Pin names are interned to small ids.
+        ready = np.zeros(n_nets, dtype=bool)
+        sink_counts = [0] * n_nets
+        sink_flat: List[int] = []
+        pin_ids: Dict[str, int] = {}
+        load_net: List[int] = []
+        load_inst: List[int] = []
+        load_pin: List[int] = []
+        for net in module.nets:
+            ni = net.index
+            if net.is_clock:
+                ready[ni] = True
+            else:
+                drv = net.driver
+                if drv is None:
+                    raise TimingError(f"net {net.name!r} has no driver")
+                d0 = drv[0]
+                if d0 == PIN_DRIVER or (d0 >= 0 and is_seq_l[d0]):
+                    ready[ni] = True
+            c = 0
+            for sink_idx, sink_pin in net.sinks:
+                if sink_idx >= 0:
+                    if not is_seq_l[sink_idx]:
+                        sink_flat.append(sink_idx)
+                        c += 1
+                    pid = pin_ids.get(sink_pin)
+                    if pid is None:
+                        pid = pin_ids[sink_pin] = len(pin_ids)
+                elif sink_idx == PO_SINK:
+                    pid = -1
+                else:
+                    continue
+                load_net.append(ni)
+                load_inst.append(sink_idx)
+                load_pin.append(pid)
+            sink_counts[ni] = c
+        self.net_ready = ready
+        self.sink_arr = as_index(sink_flat)
+        self.sink_off = np.concatenate(
+            ([0], np.cumsum(as_index(sink_counts))))
+        self.pin_names = list(pin_ids)
+        self.load_net = as_index(load_net)
+        self.load_inst = as_index(load_inst)
+        self.load_pin = as_index(load_pin)
+
+        # Instances: CSR pin maps, sequential outputs and data pins.
+        in_counts = [0] * n_inst
+        in_flat: List[int] = []
+        out_counts = [0] * n_inst
+        out_flat: List[int] = []
+        seq_out_inst: List[int] = []
+        seq_out_nets: List[int] = []
+        endpoints: List[Tuple[int, str]] = []
+        endpoint_nets: List[int] = []
+        data_pins_of: Dict[str, FrozenSet[str]] = {}
+        comb_count = 0
+        for inst in module.instances:
+            idx = inst.index
+            meta = metas[idx]
+            outs = meta.output_pins
+            if meta.is_sequential:
+                name = cell_names[idx]
+                data = data_pins_of.get(name)
+                if data is None:
+                    data = data_pins_of[name] = frozenset(
+                        p.name for p in library.cell(name).input_pins())
+                for pin_name, net_idx in inst.pin_nets.items():
+                    if pin_name in outs:
+                        seq_out_inst.append(idx)
+                        seq_out_nets.append(net_idx)
+                    elif pin_name in data:
+                        endpoints.append((idx, pin_name))
+                        endpoint_nets.append(net_idx)
+                continue
+            comb_count += 1
+            ins = meta.input_pins
+            ic = oc = 0
+            for pin_name, net_idx in inst.pin_nets.items():
+                if pin_name in ins:
+                    in_flat.append(net_idx)
+                    ic += 1
+                elif pin_name in outs:
+                    out_flat.append(net_idx)
+                    oc += 1
+            in_counts[idx] = ic
+            out_counts[idx] = oc
+        self.comb_count = comb_count
+        self.in_counts = as_index(in_counts)
+        self.in_arr = as_index(in_flat)
+        self.in_off = np.concatenate(
+            ([0], np.cumsum(self.in_counts)))
+        self.out_counts = as_index(out_counts)
+        self.out_arr = as_index(out_flat)
+        self.out_off = np.concatenate(
+            ([0], np.cumsum(self.out_counts)))
+        self.seq_out_inst = as_index(seq_out_inst)
+        self.seq_out_nets = as_index(seq_out_nets)
+
+        # Endpoints: sequential data pins, then primary outputs.
+        self.n_seq_endpoints = len(endpoints)
+        self.endpoint_inst = as_index([idx for idx, _pin in endpoints])
+        for net_idx in module.primary_outputs:
+            endpoints.append((PO_SINK, module.nets[net_idx].name))
+            endpoint_nets.append(net_idx)
+        self.endpoints = endpoints
+        self.endpoint_nets = as_index(endpoint_nets)
+        self.pi_nets = as_index([idx for idx in module.primary_inputs
+                                 if not module.nets[idx].is_clock])
+
+        # Initial in-degree: input nets not sourced by a start point.
+        if self.in_arr.size:
+            inst_of_in = np.repeat(
+                np.arange(n_inst, dtype=np.intp), self.in_counts)
+            pending = inst_of_in[~ready[self.in_arr]]
+            self.indegree0 = np.bincount(
+                pending, minlength=n_inst).astype(np.intp)
+        else:
+            self.indegree0 = np.zeros(n_inst, dtype=np.intp)
+
 
 
 # -- static timing (repro.timing.sta) ----------------------------------------

@@ -11,21 +11,25 @@ residuals against a direct solve, monotone router demand booking).
 from __future__ import annotations
 
 import copy
+import inspect
+import sys
 
 import numpy as np
 import pytest
 
 from repro.circuits.generators import generate_benchmark
-from repro.place.floorplan import Floorplan
+from repro.place.floorplan import Floorplan, NetPoints
 from repro.place import quadratic
-from repro.place.quadratic import _cell_pin_adjacency, place_global, spread
+from repro.place.legalize import legalize
+from repro.place.placer import total_hpwl
+from repro.place.quadratic import place_global, spread
 from repro.place.quadratic_numpy import MedianPlan, PlacementSystem
 from repro.route.router import GlobalRouter
 from repro.route.grid import RoutingGrid
 from repro.tech.interconnect import InterconnectModel
 from repro.tech.metal import build_stack_2d, build_stack_tmi
 from repro.tech.node import get_node
-from repro.timing.graph import levelize, levelize_levels
+from repro.timing.graph import CombGraph, levelize, levelize_levels
 from repro.timing.netmodel import PlacedNetModel
 from repro.timing.sta import TimingAnalyzer
 from tests import kernel_oracle as oracle
@@ -90,13 +94,55 @@ def test_median_sweep_bit_identical(aes_small):
     rng = np.random.default_rng(12)
     x0 = rng.uniform(0.0, floorplan.width_um, len(module.instances))
     y0 = rng.uniform(0.0, floorplan.height_um, len(module.instances))
-    adjacency = _cell_pin_adjacency(module, floorplan)
+    adjacency = oracle._cell_pin_adjacency(module, floorplan)
     xp, yp = x0.copy(), y0.copy()
     oracle.median_sweep(module, floorplan, xp, yp, adjacency, 3)
     xn, yn = x0.copy(), y0.copy()
-    MedianPlan(adjacency).sweep(xn, yn, 3)
+    MedianPlan(module, floorplan).sweep(xn, yn, 3)
     assert np.array_equal(xp, xn)
     assert np.array_equal(yp, yn)
+
+
+def _plan_entries(plan):
+    """Each cell's median entries read back from a plan's waves, sorted:
+    ``(neighbor, 0.0, 0.0)`` or ``(-1, pad x, pad y)``, as the scalar
+    adjacency lists them."""
+    n = plan.n
+    entries = [[] for _ in range(n)]
+    lower = [set() for _ in range(n)]
+    for cells, src, _rows, _half in plan.waves:
+        for i, row in zip(cells.tolist(), src.tolist()):
+            for k in row:
+                if k < 2 * n:
+                    j = k if k < n else k - n
+                    entries[i].append((j, 0.0, 0.0))
+                    if k < n:
+                        lower[i].add(j)
+                elif k < plan.inf:
+                    entries[i].append((-1, float(plan.pads[0, k - 2 * n]),
+                                       float(plan.pads[1, k - 2 * n])))
+    return [sorted(e) for e in entries], lower
+
+
+@pytest.mark.parametrize("circuit,scale,seed", [
+    ("aes", 0.08, 3), ("noc", 0.05, 5), ("ldpc", 0.05, 2)])
+def test_median_plan_reads_the_pin_adjacency(lib45_2d, circuit, scale,
+                                             seed):
+    """The plan holds each cell's adjacency multiset (the order does not
+    matter: the median sorts it) and reads exactly its lower-indexed
+    neighbors post-update, in a wave after theirs."""
+    module = generate_benchmark(circuit, scale=scale, seed=seed)
+    floorplan = Floorplan.for_module(module, lib45_2d, 0.80)
+    adjacency = oracle._cell_pin_adjacency(module, floorplan)
+    plan = MedianPlan(module, floorplan)
+    entries, lower = _plan_entries(plan)
+    assert entries == [sorted(a) for a in adjacency]
+    wave_of = {i: w for w, (cells, *_rest) in enumerate(plan.waves)
+               for i in cells.tolist()}
+    for i, neigh in enumerate(adjacency):
+        below = {j for j, _x, _y in neigh if 0 <= j < i}
+        assert lower[i] == below
+        assert all(wave_of[j] < wave_of[i] for j in below)
 
 
 def test_place_global_bit_identical(aes_small, lib45_2d):
@@ -105,6 +151,73 @@ def test_place_global_bit_identical(aes_small, lib45_2d):
     xn, yn = place_global(module, lib45_2d, floorplan)
     assert np.array_equal(xp, xn)
     assert np.array_equal(yp, yn)
+
+
+def _crowded(library):
+    """Many cells piled on one spot of a nearly full core: the Tetris
+    legalizer widens its row search and falls back to left-packing."""
+    module = generate_benchmark("aes", scale=0.05, seed=4)
+    floorplan = Floorplan.for_module(module, library, 0.97)
+    n = len(module.instances)
+    rng = np.random.default_rng(3)
+    x = np.full(n, 0.9 * floorplan.width_um) + rng.uniform(0.0, 1.0, n)
+    y = np.full(n, 0.5 * floorplan.height_um)
+    return module, floorplan, x, y
+
+
+@pytest.mark.parametrize("case", ["aes", "noc", "gmi", "crowded"])
+def test_legalize_and_hpwl_bit_identical(aes_placed, noc_placed, lib45_2d,
+                                         case):
+    if case == "crowded":
+        module, floorplan, x, y = _crowded(lib45_2d)
+    else:
+        module, floorplan = noc_placed if case == "noc" else aes_placed
+        x = np.array([inst.x_um for inst in module.instances])
+        y = np.array([inst.y_um for inst in module.instances])
+    # G-MI's two tiers share each row's width.
+    factor = 2.0 if case == "gmi" else 1.0
+    want = copy.deepcopy(module)
+    got = copy.deepcopy(module)
+    oracle.legalize(want, lib45_2d, floorplan, x, y, capacity_factor=factor)
+    legalize(got, lib45_2d, floorplan, x, y, capacity_factor=factor)
+    assert [(i.x_um, i.y_um) for i in got.instances] \
+        == [(i.x_um, i.y_um) for i in want.instances]
+    assert total_hpwl(got, floorplan) == oracle.total_hpwl(want, floorplan)
+
+
+def _lines_run(func, *args, **kwargs):
+    """The source lines of ``func`` that a call executes."""
+    code = func.__code__
+    seen = set()
+
+    def tracer(frame, event, _arg):
+        if frame.f_code is not code:
+            return None
+        if event == "line":
+            seen.add(frame.f_lineno)
+        return tracer
+
+    previous = sys.gettrace()
+    sys.settrace(tracer)
+    try:
+        func(*args, **kwargs)
+    finally:
+        sys.settrace(previous)
+    lines, first = inspect.getsourcelines(func)
+    return {lines[k - first].strip() for k in seen}
+
+
+def test_crowded_core_reaches_the_fallbacks(lib45_2d):
+    # The crowded case above tests the fallbacks only if the reference
+    # takes them: the widened row search, the scan of every row for a
+    # left-packed spot and the tolerated overlap.  (The left-packed
+    # spot itself is never found: a row's used width never exceeds its
+    # right edge, so a row the search skipped has no room there.)
+    module, floorplan, x, y = _crowded(lib45_2d)
+    run = _lines_run(oracle.legalize, module, lib45_2d, floorplan, x, y)
+    assert "radius *= 2" in run
+    assert "for r in range(n_rows):" in run
+    assert "best_pos = max(capacity - w, 0.0)" in run
 
 
 def test_cg_residual_bounded_by_direct_solve(aes_small):
@@ -170,6 +283,65 @@ def test_levels_concatenate_to_levelize_order(aes_small, lib45_2d):
     assert tree.n_levels >= 2
     levels = levelize_levels(clocked, lib45_2d)
     assert np.concatenate(levels).tolist() == levelize(clocked, lib45_2d)
+
+
+def _assert_graphs_equal(got, want):
+    """Attribute for attribute; load pins compared by name (the array
+    graph numbers them module-wide, the scan by first appearance)."""
+    for name in ("n_inst", "n_nets", "comb_count", "n_seq_endpoints",
+                 "endpoints"):
+        assert getattr(got, name) == getattr(want, name), name
+    for name in ("is_seq", "comb", "net_ready", "sink_arr", "sink_off",
+                 "load_net", "load_inst", "in_counts", "in_arr", "in_off",
+                 "out_counts", "out_arr", "out_off", "seq_out_inst",
+                 "seq_out_nets", "endpoint_inst", "endpoint_nets",
+                 "pi_nets", "indegree0"):
+        a, b = getattr(got, name), getattr(want, name)
+        assert a.dtype == b.dtype and np.array_equal(a, b), name
+    assert [got.pin_names[p] if p >= 0 else None
+            for p in got.load_pin.tolist()] \
+        == [want.pin_names[p] if p >= 0 else None
+            for p in want.load_pin.tolist()]
+
+
+def test_comb_graph_matches_scan(aes_small, lib45_2d):
+    from repro.opt.cts import synthesize_clock_tree
+
+    module, _floorplan = aes_small
+    _assert_graphs_equal(CombGraph(module, lib45_2d),
+                         oracle.CombGraphScan(module, lib45_2d))
+    # Clock buffers, rewired sinks and buffered outputs.
+    clocked = generate_benchmark("m256", scale=0.02)
+    synthesize_clock_tree(
+        clocked, lib45_2d, Floorplan.for_module(clocked, lib45_2d, 0.80))
+    _split_net(clocked)
+    po = clocked.nets[clocked.primary_outputs[0]]
+    clocked.insert_buffer(po.index, "BUF_X1", [s for s in po.sinks
+                                               if s[0] < 0])
+    _assert_graphs_equal(CombGraph(clocked, lib45_2d),
+                         oracle.CombGraphScan(clocked, lib45_2d))
+
+
+def test_comb_graph_raises_like_scan(lib45_2d):
+    from repro.circuits.netlist import Module
+    from repro.errors import TimingError
+
+    m = Module("undriven")
+    a = m.add_net("a")
+    z = m.add_net("z")
+    g = m.add_instance("g", "INV_X1")
+    m.connect(g, "A", a)
+    m.connect(g, "ZN", z, is_driver=True)
+    m.mark_primary_output(z)
+    with pytest.raises(TimingError) as want:
+        oracle.CombGraphScan(m, lib45_2d)
+    with pytest.raises(TimingError) as got:
+        CombGraph(m, lib45_2d)
+    assert str(got.value) == str(want.value)
+    # A clock net needs no driver.
+    m.mark_clock_net(a)
+    _assert_graphs_equal(CombGraph(m, lib45_2d),
+                         oracle.CombGraphScan(m, lib45_2d))
 
 
 def test_nldm_lookup_batch_matches_scalar(lib45_2d):
@@ -271,6 +443,37 @@ def _assert_routes_equal(got, want):
 
 def _assert_router_matches_oracle(router, module):
     _assert_routes_equal(router.run(module), oracle.route(router, module))
+
+
+def _assert_points_match_router_scan(module, floorplan):
+    router = GlobalRouter(None, _interconnect(), floorplan)
+    for include_clock in (True, False):
+        points = NetPoints(module, floorplan, include_clock)
+        px, py = points.coords(
+            np.array([inst.x_um for inst in module.instances]),
+            np.array([inst.y_um for inst in module.instances]))
+        xy = list(zip(px.tolist(), py.tolist()))
+        off = points.off.tolist()
+        got = {net: xy[off[r]:off[r + 1]]
+               for r, net in enumerate(points.nets.tolist())}
+        want = {net.index: oracle.router_net_points(router, module, net)
+                for net in module.nets
+                if include_clock or not net.is_clock}
+        assert got == want
+        assert list(got) == list(want)
+
+
+@pytest.mark.parametrize("case", ["aes", "noc", "quad"])
+def test_net_points_match_router_scan(aes_placed, noc_placed, quad_placed,
+                                      case):
+    """Driver first, then sinks in order, pads where the net has one."""
+    module, floorplan = {"aes": aes_placed, "noc": noc_placed,
+                         "quad": quad_placed}[case]
+    _assert_points_match_router_scan(module, floorplan)
+    # After buffering, rewired sinks come last on their new nets.
+    module = copy.deepcopy(module)
+    _split_net(module)
+    _assert_points_match_router_scan(module, floorplan)
 
 
 @pytest.mark.parametrize("is_3d", [False, True])
@@ -382,19 +585,22 @@ def test_mna_characterization_bit_identical():
     )
     from repro.tech.node import NODE_45NM
 
-    nl = build_cell_netlist("INV", 1.0, NODE_45NM)
-    parasitics = extract_cell(build_cell_geometry_2d(nl, NODE_45NM),
-                              ExtractionMode.FLAT)
     setup = CharacterizationSetup(node=NODE_45NM)
-    cp = oracle.characterize_cell(nl, parasitics, setup)
-    cn = characterize_cell(nl, parasitics, setup)
-    ap, an = cp.worst_arc(), cn.worst_arc()
-    assert np.array_equal(ap.delay.values, an.delay.values)
-    assert np.array_equal(ap.output_slew.values, an.output_slew.values)
-    assert np.array_equal(ap.internal_energy.values,
-                          an.internal_energy.values)
-    assert cp.leakage_mw == cn.leakage_mw
-    assert cp.setup_time_ps == cn.setup_time_ps
+    # NAND2's series stack puts a drain and a source stamp on one free
+    # node, so it pins the batch's stamp order; INV has no such node.
+    for cell_type in ("INV", "NAND2"):
+        nl = build_cell_netlist(cell_type, 1.0, NODE_45NM)
+        parasitics = extract_cell(build_cell_geometry_2d(nl, NODE_45NM),
+                                  ExtractionMode.FLAT)
+        cp = oracle.characterize_cell(nl, parasitics, setup)
+        cn = characterize_cell(nl, parasitics, setup)
+        ap, an = cp.worst_arc(), cn.worst_arc()
+        assert np.array_equal(ap.delay.values, an.delay.values)
+        assert np.array_equal(ap.output_slew.values, an.output_slew.values)
+        assert np.array_equal(ap.internal_energy.values,
+                              an.internal_energy.values)
+        assert cp.leakage_mw == cn.leakage_mw
+        assert cp.setup_time_ps == cn.setup_time_ps
 
 
 @pytest.mark.slow
@@ -586,16 +792,19 @@ def test_incremental_sta_matches_reference_through_flow(
 
 @pytest.fixture()
 def checked_layout(monkeypatch):
-    """Compare every global placement and route with the oracle, each on
-    the inputs the flow passed.
+    """Compare every global placement, legalization, wirelength sum and
+    route with the oracle, each on the inputs the flow passed.
 
-    Yields a tally of the ``place`` and ``route`` calls compared.
+    Yields a tally of the ``place``, ``legalize`` and ``route`` calls
+    compared.
     """
     from repro.place import placer
 
     place = placer.place_global
+    legal = placer.legalize
+    hpwl = placer.total_hpwl
     route = GlobalRouter.run
-    tally = {"place": 0, "route": 0}
+    tally = {"place": 0, "legalize": 0, "route": 0}
 
     def checked_place(module, library, floorplan):
         x, y = place(module, library, floorplan)
@@ -605,6 +814,19 @@ def checked_layout(monkeypatch):
         tally["place"] += 1
         return x, y
 
+    def checked_legalize(module, library, floorplan, x, y, **kwargs):
+        want = copy.deepcopy(module)
+        oracle.legalize(want, library, floorplan, x, y, **kwargs)
+        legal(module, library, floorplan, x, y, **kwargs)
+        assert [(i.x_um, i.y_um) for i in module.instances] \
+            == [(i.x_um, i.y_um) for i in want.instances]
+        tally["legalize"] += 1
+
+    def checked_hpwl(module, floorplan):
+        total = hpwl(module, floorplan)
+        assert total == oracle.total_hpwl(module, floorplan)
+        return total
+
     def checked_route(self, module, include_clock=True):
         result = route(self, module, include_clock)
         _assert_routes_equal(result,
@@ -613,7 +835,25 @@ def checked_layout(monkeypatch):
         return result
 
     monkeypatch.setattr(placer, "place_global", checked_place)
+    monkeypatch.setattr(placer, "legalize", checked_legalize)
+    monkeypatch.setattr(placer, "total_hpwl", checked_hpwl)
     monkeypatch.setattr(GlobalRouter, "run", checked_route)
+    return tally
+
+
+@pytest.fixture()
+def checked_graph(monkeypatch):
+    """Compare every timing graph built with the oracle's object scan of
+    the same module.  Yields the number of graphs compared."""
+    init = CombGraph.__init__
+    tally = {"graphs": 0}
+
+    def checked(self, module, library):
+        init(self, module, library)
+        _assert_graphs_equal(self, oracle.CombGraphScan(module, library))
+        tally["graphs"] += 1
+
+    monkeypatch.setattr(CombGraph, "__init__", checked)
     return tally
 
 
@@ -622,14 +862,17 @@ def checked_layout(monkeypatch):
     ("des", 2, True),
 ], ids=["aes_2d", "des_3d"])
 def test_flow_kernels_match_oracle(checked_layout, checked_sta,
-                                   circuit, seed, is_3d):
+                                   checked_graph, circuit, seed, is_3d):
     from repro.flow.design_flow import FlowConfig, run_flow
 
     run_flow(FlowConfig(circuit=circuit, scale=0.06, seed=seed,
                         is_3d=is_3d))
     assert checked_layout["place"] >= 1
+    assert checked_layout["legalize"] >= 1
     assert checked_layout["route"] >= 1
     assert checked_sta["runs"] >= 5
+    # Synthesis, optimization, sign-off and power all built graphs.
+    assert checked_graph["graphs"] >= 5
 
 
 def _split_net(module):
