@@ -1,16 +1,20 @@
 #!/usr/bin/env python3
-"""Measure the tracer's overhead on a full flow: traced vs untraced.
+"""Measure the observability overhead on a full flow: traced vs untraced.
 
-Runs the same seeded flow ``--repeats`` times with observability off and
-``--repeats`` times with the full stack on (tracer + metrics registry +
-profiler — what ``repro --profile`` installs), compares **best-of-N**
-wall clocks (the minimum is the least noise-sensitive estimator for a
-deterministic workload), and exits nonzero when the relative overhead
-exceeds ``--budget-pct`` (default 5 %, the budget documented in
+Runs the same seeded flow in ``--repeats`` pairs, one run with
+observability off and one with both opt-in layers on (tracer + counter
+registry — what ``repro --profile`` installs).  The pairs alternate which
+mode runs first, so a drift in the host's speed falls on both modes
+alike.  It compares the **best-of-N** wall clocks of the two modes (the
+minimum is the least noise-sensitive estimator for a deterministic
+workload) and exits nonzero when the relative overhead exceeds
+``--budget-pct`` (default 5 %, the budget documented in
 ``docs/architecture.md``, "Observability").
 
-The library is characterized once up front and an untimed warm-up run
-absorbs import costs, so both modes measure only the flow itself.
+BLAS/OpenMP are pinned to one thread, as the benchmark does
+(``perfbench/run.py``).  The library is characterized once up front and
+an untimed warm-up run absorbs import costs, so both modes measure only
+the flow itself.
 
 Usage:  python scripts/trace_overhead.py [--circuit fpu] [--scale 0.05]
             [--repeats 3] [--budget-pct 5.0] [--json PATH]
@@ -20,9 +24,15 @@ from __future__ import annotations
 
 import argparse
 import json
+import os
 import sys
 import time
 from pathlib import Path
+
+# Before numpy is imported: its thread pools size themselves at import.
+for _name in ("OMP_NUM_THREADS", "OPENBLAS_NUM_THREADS", "MKL_NUM_THREADS",
+              "NUMEXPR_NUM_THREADS", "VECLIB_MAXIMUM_THREADS"):
+    os.environ[_name] = "1"
 
 REPO = Path(__file__).resolve().parent.parent
 sys.path.insert(0, str(REPO / "src"))
@@ -34,21 +44,16 @@ from repro.flow.design_flow import (         # noqa: E402
 )
 from repro.obs import (                      # noqa: E402
     MetricsRegistry,
-    Profiler,
     Tracer,
     use_metrics,
-    use_profiler,
     use_tracer,
 )
 
 
-def best_of(repeats: int, fn) -> float:
-    best = float("inf")
-    for _ in range(repeats):
-        start = time.perf_counter()
-        fn()
-        best = min(best, time.perf_counter() - start)
-    return best
+def timed(fn) -> float:
+    start = time.perf_counter()
+    fn()
+    return time.perf_counter() - start
 
 
 def main(argv=None) -> int:
@@ -75,15 +80,20 @@ def main(argv=None) -> int:
 
     def traced():
         tracer = Tracer()
-        with use_tracer(tracer), use_metrics(MetricsRegistry()), \
-                use_profiler(Profiler()) as profiler:
+        with use_tracer(tracer), use_metrics(MetricsRegistry()):
             run_flow(config)
-            profiler.close()
         n_spans["n"] = len(tracer.snapshot())
 
     untraced()                                     # untimed warm-up
-    base_s = best_of(args.repeats, untraced)
-    traced_s = best_of(args.repeats, traced)
+    base, trace = [], []
+    for pair in range(args.repeats):
+        if pair % 2 == 0:
+            base.append(timed(untraced))
+            trace.append(timed(traced))
+        else:
+            trace.append(timed(traced))
+            base.append(timed(untraced))
+    base_s, traced_s = min(base), min(trace)
     overhead_pct = (traced_s - base_s) / base_s * 100.0
 
     payload = {

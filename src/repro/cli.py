@@ -61,10 +61,11 @@ Session flags (before the command)
 --checkpoint-dir PATH  where the checkpoint store lives (default:
                        ``$REPRO_CHECKPOINT_DIR`` or
                        ``~/.cache/repro/checkpoints``)
---profile              trace and profile the invocation: per-stage
-                       wall/CPU/peak-RSS table after the command output,
-                       plus flow metrics and the trace digest; parallel
-                       sessions merge every worker into one trace
+--profile              trace the invocation and print its run journal as
+                       a per-stage wall/CPU/peak-RSS table after the
+                       command output, plus flow metrics and the trace
+                       digest; parallel sessions merge every worker into
+                       one trace and one journal
 --trace-out PATH       write the invocation's Chrome ``traceEvents``
                        trace to PATH (implies tracing on)
 """
@@ -82,7 +83,6 @@ from repro.errors import ReproError
 from repro.experiments import EXPERIMENTS
 from repro.flow.reports import format_table
 from repro.obs import metrics as obs_metrics
-from repro.obs import profile as obs_profile
 from repro.obs import trace as obs_trace
 from repro.tech.miv import MIV_KOZ_DEFAULT
 from repro.tech.node import node_names
@@ -215,13 +215,18 @@ def _cmd_experiment(args: argparse.Namespace) -> int:
     return _report_session_errors()
 
 
-def _print_obs_summary(tracer: obs_trace.Tracer,
-                       registry: obs_metrics.MetricsRegistry,
-                       profiler: obs_profile.Profiler) -> None:
-    """The human-facing observability readout (``--profile``, ``trace``)."""
+def _stage_table() -> List[dict]:
+    """The invocation's run journal, one row per flow stage."""
     from repro.flow.design_flow import FLOW_STAGES
+    from repro.runtime.supervisor import current_supervisor
 
-    rows = profiler.stage_table(order=FLOW_STAGES)
+    return current_supervisor().journal.stage_table(FLOW_STAGES)
+
+
+def _print_obs_summary(tracer: obs_trace.Tracer,
+                       registry: obs_metrics.MetricsRegistry) -> None:
+    """The human-facing observability readout (``--profile``, ``trace``)."""
+    rows = _stage_table()
     if rows:
         print(format_table(rows, "per-stage profile"))
         print()
@@ -255,8 +260,10 @@ def _write_chrome_trace(tracer: obs_trace.Tracer, path: str) -> None:
 
 
 def _cmd_trace(args: argparse.Namespace) -> int:
-    """Run one experiment under a fresh tracer/registry/profiler."""
+    """Run one experiment under a fresh tracer and registry."""
     import json
+
+    from repro.runtime.supervisor import current_supervisor
 
     key = args.id.lower().replace(" ", "")
     if key not in EXPERIMENTS:
@@ -266,8 +273,7 @@ def _cmd_trace(args: argparse.Namespace) -> int:
         return 2
     with obs_trace.use_tracer(obs_trace.Tracer()) as tracer, \
             obs_metrics.use_metrics(
-                obs_metrics.MetricsRegistry()) as registry, \
-            obs_profile.use_profiler(obs_profile.Profiler()) as profiler:
+                obs_metrics.MetricsRegistry()) as registry:
         if args.jobs > 1:
             _prefetch_for([key], args.jobs)
         if args.json:
@@ -278,16 +284,16 @@ def _cmd_trace(args: argparse.Namespace) -> int:
         else:
             _run_one_experiment(key)
             print()
-        profiler.close()
         if args.json:
+            journal = current_supervisor().journal
             print(json.dumps({
                 "experiment": key,
                 "trace": tracer.to_dict(),
                 "metrics": registry.snapshot(),
-                "profile": profiler.rows(),
+                "profile": [r.to_dict() for r in journal.records],
             }, indent=2, sort_keys=True))
         else:
-            _print_obs_summary(tracer, registry, profiler)
+            _print_obs_summary(tracer, registry)
         if args.chrome:
             _write_chrome_trace(tracer, args.chrome)
     return _report_session_errors()
@@ -335,16 +341,12 @@ def _cmd_bench(args: argparse.Namespace) -> int:
                        if engine_report is not None else None),
         }
         tracer = obs_trace.current_tracer()
-        profiler = obs_profile.current_profiler()
         if tracer.enabled:
             payload["trace_digest"] = tracer.digest()
             payload["kernels"] = {
                 name: round(total, 6)
                 for name, total in sorted(tracer.totals("kernel").items())}
-        if profiler.enabled:
-            from repro.flow.design_flow import FLOW_STAGES
-
-            payload["profile"] = profiler.stage_table(order=FLOW_STAGES)
+            payload["profile"] = _stage_table()
         from pathlib import Path
 
         report_path = Path(args.report)
@@ -738,9 +740,9 @@ def build_parser() -> argparse.ArgumentParser:
                              "$REPRO_CHECKPOINT_DIR or "
                              "~/.cache/repro/checkpoints)")
     parser.add_argument("--profile", action="store_true",
-                        help="trace and profile the invocation; prints a "
-                             "per-stage wall/CPU/RSS table and flow "
-                             "metrics after the command output")
+                        help="trace the invocation; prints its per-stage "
+                             "wall/CPU/RSS table and flow metrics after "
+                             "the command output")
     parser.add_argument("--trace-out", default=None, metavar="PATH",
                         help="write the invocation's Chrome traceEvents "
                              "file to PATH (implies tracing on)")
@@ -968,30 +970,27 @@ def _configure_runtime(args: argparse.Namespace):
     if args.resume:
         runner.use_persistent_cache(args.checkpoint_dir)
     stack = ExitStack()
-    if args.timeout is not None:
-        stack.enter_context(use_supervisor(StageSupervisor(
-            default_policy=StagePolicy(timeout_s=args.timeout))))
+    # Every invocation journals into a supervisor of its own, so the
+    # caller's journal is left as it was and ``--profile`` counts only
+    # this invocation's attempts.  Forked pool workers inherit it.
+    stack.enter_context(use_supervisor(StageSupervisor(
+        default_policy=StagePolicy(timeout_s=args.timeout))))
     if args.profile or args.trace_out:
         tracer = stack.enter_context(obs_trace.use_tracer(
             obs_trace.Tracer()))
         registry = stack.enter_context(obs_metrics.use_metrics(
             obs_metrics.MetricsRegistry()))
-        profiler = stack.enter_context(obs_profile.use_profiler(
-            obs_profile.Profiler()))
         # LIFO: runs when the command is done, before the contexts pop.
-        stack.callback(_finish_observability, args, tracer, registry,
-                       profiler)
+        stack.callback(_finish_observability, args, tracer, registry)
     return stack
 
 
 def _finish_observability(args: argparse.Namespace,
                           tracer: obs_trace.Tracer,
-                          registry: obs_metrics.MetricsRegistry,
-                          profiler: obs_profile.Profiler) -> None:
-    profiler.close()
+                          registry: obs_metrics.MetricsRegistry) -> None:
     if args.profile:
         print()
-        _print_obs_summary(tracer, registry, profiler)
+        _print_obs_summary(tracer, registry)
     if args.trace_out:
         _write_chrome_trace(tracer, args.trace_out)
 

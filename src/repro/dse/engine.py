@@ -261,7 +261,6 @@ class DseEngine:
         obs_metrics.counter("dse.dedup_skips").inc(self.dedup_skips)
         obs_metrics.counter("dse.cache_hits").inc(
             self.prewarm_hits + cache_hits)
-        obs_metrics.gauge("dse.frontier_size").set(len(front))
 
         return DseResult(
             space=self.space,

@@ -1,6 +1,6 @@
-"""Flow observability: span tracing, metrics, and profiling hooks.
+"""Flow observability: span tracing and flow counters.
 
-Three cooperating, individually opt-in layers, all free when off:
+Two individually opt-in layers, both free when off:
 
 * :mod:`repro.obs.trace` — nested spans with monotonic start/duration
   and stage/design attributes, recorded by the stage supervisor (one
@@ -9,34 +9,25 @@ Three cooperating, individually opt-in layers, all free when off:
   plain JSON and the Chrome ``traceEvents`` format; worker-side spans
   travel through the shared checkpoint store as :class:`TraceBundle`\\ s
   and merge into one session trace with per-process clock offsets.
-* :mod:`repro.obs.metrics` — counters/gauges/histograms for placer
-  iterations, router spills/rip-ups, STA levelization passes,
-  checkpoint hits/misses, and audit findings.
-* :mod:`repro.obs.profile` — per-stage wall/CPU time and peak RSS
-  (optionally tracemalloc peaks), sampled by the supervisor.
+* :mod:`repro.obs.metrics` — counters for placer iterations, router
+  spills/rip-ups, STA levelization passes, checkpoint hits/misses, and
+  audit findings.
 
-``repro --profile`` and ``repro trace <experiment>`` install all three;
-``scripts/trace_overhead.py`` keeps the tracer's cost under the
+Per-stage wall time, CPU time and peak RSS are not an obs layer: the
+stage supervisor's run journal (:mod:`repro.runtime.supervisor`) records
+them for every attempt, always.  ``repro --profile`` and ``repro trace
+<experiment>`` install both layers and print the journal's per-stage
+table; ``scripts/trace_overhead.py`` keeps their cost under the
 documented overhead budget.
 """
 
 from repro.obs.metrics import (          # noqa: F401
     Counter,
-    Gauge,
-    Histogram,
     MetricsRegistry,
     NULL_METRICS,
     current_metrics,
     install_metrics,
     use_metrics,
-)
-from repro.obs.profile import (          # noqa: F401
-    NULL_PROFILER,
-    Profiler,
-    ProfileSample,
-    current_profiler,
-    install_profiler,
-    use_profiler,
 )
 from repro.obs.trace import (            # noqa: F401
     NULL_TRACER,
@@ -49,12 +40,3 @@ from repro.obs.trace import (            # noqa: F401
     kernel,
     use_tracer,
 )
-
-
-def observability_on() -> bool:
-    """True when any obs layer (tracer or profiler) is active."""
-    from repro.obs import profile as _profile
-    from repro.obs import trace as _trace
-
-    return _trace.current_tracer().enabled or \
-        _profile.current_profiler().enabled

@@ -15,8 +15,8 @@ read on the hot paths (guarded by a no-op test).  ``repro --profile``
 and ``repro trace`` install a real tracer via :func:`use_tracer`.
 
 Cross-process traces: a worker exports its finished spans as a
-:class:`TraceBundle` (pid, wall-clock epoch, spans, plus the metric and
-profile snapshots riding along); the parent merges bundles with
+:class:`TraceBundle` (pid, wall-clock epoch, spans, plus the counter
+snapshot and run-journal rows riding along); the parent merges bundles with
 :meth:`Tracer.merge_bundle`, shifting each worker's monotonic timeline
 by the wall-clock offset between the two processes so one session trace
 covers every worker.  The **structural digest** (:meth:`Tracer.digest`)
@@ -34,7 +34,10 @@ import threading
 import time
 from contextlib import contextmanager
 from dataclasses import dataclass, field
-from typing import Callable, Dict, Iterator, List, Optional
+from typing import TYPE_CHECKING, Callable, Dict, Iterator, List, Optional
+
+if TYPE_CHECKING:                        # the supervisor imports this module
+    from repro.runtime.supervisor import StageRecord
 
 __all__ = [
     "Span",
@@ -146,8 +149,7 @@ class TraceBundle:
     wall_epoch_s: float            # time.time() at the worker tracer's zero
     spans: List[Span] = field(default_factory=list)
     metrics: Dict[str, object] = field(default_factory=dict)
-    profile: List[Dict[str, object]] = field(default_factory=list)
-    stages: Dict[str, float] = field(default_factory=dict)
+    journal: List["StageRecord"] = field(default_factory=list)
 
 
 class _SpanContext:

@@ -44,7 +44,7 @@ from concurrent.futures.process import BrokenProcessPool
 from contextlib import ExitStack
 from dataclasses import dataclass, field
 from pathlib import Path
-from typing import Dict, List, Optional, Sequence, Tuple
+from typing import Dict, Iterable, List, Optional, Sequence, Tuple
 
 from repro.errors import (
     CheckpointError,
@@ -53,7 +53,6 @@ from repro.errors import (
     WorkerCrashError,
 )
 from repro.obs import metrics as obs_metrics
-from repro.obs import profile as obs_profile
 from repro.obs import trace as obs_trace
 from repro.obs.trace import TraceBundle
 from repro.parallel.plan import (
@@ -77,6 +76,12 @@ from repro.runtime.session import (
     install_session,
     use_session,
 )
+from repro.runtime.supervisor import (
+    StageRecord,
+    StageSupervisor,
+    current_supervisor,
+    use_supervisor,
+)
 
 logger = logging.getLogger(__name__)
 
@@ -91,9 +96,9 @@ class WorkerContext:
     schema_version: int
     fault_specs: Tuple = ()           # repro.runtime.faults.FaultSpec, ...
     fault_label_filter: Optional[str] = None
-    # Observability: when the parent session runs traced/profiled, each
-    # worker records into its own tracer/registry/profiler and ships a
-    # TraceBundle home through the store (see _execute_task).
+    # Observability: when the parent session runs traced, each task
+    # records into its own tracer/registry and ships a TraceBundle (with
+    # its run-journal rows) home through the store (see _execute_task).
     trace_enabled: bool = False
 
 
@@ -132,10 +137,10 @@ def _trace_key(task_key: str) -> str:
     return config_key("trace", task_key)
 
 
-def _stage_walls(journal, mark: int) -> Dict[str, float]:
-    """Per-stage wall time from the journal records a task appended."""
+def _stage_walls(rows: Iterable[StageRecord]) -> Dict[str, float]:
+    """Per-stage wall time of a task's journal rows, summed over attempts."""
     walls: Dict[str, float] = {}
-    for record in journal.records[mark:]:
+    for record in rows:
         walls[record.stage] = walls.get(record.stage, 0.0) \
             + record.wall_time_s
     return walls
@@ -144,14 +149,11 @@ def _stage_walls(journal, mark: int) -> Dict[str, float]:
 def _ship_bundle(store: CheckpointStore, spec: TaskSpec,
                  tracer: obs_trace.Tracer,
                  registry: obs_metrics.MetricsRegistry,
-                 profiler: obs_profile.Profiler,
-                 stages: Dict[str, float]) -> None:
-    """Export this task's spans/metrics/profile and store them."""
+                 rows: List[StageRecord]) -> None:
+    """Export this task's spans, counters and journal rows; store them."""
     bundle = tracer.export_bundle(label=spec.label)
     bundle.metrics = registry.snapshot()
-    bundle.profile = profiler.rows()
-    bundle.stages = stages
-    profiler.close()
+    bundle.journal = rows
     store.try_store(_trace_key(spec.key), bundle)
 
 
@@ -160,13 +162,15 @@ def _execute_task(spec: TaskSpec) -> Dict[str, object]:
 
     The result crosses the process boundary through the checkpoint store;
     only if the store write fails is the value shipped back inline so a
-    computed run is never discarded.  Under observability the task runs
-    against a fresh tracer/registry/profiler and ships a
-    :class:`TraceBundle` home through the store as well — the parent
-    merges the bundles into one session trace after the run.
+    computed run is never discarded.  The task journals its stage
+    attempts under a supervisor of its own (the inherited one's
+    policies, an empty journal), so its rows are its alone, inline or
+    in a worker.  Under observability it also runs against a fresh
+    tracer/registry and ships a :class:`TraceBundle` home through the
+    store — the parent merges the bundles, journal rows included, after
+    the run.
     """
     from repro.runtime import faults
-    from repro.runtime.supervisor import current_supervisor
 
     context = _CONTEXT
     store = current_session().store
@@ -184,16 +188,18 @@ def _execute_task(spec: TaskSpec) -> Dict[str, object]:
             context.fault_label_filter is None
             or context.fault_label_filter in spec.label):
         plan = faults.install(faults.FaultPlan(list(context.fault_specs)))
-    journal = current_supervisor().journal
-    mark = len(journal.records)
-    obs = ExitStack()
-    tracer = registry = profiler = None
+    inherited = current_supervisor()
+    supervisor = StageSupervisor(policies=inherited.policies,
+                                 default_policy=inherited.default_policy)
+    rows = supervisor.journal.records
+    scope = ExitStack()
+    scope.enter_context(use_supervisor(supervisor))
+    tracer = registry = None
     if context.trace_enabled:
-        tracer = obs.enter_context(obs_trace.use_tracer(obs_trace.Tracer()))
-        registry = obs.enter_context(
+        tracer = scope.enter_context(
+            obs_trace.use_tracer(obs_trace.Tracer()))
+        registry = scope.enter_context(
             obs_metrics.use_metrics(obs_metrics.MetricsRegistry()))
-        profiler = obs.enter_context(
-            obs_profile.use_profiler(obs_profile.Profiler()))
     try:
         value = _compute(spec)
     except ReproError as exc:
@@ -201,7 +207,7 @@ def _execute_task(spec: TaskSpec) -> Dict[str, object]:
                     error=type(exc).__name__, message=str(exc),
                     repro_error=True,
                     wall_s=time.perf_counter() - start,
-                    stages=_stage_walls(journal, mark))
+                    stages=_stage_walls(rows))
         return base
     except Exception as exc:
         # A non-Repro exception is a genuine bug.  Contain it to the same
@@ -212,20 +218,19 @@ def _execute_task(spec: TaskSpec) -> Dict[str, object]:
                     error=type(exc).__name__, message=str(exc),
                     repro_error=False,
                     wall_s=time.perf_counter() - start,
-                    stages=_stage_walls(journal, mark))
+                    stages=_stage_walls(rows))
         return base
     finally:
-        obs.close()
+        scope.close()
         if tracer is not None:
-            _ship_bundle(store, spec, tracer, registry, profiler,
-                         _stage_walls(journal, mark))
+            _ship_bundle(store, spec, tracer, registry, rows)
         if plan is not None:
             faults.reset()
 
     stored = store.try_store(spec.key, value) is not None
     base.update(status=STATUS_OK, cached=False, stored=stored,
                 wall_s=time.perf_counter() - start,
-                stages=_stage_walls(journal, mark))
+                stages=_stage_walls(rows))
     if not stored:
         base["value"] = value
     return base
@@ -345,24 +350,24 @@ class ParallelEngine:
             fault_specs=self.worker_faults,
             fault_label_filter=self.fault_label_filter,
             trace_enabled=(obs_trace.current_tracer().enabled
-                           or obs_metrics.current_metrics().enabled
-                           or obs_profile.current_profiler().enabled),
+                           or obs_metrics.current_metrics().enabled),
         )
 
     def _merge_observability(self, records: Dict[str, TaskRecord]) -> None:
-        """Fold worker trace bundles into the session's observability.
+        """Fold task trace bundles into the session's observability.
 
         Bundles are merged sorted by task key, so the merged trace — and
         its structural digest — is independent of completion order and of
-        how tasks landed on workers.  A cache-hit task whose bundle is
-        still in the store contributes the spans of the run that computed
-        it, keeping traced resumes digest-comparable.
+        how tasks landed on workers; each bundle's journal rows join the
+        session supervisor's journal.  A cache-hit task whose bundle is
+        still in the store contributes the spans and rows of the run that
+        computed it, keeping traced resumes digest-comparable.
         """
         tracer = obs_trace.current_tracer()
         registry = obs_metrics.current_metrics()
-        profiler = obs_profile.current_profiler()
-        if not (tracer.enabled or registry.enabled or profiler.enabled):
+        if not (tracer.enabled or registry.enabled):
             return
+        journal = current_supervisor().journal
         for key in sorted(records):
             record = records[key]
             bundle = self.store.load(_trace_key(key))
@@ -372,9 +377,9 @@ class ParallelEngine:
                                 container_name=f"task:{record.label}",
                                 task=record.label, kind=record.kind)
             registry.merge_snapshot(bundle.metrics)
-            profiler.merge_rows(bundle.profile)
-            if not record.stages and bundle.stages:
-                record.stages = dict(bundle.stages)
+            journal.extend(bundle.journal)
+            if not record.stages:
+                record.stages = _stage_walls(bundle.journal)
 
     def _warm_libraries(self, pending: Dict[str, _PendingTask]) -> None:
         """Pre-build the cell libraries the batch needs in the parent.

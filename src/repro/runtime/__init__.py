@@ -3,8 +3,9 @@
 Four cooperating pieces:
 
 * :mod:`repro.runtime.supervisor` — per-stage timeouts, bounded retries
-  with backoff, graceful degradation, and a structured run journal for
-  every stage of the design flow.
+  with backoff, graceful degradation, and a structured run journal with
+  one record (outcome, wall and CPU time, peak RSS) per attempt of every
+  stage of the design flow — the source of ``repro --profile``'s table.
 * :mod:`repro.runtime.checkpoint` — persistent, atomically-written,
   checksummed on-disk checkpoints of flow results keyed by a versioned
   canonical hash of the full configuration, so interrupted bench

@@ -98,7 +98,9 @@ logger = logging.getLogger(__name__)
 #    kernel), so every config and stage digest changed.
 # 5: a pickled Module carries its pin table; a module stored before it
 #    would load without one and read as unconnected.
-SCHEMA_VERSION = 5
+# 6: a TraceBundle carries its task's run-journal rows in place of the
+#    profile rows and stage walls; an older bundle has no ``journal``.
+SCHEMA_VERSION = 6
 
 _MAGIC = b"repro-ckpt"
 

@@ -16,7 +16,9 @@ The :class:`StageSupervisor` wraps each stage of
   that partial result instead of raising — the paper's "proceed with
   routing detours" move, and
 * a structured **run journal** recording stage, attempt, wall time,
-  outcome, and exception class for every attempt.
+  CPU time, peak RSS, outcome, and exception class for every attempt —
+  the one per-attempt record; ``repro --profile`` prints its per-stage
+  table.
 
 A process-wide supervisor is always active (:func:`current_supervisor`);
 :func:`use_supervisor` swaps one in for a scope.  Every attempt also
@@ -26,22 +28,35 @@ default supervisor too.
 
 from __future__ import annotations
 
-import json
 import logging
+import sys
 import threading
 import time
 from contextlib import contextmanager
 from dataclasses import dataclass
-from typing import Callable, Dict, Iterator, List, Optional, Tuple
+from typing import Callable, Dict, Iterator, List, Optional, Sequence, Tuple
 
-from repro.check.findings import AuditFinding
 from repro.errors import RetryExhaustedError, StageTimeoutError
 from repro.obs import metrics as obs_metrics
-from repro.obs import profile as obs_profile
 from repro.obs import trace as obs_trace
 from repro.runtime import faults
 
+try:
+    import resource
+except ImportError:                      # pragma: no cover - non-POSIX
+    resource = None
+
 logger = logging.getLogger(__name__)
+
+# ru_maxrss is kilobytes on Linux, bytes on macOS.
+_RSS_TO_KB = 1024 if sys.platform == "darwin" else 1
+
+
+def peak_rss_kb() -> float:
+    """The process's resident-set high-water mark, in kB (0 if unknown)."""
+    if resource is None:
+        return 0.0
+    return resource.getrusage(resource.RUSAGE_SELF).ru_maxrss / _RSS_TO_KB
 
 
 @dataclass
@@ -72,6 +87,10 @@ class StageRecord:
     attempt: int
     outcome: str                  # ok | retried | degraded | error | timeout
     wall_time_s: float
+    # Whole-process CPU time over the attempt (so a body running on the
+    # timeout thread is charged) and the process's peak RSS at its end.
+    cpu_s: float = 0.0
+    peak_rss_kb: float = 0.0
     run: str = ""                 # run label (e.g. "aes-2D"), if any
     error: Optional[str] = None   # exception class name
     message: str = ""
@@ -82,6 +101,8 @@ class StageRecord:
             "attempt": self.attempt,
             "outcome": self.outcome,
             "wall_time_s": round(self.wall_time_s, 6),
+            "cpu_s": round(self.cpu_s, 6),
+            "peak_rss_kb": round(self.peak_rss_kb, 1),
             "run": self.run,
             "error": self.error,
             "message": self.message,
@@ -93,28 +114,16 @@ class RunJournal:
 
     def __init__(self) -> None:
         self.records: List[StageRecord] = []
-        self.findings: List[AuditFinding] = []
         self._lock = threading.Lock()
 
     def record(self, record: StageRecord) -> None:
         with self._lock:
             self.records.append(record)
 
-    def record_finding(self, finding: AuditFinding) -> None:
-        """Journal one invariant-audit finding (see :mod:`repro.check`)."""
+    def extend(self, records: Sequence[StageRecord]) -> None:
+        """Append attempts journaled elsewhere (a pool task's rows)."""
         with self._lock:
-            self.findings.append(finding)
-
-    def findings_for(self, run: Optional[str] = None,
-                     severity: Optional[str] = None) -> List[AuditFinding]:
-        return [f for f in self.findings
-                if (run is None or f.run == run)
-                and (severity is None or f.severity == severity)]
-
-    def clear(self) -> None:
-        with self._lock:
-            self.records.clear()
-            self.findings.clear()
+            self.records.extend(records)
 
     def for_stage(self, stage: str) -> List[StageRecord]:
         return [r for r in self.records if r.stage == stage]
@@ -122,30 +131,26 @@ class RunJournal:
     def outcomes(self, stage: str) -> List[str]:
         return [r.outcome for r in self.for_stage(stage)]
 
-    def summary(self) -> Dict[str, object]:
-        """Aggregate counts plus total supervised wall time."""
-        by_outcome: Dict[str, int] = {}
-        for r in self.records:
-            by_outcome[r.outcome] = by_outcome.get(r.outcome, 0) + 1
-        summary: Dict[str, object] = {
-            "attempts": len(self.records),
-            "by_outcome": by_outcome,
-            "wall_time_s": round(sum(r.wall_time_s for r in self.records), 6),
-        }
-        if self.findings:
-            summary["audit_findings"] = len(self.findings)
-            summary["audit_errors"] = sum(
-                1 for f in self.findings if f.severity == "error")
-        return summary
-
-    def write_jsonl(self, path: str) -> None:
-        with open(path, "w") as stream:
-            for r in self.records:
-                stream.write(json.dumps(r.to_dict()) + "\n")
-            for f in self.findings:
-                line = {"kind": "finding"}
-                line.update(f.to_dict())
-                stream.write(json.dumps(line) + "\n")
+    def stage_table(self, order: Sequence[str]) -> List[Dict[str, object]]:
+        """Per-stage rows in ``order`` for ``format_table`` (``repro
+        --profile``): walls and CPU summed over attempts, peak RSS the
+        max; stages with no attempt are left out."""
+        with self._lock:
+            records = list(self.records)
+        rows = []
+        for stage in order:
+            attempts = [r for r in records if r.stage == stage]
+            if not attempts:
+                continue
+            rows.append({
+                "stage": stage,
+                "wall (s)": round(sum(r.wall_time_s for r in attempts), 3),
+                "cpu (s)": round(sum(r.cpu_s for r in attempts), 3),
+                "peak RSS (MB)": round(
+                    max(r.peak_rss_kb for r in attempts) / 1024.0, 1),
+                "attempts": len(attempts),
+            })
+        return rows
 
 
 def _run_with_timeout(name: str, fn: Callable[[], object],
@@ -212,22 +217,6 @@ class StageSupervisor:
     def run_label(self) -> str:
         return self._run_label
 
-    # -- audit findings ---------------------------------------------------
-
-    def record_findings(self, findings) -> None:
-        """Journal audit findings, tagged with the current run label."""
-        findings = list(findings)
-        if findings:
-            obs_metrics.counter("audit.findings").inc(len(findings))
-        for finding in findings:
-            if self._run_label and not finding.run:
-                finding = AuditFinding(
-                    check=finding.check, severity=finding.severity,
-                    stage=finding.stage, message=finding.message,
-                    objects=finding.objects, measured=finding.measured,
-                    bound=finding.bound, run=self._run_label)
-            self.journal.record_finding(finding)
-
     # -- policy resolution -----------------------------------------------
 
     def policy_for(self, stage: str,
@@ -275,14 +264,11 @@ class StageSupervisor:
             return result
 
         tracer = obs_trace.current_tracer()
-        profiler = obs_profile.current_profiler()
         for attempt in range(1, attempts + 1):
-            start = time.perf_counter()
+            clocks = (time.perf_counter(), time.process_time())
             with tracer.span(f"stage:{stage}", category="stage",
                              stage=stage, attempt=attempt,
-                             run=self._run_label) as span, \
-                    profiler.sample(stage, run=self._run_label,
-                                    attempt=attempt):
+                             run=self._run_label) as span:
                 try:
                     result = _run_with_timeout(stage, body,
                                                policy.timeout_s,
@@ -293,11 +279,10 @@ class StageSupervisor:
                     # would keep the failed attempt's state (a congestion
                     # error carries a whole layout) alive until the next
                     # full garbage collection.
-                    wall = time.perf_counter() - start
                     retryable = StageTimeoutError in policy.retry_on or \
                         any(issubclass(StageTimeoutError, cls)
                             for cls in policy.retry_on)
-                    self._note(stage, attempt, "timeout", wall, exc)
+                    self._note(stage, attempt, "timeout", clocks, exc)
                     span.set("outcome", "timeout")
                     span.event("timeout", timeout_s=policy.timeout_s)
                     obs_metrics.counter("supervisor.timeouts").inc()
@@ -308,11 +293,10 @@ class StageSupervisor:
                     obs_metrics.counter("supervisor.retries").inc()
                     self._between_attempts(policy, attempt, exc, on_retry)
                 except policy.retry_on as exc:    # type: ignore[misc]
-                    wall = time.perf_counter() - start
                     if attempt >= attempts:
                         partial = getattr(exc, "partial", None)
                         if policy.degrade and partial is not None:
-                            self._note(stage, attempt, "degraded", wall,
+                            self._note(stage, attempt, "degraded", clocks,
                                        exc)
                             span.set("outcome", "degraded")
                             span.event("degraded",
@@ -321,28 +305,25 @@ class StageSupervisor:
                                 "stage %s degraded after %d attempt(s): "
                                 "%s", stage, attempt, exc)
                             return partial
-                        self._note(stage, attempt, "error", wall, exc)
+                        self._note(stage, attempt, "error", clocks, exc)
                         span.set("outcome", "error")
                         span.set("error", type(exc).__name__)
                         raise RetryExhaustedError(stage, attempt,
                                                   exc) from exc
-                    self._note(stage, attempt, "retried", wall, exc)
+                    self._note(stage, attempt, "retried", clocks, exc)
                     span.set("outcome", "retried")
                     span.event("retry", error=type(exc).__name__,
                                next_attempt=attempt + 1)
                     obs_metrics.counter("supervisor.retries").inc()
                     self._between_attempts(policy, attempt, exc, on_retry)
                 except Exception as exc:
-                    wall = time.perf_counter() - start
-                    self._note(stage, attempt, "error", wall, exc)
+                    self._note(stage, attempt, "error", clocks, exc)
                     span.set("outcome", "error")
                     span.set("error", type(exc).__name__)
                     raise
                 else:
-                    wall = time.perf_counter() - start
-                    self._note(stage, attempt, "ok", wall, None)
+                    self._note(stage, attempt, "ok", clocks, None)
                     span.set("outcome", "ok")
-                    obs_metrics.histogram("stage.wall_s").observe(wall)
                     return result
         # Unreachable: every loop path returns or raises.
         raise RetryExhaustedError(stage, attempts)
@@ -358,12 +339,18 @@ class StageSupervisor:
             self._sleep(backoff)
 
     def _note(self, stage: str, attempt: int, outcome: str,
-              wall: float, exc: Optional[BaseException]) -> None:
+              clocks: Tuple[float, float],
+              exc: Optional[BaseException]) -> None:
+        """Journal one attempt; ``clocks`` are the wall-clock and
+        process-CPU readings taken when it started."""
+        wall0, cpu0 = clocks
         self.journal.record(StageRecord(
             stage=stage,
             attempt=attempt,
             outcome=outcome,
-            wall_time_s=wall,
+            wall_time_s=time.perf_counter() - wall0,
+            cpu_s=time.process_time() - cpu0,
+            peak_rss_kb=peak_rss_kb(),
             run=self._run_label,
             error=type(exc).__name__ if exc is not None else None,
             message=str(exc) if exc is not None else "",

@@ -1,8 +1,9 @@
 """CLI smoke tests for ``repro trace``, ``--profile`` and ``--trace-out``.
 
 Experiments that run no flows (table10) keep the pure-JSON checks cheap;
-one tiny export-layout flow covers the per-stage profile table and the
-Chrome trace schema.
+tiny flows cover the per-stage profile table, the journal rows of
+``trace --json``, the Chrome trace schema, and each invocation's own
+supervisor.
 """
 
 from __future__ import annotations
@@ -12,9 +13,13 @@ import json
 import pytest
 
 from repro.cli import main
-
-FLOW_STAGES = ("prepare", "synthesis", "layout", "post_route", "signoff",
-               "power")
+from repro.flow.design_flow import FLOW_STAGES
+from repro.runtime.supervisor import (
+    StageRecord,
+    StageSupervisor,
+    current_supervisor,
+    use_supervisor,
+)
 
 
 pytestmark = pytest.mark.usefixtures("fresh_session")
@@ -29,6 +34,21 @@ def test_trace_json_round_trips(capsys):
     assert doc["experiment"] == "table10"
     assert doc["trace"]["digest"]
     assert doc["trace"]["n_spans"] == len(doc["trace"]["spans"])
+
+
+def test_trace_json_profile_has_one_row_per_stage_attempt(capsys):
+    """``profile`` holds the run journal: one row per supervised stage
+    attempt (as many as the trace's ``stage:*`` spans), every flow stage
+    covered, each with its CPU time and peak RSS."""
+    rc = main(["trace", "fig8", "--json"])
+    doc = json.loads(capsys.readouterr().out)
+    assert rc == 0
+    rows = doc["profile"]
+    attempts = [s for s in doc["trace"]["spans"]
+                if s["name"].startswith("stage:")]
+    assert len(rows) == len(attempts) > len(FLOW_STAGES)
+    assert {r["stage"] for r in rows} == set(FLOW_STAGES)
+    assert all(r["cpu_s"] >= 0.0 and r["peak_rss_kb"] > 0.0 for r in rows)
 
 
 def test_trace_rejects_unknown_experiment(capsys):
@@ -68,6 +88,27 @@ def test_profile_emits_stage_rows_and_chrome_trace(tmp_path, capsys):
     assert {f"stage:{s}" for s in FLOW_STAGES} <= names
     assert any(n.startswith("place.") for n in names)
     assert any(n.startswith("sta.") for n in names)
+
+
+def test_main_runs_under_its_own_supervisor(capsys):
+    """Two in-process invocations leave the caller's journal as it was,
+    and the second one's ``--profile`` table counts only its own
+    attempts: one 2D and one T-MI flow, one attempt per stage each."""
+    caller = StageSupervisor()
+    mark = StageRecord(stage="caller", attempt=1, outcome="ok",
+                       wall_time_s=0.0)
+    caller.journal.record(mark)
+    with use_supervisor(caller):
+        assert main(["compare", "fpu", "--scale", "0.03"]) == 0
+        capsys.readouterr()
+        assert main(["--profile", "compare", "fpu", "--scale", "0.03"]) == 0
+        assert current_supervisor() is caller
+    assert caller.journal.records == [mark]
+    out = capsys.readouterr().out
+    table = out.split("per-stage profile", 1)[1].split("\n\n", 1)[0]
+    rows = {line.split()[0]: line.split()[-1]
+            for line in table.splitlines()[3:]}
+    assert rows == {stage: "2" for stage in FLOW_STAGES}
 
 
 def test_bench_report_gains_profile_fields(tmp_path, capsys):

@@ -1,4 +1,4 @@
-"""Cross-process trace merge and stage-resolved engine reports.
+"""Cross-process trace and journal merge, stage-resolved engine reports.
 
 Runs real (tiny-scale) flows through the parallel engine under a live
 tracer, so these sit with the parallel-pool tests among the slowest in
@@ -14,14 +14,13 @@ import pytest
 from repro.experiments import runner
 from repro.obs import (
     MetricsRegistry,
-    Profiler,
     Tracer,
     use_metrics,
-    use_profiler,
     use_tracer,
 )
 from repro.parallel import ParallelEngine, TaskGraph, comparison_task
 from repro.runtime.checkpoint import CheckpointStore
+from repro.runtime.supervisor import StageSupervisor, use_supervisor
 
 SCALE = 0.04
 
@@ -30,15 +29,23 @@ pytestmark = pytest.mark.usefixtures("fresh_session")
 
 
 def _traced_run(store, jobs):
-    """One traced engine session; returns (digest, counters, rows, report)."""
+    """One traced engine session under a supervisor of its own; returns
+    (tracer, counters, the supervisor's journal rows, report)."""
     tracer = Tracer()
     with use_tracer(tracer), \
             use_metrics(MetricsRegistry()) as registry, \
-            use_profiler(Profiler()) as profiler:
+            use_supervisor(StageSupervisor()) as supervisor:
         engine = ParallelEngine(store=store, jobs=jobs)
         report = engine.execute(
             TaskGraph([comparison_task("fpu", scale=SCALE)]))
-    return tracer, registry.snapshot(), profiler.rows(), report
+    return tracer, registry.snapshot(), supervisor.journal.records, report
+
+
+def _summed_walls(rows):
+    walls = {}
+    for row in rows:
+        walls[row.stage] = walls.get(row.stage, 0.0) + row.wall_time_s
+    return walls
 
 
 def test_merged_trace_parity_and_digest_stability(tmp_path):
@@ -78,36 +85,47 @@ def test_merged_trace_parity_and_digest_stability(tmp_path):
     assert report1.summary()["stages"].keys() == \
         report2.summary()["stages"].keys()
 
-    # Worker metrics and profile rows made it home.
+    # Worker metrics and journal rows made it home: inline or pooled,
+    # the parent's journal gains the task's rows once, and the record's
+    # per-stage walls are those rows summed.
     for counters in (counters1, counters2):
         assert counters["counters"]["placer.iterations"] > 0
         assert counters["counters"]["sta.levelization_passes"] > 0
     assert counters1["counters"]["placer.iterations"] == \
         counters2["counters"]["placer.iterations"]
     assert len(rows1) == len(rows2) > 0
+    for rows, report in ((rows1, report1), (rows2, report2)):
+        assert all(r.cpu_s >= 0.0 and r.peak_rss_kb > 0.0 for r in rows)
+        assert report.stage_totals() == pytest.approx(_summed_walls(rows))
 
     # A replay over the same store serves the task from cache but merges
-    # the stored bundle: the session digest is unchanged and the cached
-    # record recovers its per-stage walls from the bundle.
+    # the stored bundle: the session digest is unchanged, the journal
+    # gains the stored run's rows and the cached record recovers its
+    # per-stage walls from them.
     runner.clear_caches()
     tracer3, _counters3, rows3, report3 = _traced_run(store2, jobs=2)
     assert report3.records[0].cached
     assert tracer3.digest() == tracer2.digest()
     assert set(report3.records[0].stages) == set(stages2)
-    assert len(rows3) == len(rows2)
+    assert [r.to_dict() for r in rows3] == [r.to_dict() for r in rows2]
+    assert report3.stage_totals() == pytest.approx(_summed_walls(rows3))
 
 
 def test_untraced_run_ships_no_bundles(tmp_path):
     """Without observability the engine must not store trace bundles."""
     store = CheckpointStore(tmp_path)
     engine = ParallelEngine(store=store, jobs=1)
-    report = engine.execute(
-        TaskGraph([comparison_task("fpu", scale=SCALE)]))
+    with use_supervisor(StageSupervisor()) as supervisor:
+        report = engine.execute(
+            TaskGraph([comparison_task("fpu", scale=SCALE)]))
     assert report.records[0].status == "ok"
     # Stage walls still resolve (journal-based, tracer-independent) ...
     assert report.records[0].stages
     assert report.stage_totals()
-    # ... but no trace bundle landed in the store (the result entry and
+    # ... from the task's own journal: an inline task leaves the
+    # caller's untouched ...
+    assert supervisor.journal.records == []
+    # ... and no trace bundle landed in the store (the result entry and
     # the workers' per-stage memo entries are expected).
     from repro.parallel.pool import _trace_key
 

@@ -5,8 +5,9 @@ driven by a fake clock: children nest inside their parents, same-thread
 siblings never overlap, a parent's duration covers its children's, and
 the structural digest is invariant under timing jitter and merge order
 but sensitive to structure.  Metrics properties cover counter
-monotonicity, histogram bucket conservation, and snapshot merging.  The
-no-op layer is checked for identity (zero allocation on hot paths).
+monotonicity and snapshot merging, and the run journal's per-stage table
+its aggregation.  The no-op layer is checked for identity (zero
+allocation on hot paths).
 """
 
 from __future__ import annotations
@@ -18,20 +19,16 @@ import pytest
 
 from repro.obs import (
     NULL_METRICS,
-    NULL_PROFILER,
     NULL_TRACER,
     MetricsRegistry,
-    Profiler,
     Tracer,
     current_metrics,
-    current_profiler,
     current_tracer,
     kernel,
-    observability_on,
     use_tracer,
 )
-from repro.obs.metrics import DEFAULT_BOUNDS, Histogram
 from repro.obs.trace import _NULL_SPAN_CONTEXT
+from repro.runtime.supervisor import RunJournal, StageRecord
 
 SEEDS = (11, 23, 47)
 
@@ -197,53 +194,23 @@ def test_counter_is_monotonic():
 
 
 @pytest.mark.parametrize("seed", SEEDS)
-def test_histogram_conserves_observations(seed):
-    rng = random.Random(seed)
-    hist = Histogram("h")
-    values = [rng.uniform(0.0, 400.0) for _ in range(200)]
-    for v in values:
-        hist.observe(v)
-    assert hist.count == len(values)
-    assert sum(hist.counts) == len(values)
-    assert hist.total == pytest.approx(sum(values))
-    # Bucket invariant: a value lands in the first bucket whose upper
-    # bound is >= value (the trailing bucket is +inf).
-    bounds = hist.bounds + (float("inf"),)
-    for i, n in enumerate(hist.counts):
-        lo = bounds[i - 1] if i > 0 else float("-inf")
-        expected = sum(1 for v in values if lo < v <= bounds[i])
-        assert n == expected
-
-
-@pytest.mark.parametrize("seed", SEEDS)
 def test_snapshot_merge_adds(seed):
     rng = random.Random(seed)
     a, b = MetricsRegistry(), MetricsRegistry()
     for registry in (a, b):
         registry.counter("c").inc(rng.randint(0, 50))
-        registry.gauge("g").set(rng.random())
-        for _ in range(rng.randint(1, 30)):
-            registry.histogram("h").observe(rng.uniform(0.0, 100.0))
     merged = MetricsRegistry()
     merged.merge_snapshot(a.snapshot())
     merged.merge_snapshot(b.snapshot())
     assert merged.counter("c").value == \
         a.counter("c").value + b.counter("c").value
-    assert merged.gauge("g").value == b.gauge("g").value   # last writer
-    assert merged.histogram("h").count == \
-        a.histogram("h").count + b.histogram("h").count
-    assert merged.histogram("h").total == pytest.approx(
-        a.histogram("h").total + b.histogram("h").total)
-    assert merged.histogram("h").counts == [
-        x + y for x, y in zip(a.histogram("h").counts,
-                              b.histogram("h").counts)]
 
 
 def test_snapshot_is_plain_json():
     registry = MetricsRegistry()
     registry.counter("c").inc(3)
-    registry.histogram("h", bounds=DEFAULT_BOUNDS).observe(0.2)
     snap = registry.snapshot()
+    assert snap == {"counters": {"c": 3}}
     assert json.loads(json.dumps(snap)) == snap
 
 
@@ -253,14 +220,11 @@ def test_disabled_layer_is_shared_singletons():
     """Tracing off must not allocate: every hot-path handle is shared."""
     assert current_tracer() is NULL_TRACER
     assert current_metrics() is NULL_METRICS
-    assert current_profiler() is NULL_PROFILER
-    assert not observability_on()
-    # One shared context manager for every span/kernel/sample request.
+    # One shared context manager for every span/kernel request.
     assert current_tracer().span("x") is current_tracer().span("y")
     assert kernel("place.spread") is kernel("sta.levelize")
     assert kernel("anything") is _NULL_SPAN_CONTEXT
     assert NULL_METRICS.counter("a") is NULL_METRICS.counter("b")
-    assert NULL_PROFILER.sample("s1") is NULL_PROFILER.sample("s2")
     # Null instruments accept writes and record nothing.
     NULL_METRICS.counter("a").inc(10)
     assert NULL_METRICS.counter("a").value == 0
@@ -274,19 +238,24 @@ def test_use_tracer_scopes_installation():
     tracer = Tracer(clock=FakeClock(), wall=lambda: 0.0)
     with use_tracer(tracer):
         assert current_tracer() is tracer
-        assert observability_on()
     assert current_tracer() is NULL_TRACER
 
 
-def test_profiler_samples_wall_and_cpu():
-    profiler = Profiler()
-    with profiler.sample("layout", run="aes-2D"):
-        sum(i * i for i in range(20000))
-    rows = profiler.rows()
-    assert len(rows) == 1
-    row = rows[0]
-    assert row["stage"] == "layout" and row["run"] == "aes-2D"
-    assert row["wall_s"] > 0.0 and row["cpu_s"] >= 0.0
-    assert row["peak_rss_kb"] > 0.0
-    table = profiler.stage_table(order=("layout",))
-    assert table[0]["stage"] == "layout" and table[0]["attempts"] == 1
+def test_journal_stage_table_sums_times_and_maxes_rss():
+    """Per stage, in the given order: walls and CPU summed over the
+    attempts, peak RSS their max; stages without attempts left out."""
+    journal = RunJournal()
+    for stage, attempt, wall, cpu, rss in (
+            ("layout", 1, 0.5, 0.25, 2048.0),
+            ("prepare", 1, 0.125, 0.0625, 1024.0),
+            ("layout", 2, 1.5, 0.75, 3072.0)):
+        journal.record(StageRecord(stage=stage, attempt=attempt,
+                                   outcome="ok", wall_time_s=wall,
+                                   cpu_s=cpu, peak_rss_kb=rss))
+    table = journal.stage_table(("prepare", "synthesis", "layout"))
+    assert table == [
+        {"stage": "prepare", "wall (s)": 0.125, "cpu (s)": 0.062,
+         "peak RSS (MB)": 1.0, "attempts": 1},
+        {"stage": "layout", "wall (s)": 2.0, "cpu (s)": 1.0,
+         "peak RSS (MB)": 3.0, "attempts": 2},
+    ]

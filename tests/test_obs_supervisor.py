@@ -2,8 +2,8 @@
 
 Retries, timeouts, and degradations driven by deterministic fault
 injection (:mod:`repro.runtime.faults`) must surface as annotated span
-events on the stage-attempt spans, alongside profiler samples and the
-supervisor counters.
+events on the stage-attempt spans, alongside the run journal's
+per-attempt records and the supervisor counters.
 """
 
 from __future__ import annotations
@@ -13,10 +13,8 @@ import pytest
 from repro.errors import RoutingError, StageTimeoutError
 from repro.obs import (
     MetricsRegistry,
-    Profiler,
     Tracer,
     use_metrics,
-    use_profiler,
     use_tracer,
 )
 from repro.obs.trace import kernel
@@ -32,10 +30,8 @@ from repro.runtime.supervisor import (
 def obs():
     tracer = Tracer()
     registry = MetricsRegistry()
-    profiler = Profiler()
-    with use_tracer(tracer), use_metrics(registry), \
-            use_profiler(profiler):
-        yield tracer, registry, profiler
+    with use_tracer(tracer), use_metrics(registry):
+        yield tracer, registry
 
 
 def _stage_spans(tracer, stage):
@@ -44,7 +40,7 @@ def _stage_spans(tracer, stage):
 
 
 def test_retries_appear_as_span_events(obs):
-    tracer, registry, profiler = obs
+    tracer, registry = obs
     supervisor = StageSupervisor(journal=RunJournal())
     policy = StagePolicy(max_attempts=3, retry_on=(RoutingError,))
 
@@ -65,16 +61,18 @@ def test_retries_appear_as_span_events(obs):
     assert all(e.attrs["error"] == "RoutingError" for e in retry_events)
     assert [e.attrs["next_attempt"] for e in retry_events] == [2, 3]
     assert registry.counter("supervisor.retries").value == 2
-    assert registry.histogram("stage.wall_s").count == 1   # the ok attempt
-    # One profiler sample per attempt, tagged with the run label.
-    rows = profiler.rows()
-    assert [r["attempt"] for r in rows] == [1, 2, 3]
-    assert all(r["stage"] == "layout" and r["run"] == "fpu-2D"
-               for r in rows)
+    # One journal record per attempt, tagged with the run label and
+    # carrying its CPU time and the process's peak RSS.
+    records = supervisor.journal.records
+    assert [r.attempt for r in records] == [1, 2, 3]
+    assert all(r.stage == "layout" and r.run == "fpu-2D"
+               for r in records)
+    assert all(r.cpu_s >= 0.0 and r.peak_rss_kb > 0.0 for r in records)
+    assert [r.outcome for r in records].count("ok") == 1
 
 
 def test_timeout_appears_as_span_event(obs):
-    tracer, registry, _profiler = obs
+    tracer, registry = obs
     supervisor = StageSupervisor(journal=RunJournal())
     policy = StagePolicy(timeout_s=0.05, max_attempts=2,
                          retry_on=(StageTimeoutError,))
@@ -98,7 +96,7 @@ def test_timeout_appears_as_span_event(obs):
 
 
 def test_timeout_exhaustion_keeps_annotated_spans(obs):
-    tracer, registry, _profiler = obs
+    tracer, registry = obs
     supervisor = StageSupervisor(journal=RunJournal())
     policy = StagePolicy(timeout_s=0.05, max_attempts=1)
 
@@ -116,7 +114,7 @@ def test_timeout_exhaustion_keeps_annotated_spans(obs):
 
 
 def test_degraded_outcome_annotated(obs):
-    tracer, _registry, _profiler = obs
+    tracer, _registry = obs
     supervisor = StageSupervisor(journal=RunJournal())
     policy = StagePolicy(max_attempts=2, retry_on=(RoutingError,),
                          degrade=True)
@@ -141,7 +139,7 @@ def test_kernel_spans_parented_across_timeout_thread(obs):
     """A timed stage runs its body on a worker thread; kernel spans
     opened there must still hang off the attempt span, not become
     trace roots."""
-    tracer, _registry, _profiler = obs
+    tracer, _registry = obs
     supervisor = StageSupervisor(journal=RunJournal())
     policy = StagePolicy(timeout_s=5.0)
 

@@ -197,21 +197,6 @@ def test_run_context_labels_records():
     assert runs == ["aes@45nm-2D", ""]
 
 
-def test_journal_summary_and_jsonl(tmp_path):
-    sup = make_supervisor()
-    sup.run_stage("a", lambda: 1)
-    sup.run_stage("b", lambda: 2)
-    summary = sup.journal.summary()
-    assert summary["attempts"] == 2
-    assert summary["by_outcome"] == {"ok": 2}
-    path = tmp_path / "journal.jsonl"
-    sup.journal.write_jsonl(str(path))
-    import json
-    lines = [json.loads(line) for line in path.read_text().splitlines()]
-    assert [l["stage"] for l in lines] == ["a", "b"]
-    assert all(l["outcome"] == "ok" for l in lines)
-
-
 def test_install_and_use_supervisor_scoping():
     default = current_supervisor()
     custom = make_supervisor()
