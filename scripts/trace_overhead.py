@@ -2,8 +2,9 @@
 """Measure the observability overhead on a full flow: traced vs untraced.
 
 Runs the same seeded flow in ``--repeats`` pairs, one run with
-observability off and one with both opt-in layers on (tracer + counter
-registry — what ``repro --profile`` installs).  The pairs alternate which
+observability off and one with the opt-in layer on (a tracer on the
+session, recording spans and counters — what ``repro --profile`` turns
+on).  The pairs alternate which
 mode runs first, so a drift in the host's speed falls on both modes
 alike.  It compares the **best-of-N** wall clocks of the two modes (the
 minimum is the least noise-sensitive estimator for a deterministic
@@ -42,12 +43,8 @@ from repro.flow.design_flow import (         # noqa: E402
     library_for,
     run_flow,
 )
-from repro.obs import (                      # noqa: E402
-    MetricsRegistry,
-    Tracer,
-    use_metrics,
-    use_tracer,
-)
+from repro.obs import Tracer                 # noqa: E402
+from repro.runtime.session import override   # noqa: E402
 
 
 def timed(fn) -> float:
@@ -80,7 +77,7 @@ def main(argv=None) -> int:
 
     def traced():
         tracer = Tracer()
-        with use_tracer(tracer), use_metrics(MetricsRegistry()):
+        with override(tracer=tracer):
             run_flow(config)
         n_spans["n"] = len(tracer.snapshot())
 

@@ -38,6 +38,7 @@ from repro.check.power import check_power
 from repro.check.routing import check_routing
 from repro.check.timing import check_timing
 from repro.errors import NetlistError
+from repro.runtime.session import current_session
 
 INJECTION_KINDS = ("overlap", "open", "short", "timing", "power")
 
@@ -60,28 +61,31 @@ class FlowArtifacts:
     label: str = ""           # run label, e.g. "aes@45nm-2D"
 
 
-# Active capture buckets; run_flow deposits into every open scope.
-_COLLECTORS: List[List[FlowArtifacts]] = []
-
-
 @contextmanager
 def capture_artifacts() -> Iterator[List[FlowArtifacts]]:
-    """Collect the FlowArtifacts of every run_flow call in this scope."""
+    """Collect the FlowArtifacts of every run_flow call in this scope.
+
+    The bucket is open on the current session; scopes nest, and a run
+    deposits into every open bucket.
+    """
     bucket: List[FlowArtifacts] = []
-    _COLLECTORS.append(bucket)
+    captures = current_session().captures
+    captures.append(bucket)
     try:
         yield bucket
     finally:
-        _COLLECTORS.remove(bucket)
+        # By identity: nested buckets hold equal contents, so
+        # ``list.remove`` could close the outer one instead.
+        captures[:] = [b for b in captures if b is not bucket]
 
 
 def collecting() -> bool:
-    return bool(_COLLECTORS)
+    return bool(current_session().captures)
 
 
 def deposit(artifacts: FlowArtifacts) -> None:
     """Called by run_flow at the end of each run while capturing."""
-    for bucket in _COLLECTORS:
+    for bucket in current_session().captures:
         bucket.append(artifacts)
 
 

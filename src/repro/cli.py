@@ -82,7 +82,6 @@ from repro.circuits.generators import BENCHMARKS
 from repro.errors import ReproError
 from repro.experiments import EXPERIMENTS
 from repro.flow.reports import format_table
-from repro.obs import metrics as obs_metrics
 from repro.obs import trace as obs_trace
 from repro.tech.miv import MIV_KOZ_DEFAULT
 from repro.tech.node import node_names
@@ -218,13 +217,12 @@ def _cmd_experiment(args: argparse.Namespace) -> int:
 def _stage_table() -> List[dict]:
     """The invocation's run journal, one row per flow stage."""
     from repro.flow.design_flow import FLOW_STAGES
-    from repro.runtime.supervisor import current_supervisor
+    from repro.runtime.session import current_session
 
-    return current_supervisor().journal.stage_table(FLOW_STAGES)
+    return current_session().supervisor.journal.stage_table(FLOW_STAGES)
 
 
-def _print_obs_summary(tracer: obs_trace.Tracer,
-                       registry: obs_metrics.MetricsRegistry) -> None:
+def _print_obs_summary(tracer: obs_trace.Tracer) -> None:
     """The human-facing observability readout (``--profile``, ``trace``)."""
     rows = _stage_table()
     if rows:
@@ -237,7 +235,7 @@ def _print_obs_summary(tracer: obs_trace.Tracer,
              for name, total in sorted(kernels.items())],
             "hot kernels"))
         print()
-    counters = registry.snapshot()["counters"]
+    counters = tracer.counts()
     if counters:
         print(format_table(
             [{"metric": name, "value": value}
@@ -260,10 +258,10 @@ def _write_chrome_trace(tracer: obs_trace.Tracer, path: str) -> None:
 
 
 def _cmd_trace(args: argparse.Namespace) -> int:
-    """Run one experiment under a fresh tracer and registry."""
+    """Run one experiment under a fresh tracer."""
     import json
 
-    from repro.runtime.supervisor import current_supervisor
+    from repro.runtime.session import override
 
     key = args.id.lower().replace(" ", "")
     if key not in EXPERIMENTS:
@@ -271,9 +269,8 @@ def _cmd_trace(args: argparse.Namespace) -> int:
         print(f"unknown experiment {args.id!r}; known: {known}",
               file=sys.stderr)
         return 2
-    with obs_trace.use_tracer(obs_trace.Tracer()) as tracer, \
-            obs_metrics.use_metrics(
-                obs_metrics.MetricsRegistry()) as registry:
+    with override(tracer=obs_trace.Tracer()) as session:
+        tracer = session.tracer
         if args.jobs > 1:
             _prefetch_for([key], args.jobs)
         if args.json:
@@ -285,15 +282,15 @@ def _cmd_trace(args: argparse.Namespace) -> int:
             _run_one_experiment(key)
             print()
         if args.json:
-            journal = current_supervisor().journal
             print(json.dumps({
                 "experiment": key,
                 "trace": tracer.to_dict(),
-                "metrics": registry.snapshot(),
-                "profile": [r.to_dict() for r in journal.records],
+                "metrics": {"counters": tracer.counts()},
+                "profile": [r.to_dict()
+                            for r in session.supervisor.journal.records],
             }, indent=2, sort_keys=True))
         else:
-            _print_obs_summary(tracer, registry)
+            _print_obs_summary(tracer)
         if args.chrome:
             _write_chrome_trace(tracer, args.chrome)
     return _report_session_errors()
@@ -306,6 +303,7 @@ def _cmd_bench(args: argparse.Namespace) -> int:
     import time
 
     from repro.experiments import runner
+    from repro.runtime.session import current_session
 
     ids = [i.lower().replace(" ", "") for i in (args.ids or BENCH_DEFAULT)]
     unknown = [i for i in ids if i not in EXPERIMENTS]
@@ -340,7 +338,7 @@ def _cmd_bench(args: argparse.Namespace) -> int:
             "engine": (engine_report.to_dict()
                        if engine_report is not None else None),
         }
-        tracer = obs_trace.current_tracer()
+        tracer = current_session().tracer
         if tracer.enabled:
             payload["trace_digest"] = tracer.digest()
             payload["kernels"] = {
@@ -365,11 +363,11 @@ def _cmd_audit(args: argparse.Namespace) -> int:
     from repro.check.findings import AuditReport
     from repro.flow.compare import run_iso_performance_comparison
     from repro.flow.design_flow import FlowConfig, run_flow
-    from repro.runtime.supervisor import current_supervisor
+    from repro.runtime.session import current_session
 
     circuits = args.circuits or list(PAPER_CIRCUITS)
     scenario_kwargs = _scenario_kwargs(args)
-    supervisor = current_supervisor()
+    supervisor = current_session().supervisor
     report = AuditReport()
     with audit_mod.capture_artifacts() as bucket:
         for circuit in circuits:
@@ -949,64 +947,49 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
-def _configure_runtime(args: argparse.Namespace):
-    """Apply the resilience flags to the invocation's session; returns
-    a context for the invocation."""
-    from contextlib import ExitStack
-
-    from repro.experiments import runner
-    from repro.runtime.checkpoint import CheckpointStore
-    from repro.runtime.supervisor import (
-        StagePolicy,
-        StageSupervisor,
-        use_supervisor,
-    )
-
-    if args.fresh:
-        store = CheckpointStore(args.checkpoint_dir)
-        n = store.clear()
-        print(f"cleared {n} checkpoint entr(ies) from {store.root}",
-              file=sys.stderr)
-    if args.resume:
-        runner.use_persistent_cache(args.checkpoint_dir)
-    stack = ExitStack()
-    # Every invocation journals into a supervisor of its own, so the
-    # caller's journal is left as it was and ``--profile`` counts only
-    # this invocation's attempts.  Forked pool workers inherit it.
-    stack.enter_context(use_supervisor(StageSupervisor(
-        default_policy=StagePolicy(timeout_s=args.timeout))))
-    if args.profile or args.trace_out:
-        tracer = stack.enter_context(obs_trace.use_tracer(
-            obs_trace.Tracer()))
-        registry = stack.enter_context(obs_metrics.use_metrics(
-            obs_metrics.MetricsRegistry()))
-        # LIFO: runs when the command is done, before the contexts pop.
-        stack.callback(_finish_observability, args, tracer, registry)
-    return stack
-
-
 def _finish_observability(args: argparse.Namespace,
-                          tracer: obs_trace.Tracer,
-                          registry: obs_metrics.MetricsRegistry) -> None:
+                          tracer: obs_trace.Tracer) -> None:
     if args.profile:
         print()
-        _print_obs_summary(tracer, registry)
+        _print_obs_summary(tracer)
     if args.trace_out:
         _write_chrome_trace(tracer, args.trace_out)
 
 
 def main(argv: Optional[List[str]] = None) -> int:
-    from repro.runtime.session import Session, use_session
+    from repro.experiments import runner
+    from repro.runtime.checkpoint import CheckpointStore
+    from repro.runtime.session import Session, current_session, use_session
+    from repro.runtime.supervisor import StageSupervisor
 
     parser = build_parser()
     args = parser.parse_args(argv)
+    traced = bool(args.profile or args.trace_out)
+    # Every invocation runs in a fresh session (store binding,
+    # keep-going, memos, error records, a supervisor journaling only
+    # this invocation's attempts); the caller's is restored on exit, so
+    # in-process callers inherit nothing from the run.  Only the
+    # caller's fault plan carries over, which is how tests inject faults
+    # into a CLI run.
+    session = Session(
+        keep_going=args.keep_going,
+        supervisor=StageSupervisor(timeout_s=args.timeout),
+        tracer=obs_trace.Tracer() if traced else obs_trace.NULL_TRACER,
+        faults=current_session().faults)
     try:
-        # Every invocation runs in a fresh session (store binding,
-        # keep-going, memos, error records); the caller's is restored on
-        # exit, so in-process callers inherit nothing from the run.
-        with use_session(Session(keep_going=args.keep_going)), \
-                _configure_runtime(args):
-            return args.func(args)
+        with use_session(session):
+            if args.fresh:
+                store = CheckpointStore(args.checkpoint_dir)
+                n = store.clear()
+                print(f"cleared {n} checkpoint entr(ies) from {store.root}",
+                      file=sys.stderr)
+            if args.resume:
+                runner.use_persistent_cache(args.checkpoint_dir)
+            try:
+                return args.func(args)
+            finally:
+                if traced:
+                    _finish_observability(args, session.tracer)
     except ReproError as exc:
         print(f"error: {type(exc).__name__}: {exc}", file=sys.stderr)
         return 1

@@ -45,8 +45,8 @@ from repro.dse.cost import CostFunction, Objective, resolve_objectives
 from repro.dse.pareto import pareto_front
 from repro.dse.space import SweepSpace
 from repro.errors import DseError, ReproError, TaskFailedError
-from repro.obs import metrics as obs_metrics
-from repro.obs import trace as obs_trace
+from repro.obs.trace import Tracer, counter
+from repro.runtime.session import override
 
 SOURCE_GRID = "grid"
 SOURCE_REFINE = "refine"
@@ -256,10 +256,10 @@ class DseEngine:
             provenance = self._provenance(front)
 
         cache_hits = sum(row["stage_hits"] for row in provenance)
-        obs_metrics.counter("dse.evaluations").inc(len(self.points))
-        obs_metrics.counter("dse.rounds").inc(self.rounds)
-        obs_metrics.counter("dse.dedup_skips").inc(self.dedup_skips)
-        obs_metrics.counter("dse.cache_hits").inc(
+        counter("dse.evaluations").inc(len(self.points))
+        counter("dse.rounds").inc(self.rounds)
+        counter("dse.dedup_skips").inc(self.dedup_skips)
+        counter("dse.cache_hits").inc(
             self.prewarm_hits + cache_hits)
 
         return DseResult(
@@ -363,11 +363,10 @@ class DseEngine:
         rows: List[Dict[str, object]] = []
         for index in front:
             point = self.points[index]
-            with obs_trace.use_tracer(obs_trace.Tracer()) as tracer, \
-                    obs_metrics.use_metrics(
-                        obs_metrics.MetricsRegistry()) as registry:
+            tracer = Tracer()
+            with override(tracer=tracer):
                 replay = run_flow(point.config)
-            counters = registry.snapshot()["counters"]
+            counters = tracer.counts()
             replayed = {objective.name: objective.value(replay)
                         for objective in self.objectives}
             rows.append({

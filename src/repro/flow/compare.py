@@ -13,7 +13,7 @@ from typing import Dict, Optional
 
 from repro.flow.design_flow import FlowConfig, LayoutResult, run_flow
 from repro.flow.reports import percentage_diff
-from repro.runtime.supervisor import current_supervisor
+from repro.runtime.session import current_session
 
 
 @dataclass
@@ -67,7 +67,7 @@ def run_iso_performance_comparison(
     Extra keyword arguments are forwarded to both FlowConfigs (pin-cap
     scale, resistivity scale, metal stack, activities, ...).
     """
-    supervisor = current_supervisor()
+    supervisor = current_session().supervisor
     config_2d = FlowConfig(
         circuit=circuit,
         node_name=node_name,

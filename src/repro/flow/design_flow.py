@@ -52,8 +52,9 @@ from repro.check.timing import check_timing
 from repro.circuits.generators import generate_benchmark
 from repro.errors import CongestionError, RoutingError
 from repro.flow import stagecache
-from repro.obs import metrics as obs_metrics
-from repro.runtime.supervisor import StagePolicy, current_supervisor
+from repro.obs.trace import counter
+from repro.runtime.session import current_session
+from repro.runtime.supervisor import StagePolicy
 from repro.opt.cts import synthesize_clock_tree
 from repro.opt.optimizer import Optimizer
 from repro.place.placer import Placer
@@ -233,7 +234,7 @@ class _LayoutAttempt:
 
 def run_flow(config: FlowConfig) -> LayoutResult:
     """Run the full flow for one configuration (supervised stages)."""
-    supervisor = current_supervisor()
+    supervisor = current_session().supervisor
     # Stage-level incremental cache: pass-through unless a store is
     # bound (--resume / parallel workers).  Lookups happen *inside* the
     # supervised stage bodies, so the journal, tracing, and fault hooks
@@ -557,7 +558,7 @@ def run_flow(config: FlowConfig) -> LayoutResult:
         findings, n = check_power(power, module, library, routed_model)
         audit_report.extend(findings, n)
         if audit_report.findings:
-            obs_metrics.counter("audit.findings").inc(
+            counter("audit.findings").inc(
                 len(audit_report.findings))
         return audit_report
 

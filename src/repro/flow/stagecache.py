@@ -38,7 +38,6 @@ from __future__ import annotations
 from dataclasses import asdict
 from typing import Callable, Dict, List, Optional, Tuple
 
-from repro.obs import metrics as obs_metrics
 from repro.runtime.checkpoint import CheckpointStore, config_key
 from repro.runtime.session import current_session
 
@@ -209,12 +208,10 @@ class StageMemo:
     def fetch(self, stage: str, key: str) -> Optional[object]:
         """Load a stage payload, counting the stage hit or miss."""
         value = self.store.load(key)
-        if value is not None:
-            obs_metrics.counter("checkpoint.stage_hits").inc()
-            obs_metrics.counter(f"checkpoint.stage_hits.{stage}").inc()
-        else:
-            obs_metrics.counter("checkpoint.stage_misses").inc()
-            obs_metrics.counter(f"checkpoint.stage_misses.{stage}").inc()
+        tracer = current_session().tracer
+        outcome = "stage_hits" if value is not None else "stage_misses"
+        tracer.counter(f"checkpoint.{outcome}").inc()
+        tracer.counter(f"checkpoint.{outcome}.{stage}").inc()
         return value
 
     def save(self, key: str, payload: object) -> None:

@@ -7,22 +7,29 @@ open on the same thread becomes its child.  Spans carry **events**
 (point-in-time annotations such as a supervisor retry) and serialize to
 plain JSON or to the Chrome ``traceEvents`` format (load the file at
 ``chrome://tracing`` / https://ui.perfetto.dev — zero dependencies).
+The tracer also keeps the flow's named **counters** (placer iterations,
+router spills/rip-ups, STA levelization passes, checkpoint hits/misses,
+audit findings; the table is in ``docs/architecture.md``,
+"Observability"): one opt-in layer holds both.
 
-Tracing is **opt-in and free when off**: the module-level active tracer
-defaults to :data:`NULL_TRACER`, whose :meth:`~Tracer.span` returns one
-shared, do-nothing context manager — no allocation, no lock, no clock
-read on the hot paths (guarded by a no-op test).  ``repro --profile``
-and ``repro trace`` install a real tracer via :func:`use_tracer`.
+Tracing is **opt-in and free when off**: the current session's tracer
+(:attr:`repro.runtime.session.Session.tracer`) defaults to
+:data:`NULL_TRACER`, whose :meth:`~Tracer.span` returns one shared,
+do-nothing context manager and whose :meth:`~Tracer.counter` returns one
+shared no-op counter — no allocation, no lock, no clock read on the hot
+paths (guarded by a no-op test).  ``repro --profile`` and ``repro
+trace`` put a real tracer on the session.
 
 Cross-process traces: a worker exports its finished spans as a
-:class:`TraceBundle` (pid, wall-clock epoch, spans, plus the counter
-snapshot and run-journal rows riding along); the parent merges bundles with
+:class:`TraceBundle` (pid, wall-clock epoch, spans, plus the task's
+counts and run-journal rows riding along); the parent merges bundles with
 :meth:`Tracer.merge_bundle`, shifting each worker's monotonic timeline
 by the wall-clock offset between the two processes so one session trace
-covers every worker.  The **structural digest** (:meth:`Tracer.digest`)
-hashes the span forest with ids, pids, and times stripped and siblings
-canonically sorted, so two runs of the same seeded session are
-digest-equal even though their timings differ.
+covers every worker, and adding the counts in.  The **structural
+digest** (:meth:`Tracer.digest`) hashes the span forest with ids, pids,
+and times stripped and siblings canonically sorted, so two runs of the
+same seeded session are digest-equal even though their timings differ;
+counts do not enter it.
 """
 
 from __future__ import annotations
@@ -40,14 +47,13 @@ if TYPE_CHECKING:                        # the supervisor imports this module
     from repro.runtime.supervisor import StageRecord
 
 __all__ = [
+    "Counter",
     "Span",
     "SpanEvent",
     "TraceBundle",
     "Tracer",
     "NULL_TRACER",
-    "current_tracer",
-    "install_tracer",
-    "use_tracer",
+    "counter",
     "kernel",
 ]
 
@@ -140,6 +146,39 @@ NULL_SPAN = _NullSpan()
 _NULL_SPAN_CONTEXT = _NullSpanContext()
 
 
+class Counter:
+    """Monotonically non-decreasing count."""
+
+    __slots__ = ("name", "_value", "_lock")
+
+    def __init__(self, name: str):
+        self.name = name
+        self._value = 0
+        self._lock = threading.Lock()
+
+    def inc(self, n: int = 1) -> None:
+        if n < 0:
+            raise ValueError(f"counter {self.name!r} cannot decrease")
+        with self._lock:
+            self._value += n
+
+    @property
+    def value(self) -> int:
+        return self._value
+
+
+class _NullCounter(Counter):
+    """The counter handed out by the null tracer: accepts, counts nothing."""
+
+    __slots__ = ()
+
+    def inc(self, n: int = 1) -> None:
+        return None
+
+
+_NULL_COUNTER = _NullCounter("null")
+
+
 @dataclass
 class TraceBundle:
     """A worker's finished spans plus riders, shipped through the store."""
@@ -148,7 +187,7 @@ class TraceBundle:
     pid: int
     wall_epoch_s: float            # time.time() at the worker tracer's zero
     spans: List[Span] = field(default_factory=list)
-    metrics: Dict[str, object] = field(default_factory=dict)
+    counts: Dict[str, int] = field(default_factory=dict)
     journal: List["StageRecord"] = field(default_factory=list)
 
 
@@ -184,6 +223,7 @@ class Tracer:
         self._lock = threading.Lock()
         self._next_id = 1
         self.spans: List[Span] = []      # finished spans, closing order
+        self._counters: Dict[str, Counter] = {}
 
     # -- clock -------------------------------------------------------------
 
@@ -264,14 +304,32 @@ class Tracer:
         if span is not None:
             span.event(name, t_us=self.now_us(), **attrs)
 
+    # -- counters ----------------------------------------------------------
+
+    def counter(self, name: str) -> Counter:
+        """The named counter, created on first use."""
+        with self._lock:
+            inst = self._counters.get(name)
+            if inst is None:
+                inst = self._counters[name] = Counter(name)
+        return inst
+
+    def counts(self) -> Dict[str, int]:
+        """A plain-dict, picklable view of every counter, by name."""
+        with self._lock:
+            counters = dict(self._counters)
+        return {name: c.value for name, c in sorted(counters.items())}
+
     # -- merging -----------------------------------------------------------
 
     def export_bundle(self, label: str = "") -> TraceBundle:
-        """Snapshot the finished spans for shipping to another process."""
+        """Snapshot the finished spans and the counts for shipping to
+        another process."""
         with self._lock:
             spans = list(self.spans)
         return TraceBundle(label=label, pid=os.getpid(),
-                           wall_epoch_s=self.wall_epoch_s, spans=spans)
+                           wall_epoch_s=self.wall_epoch_s, spans=spans,
+                           counts=self.counts())
 
     def merge_bundle(self, bundle: TraceBundle,
                      container_name: Optional[str] = None,
@@ -282,8 +340,11 @@ class Tracer:
         offset between the worker's epoch and ours, so all processes
         share one timeline.  A synthetic ``task`` container span wrapping
         the bundle is added when ``container_name`` is given; bundle
-        roots are re-parented under it.
+        roots are re-parented under it.  The bundle's counts add to
+        this tracer's.
         """
+        for name, value in bundle.counts.items():
+            self.counter(name).inc(int(value))
         offset_us = (bundle.wall_epoch_s - self.wall_epoch_s) * 1e6
         with self._lock:
             id_map: Dict[int, int] = {}
@@ -450,6 +511,9 @@ class _NullTracer(Tracer):
     def event(self, name: str, **attrs: object) -> None:
         return None
 
+    def counter(self, name: str) -> Counter:
+        return _NULL_COUNTER
+
     @contextmanager
     def attach(self, parent: Optional[Span]) -> Iterator[None]:
         yield
@@ -461,39 +525,24 @@ class _NullTracer(Tracer):
 
 
 NULL_TRACER = _NullTracer()
-_ACTIVE: Tracer = NULL_TRACER
-
-
-def current_tracer() -> Tracer:
-    """The tracer obs-instrumented code records into."""
-    return _ACTIVE
-
-
-def install_tracer(tracer: Optional[Tracer]) -> Tracer:
-    """Install (or with ``None``, reset to the null tracer) globally."""
-    global _ACTIVE
-    _ACTIVE = tracer if tracer is not None else NULL_TRACER
-    return _ACTIVE
-
-
-@contextmanager
-def use_tracer(tracer: Tracer) -> Iterator[Tracer]:
-    """Scope a tracer: installed on entry, previous restored on exit."""
-    previous = _ACTIVE
-    install_tracer(tracer)
-    try:
-        yield tracer
-    finally:
-        install_tracer(previous)
 
 
 def kernel(name: str, **attrs: object):
     """Hot-kernel timer: a ``kernel`` span, or the shared no-op when off.
 
-    The disabled path is one global read and one attribute check — cheap
-    enough to sit inside placement/routing/STA inner drivers.
+    The disabled path is one session lookup and one attribute check —
+    cheap enough to sit inside placement/routing/STA inner drivers.
     """
-    tracer = _ACTIVE
+    from repro.runtime.session import current_session
+
+    tracer = current_session().tracer
     if not tracer.enabled:
         return _NULL_SPAN_CONTEXT
     return tracer.span(name, category="kernel", **attrs)
+
+
+def counter(name: str) -> Counter:
+    """The current session tracer's counter (the shared no-op when off)."""
+    from repro.runtime.session import current_session
+
+    return current_session().tracer.counter(name)

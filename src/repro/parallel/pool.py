@@ -41,7 +41,6 @@ import os
 import time
 from concurrent.futures import FIRST_COMPLETED, ProcessPoolExecutor, wait
 from concurrent.futures.process import BrokenProcessPool
-from contextlib import ExitStack
 from dataclasses import dataclass, field
 from pathlib import Path
 from typing import Dict, Iterable, List, Optional, Sequence, Tuple
@@ -52,9 +51,7 @@ from repro.errors import (
     TaskFailedError,
     WorkerCrashError,
 )
-from repro.obs import metrics as obs_metrics
-from repro.obs import trace as obs_trace
-from repro.obs.trace import TraceBundle
+from repro.obs.trace import NULL_TRACER, TraceBundle, Tracer
 from repro.parallel.plan import (
     KIND_COMPARISON,
     KIND_FLOW,
@@ -70,18 +67,15 @@ from repro.parallel.report import (
     TaskRecord,
 )
 from repro.runtime.checkpoint import CheckpointStore, config_key
+from repro.runtime.faults import NULL_PLAN, FaultPlan
 from repro.runtime.session import (
     Session,
     current_session,
     install_session,
+    override,
     use_session,
 )
-from repro.runtime.supervisor import (
-    StageRecord,
-    StageSupervisor,
-    current_supervisor,
-    use_supervisor,
-)
+from repro.runtime.supervisor import StageRecord, StageSupervisor
 
 logger = logging.getLogger(__name__)
 
@@ -90,19 +84,19 @@ logger = logging.getLogger(__name__)
 
 @dataclass
 class WorkerContext:
-    """Everything a worker needs; pickled once per process at pool start."""
+    """What a worker and its tasks need besides the spec: the pool
+    initializer binds the store, and every task is sent the context
+    with its spec."""
 
     store_root: str
     schema_version: int
+    timeout_s: Optional[float] = None  # the session's --timeout
     fault_specs: Tuple = ()           # repro.runtime.faults.FaultSpec, ...
     fault_label_filter: Optional[str] = None
     # Observability: when the parent session runs traced, each task
-    # records into its own tracer/registry and ships a TraceBundle (with
-    # its run-journal rows) home through the store (see _execute_task).
+    # records into its own tracer and ships a TraceBundle (with its
+    # run-journal rows) home through the store (see _execute_task).
     trace_enabled: bool = False
-
-
-_CONTEXT: Optional[WorkerContext] = None
 
 
 def _init_worker(context: WorkerContext) -> None:
@@ -112,8 +106,6 @@ def _init_worker(context: WorkerContext) -> None:
     reuses flow stages another worker (or an earlier session) already
     computed, not just whole task results.
     """
-    global _CONTEXT
-    _CONTEXT = context
     install_session(Session(store=CheckpointStore(
         Path(context.store_root), schema_version=context.schema_version)))
 
@@ -146,33 +138,28 @@ def _stage_walls(rows: Iterable[StageRecord]) -> Dict[str, float]:
     return walls
 
 
-def _ship_bundle(store: CheckpointStore, spec: TaskSpec,
-                 tracer: obs_trace.Tracer,
-                 registry: obs_metrics.MetricsRegistry,
+def _ship_bundle(store: CheckpointStore, spec: TaskSpec, tracer: Tracer,
                  rows: List[StageRecord]) -> None:
-    """Export this task's spans, counters and journal rows; store them."""
+    """Export this task's spans, counts and journal rows; store them."""
     bundle = tracer.export_bundle(label=spec.label)
-    bundle.metrics = registry.snapshot()
     bundle.journal = rows
     store.try_store(_trace_key(spec.key), bundle)
 
 
-def _execute_task(spec: TaskSpec) -> Dict[str, object]:
+def _execute_task(spec: TaskSpec, context: WorkerContext
+                  ) -> Dict[str, object]:
     """Run one task in a worker; returns metadata, not the result.
 
     The result crosses the process boundary through the checkpoint store;
     only if the store write fails is the value shipped back inline so a
-    computed run is never discarded.  The task journals its stage
-    attempts under a supervisor of its own (the inherited one's
-    policies, an empty journal), so its rows are its alone, inline or
-    in a worker.  Under observability it also runs against a fresh
-    tracer/registry and ships a :class:`TraceBundle` home through the
-    store — the parent merges the bundles, journal rows included, after
-    the run.
+    computed run is never discarded.  Inline or in a worker, the task
+    runs with the same handles on its session: a fresh supervisor with
+    the context's timeout and an empty journal (so its rows are its
+    alone), the context's fault plan when the task's label matches its
+    filter (else none), and under observability a fresh tracer whose
+    :class:`TraceBundle` travels home through the store — the parent
+    merges the bundles, journal rows included, after the run.
     """
-    from repro.runtime import faults
-
-    context = _CONTEXT
     store = current_session().store
     start = time.perf_counter()
     base: Dict[str, object] = {"key": spec.key, "pid": os.getpid()}
@@ -183,25 +170,17 @@ def _execute_task(spec: TaskSpec) -> Dict[str, object]:
                     wall_s=time.perf_counter() - start)
         return base
 
-    plan = None
+    plan = NULL_PLAN
     if context.fault_specs and (
             context.fault_label_filter is None
             or context.fault_label_filter in spec.label):
-        plan = faults.install(faults.FaultPlan(list(context.fault_specs)))
-    inherited = current_supervisor()
-    supervisor = StageSupervisor(policies=inherited.policies,
-                                 default_policy=inherited.default_policy)
+        plan = FaultPlan(list(context.fault_specs))
+    supervisor = StageSupervisor(timeout_s=context.timeout_s)
     rows = supervisor.journal.records
-    scope = ExitStack()
-    scope.enter_context(use_supervisor(supervisor))
-    tracer = registry = None
-    if context.trace_enabled:
-        tracer = scope.enter_context(
-            obs_trace.use_tracer(obs_trace.Tracer()))
-        registry = scope.enter_context(
-            obs_metrics.use_metrics(obs_metrics.MetricsRegistry()))
+    tracer = Tracer() if context.trace_enabled else NULL_TRACER
     try:
-        value = _compute(spec)
+        with override(supervisor=supervisor, tracer=tracer, faults=plan):
+            value = _compute(spec)
     except ReproError as exc:
         base.update(status=STATUS_FAILED, cached=False, stored=False,
                     error=type(exc).__name__, message=str(exc),
@@ -221,11 +200,8 @@ def _execute_task(spec: TaskSpec) -> Dict[str, object]:
                     stages=_stage_walls(rows))
         return base
     finally:
-        scope.close()
-        if tracer is not None:
-            _ship_bundle(store, spec, tracer, registry, rows)
-        if plan is not None:
-            faults.reset()
+        if tracer.enabled:
+            _ship_bundle(store, spec, tracer, rows)
 
     stored = store.try_store(spec.key, value) is not None
     base.update(status=STATUS_OK, cached=False, stored=stored,
@@ -253,8 +229,7 @@ class ParallelEngine:
                  max_crash_retries: int = 2,
                  keep_going: bool = False,
                  worker_faults: Sequence = (),
-                 fault_label_filter: Optional[str] = None,
-                 warm_libraries: bool = True):
+                 fault_label_filter: Optional[str] = None):
         self.store = store
         self.jobs = max(1, jobs if jobs is not None
                         else (os.cpu_count() or 1))
@@ -262,7 +237,6 @@ class ParallelEngine:
         self.keep_going = keep_going
         self.worker_faults = tuple(worker_faults)
         self.fault_label_filter = fault_label_filter
-        self.warm_libraries = warm_libraries
         self._values: Dict[str, object] = {}
 
     # -- results -----------------------------------------------------------
@@ -294,9 +268,6 @@ class ParallelEngine:
         pending: Dict[str, _PendingTask] = {
             key: _PendingTask(spec) for key, spec in graph.tasks.items()}
         deferred = list(graph.deferred)
-
-        if self.warm_libraries:
-            self._warm_libraries(pending)
 
         while pending or deferred:
             if pending:
@@ -344,13 +315,14 @@ class ParallelEngine:
     # -- internals ---------------------------------------------------------
 
     def _context(self) -> WorkerContext:
+        session = current_session()
         return WorkerContext(
             store_root=str(self.store.root),
             schema_version=self.store.schema_version,
+            timeout_s=session.supervisor.timeout_s,
             fault_specs=self.worker_faults,
             fault_label_filter=self.fault_label_filter,
-            trace_enabled=(obs_trace.current_tracer().enabled
-                           or obs_metrics.current_metrics().enabled),
+            trace_enabled=session.tracer.enabled,
         )
 
     def _merge_observability(self, records: Dict[str, TaskRecord]) -> None:
@@ -359,15 +331,15 @@ class ParallelEngine:
         Bundles are merged sorted by task key, so the merged trace — and
         its structural digest — is independent of completion order and of
         how tasks landed on workers; each bundle's journal rows join the
-        session supervisor's journal.  A cache-hit task whose bundle is
+        session supervisor's journal and its counts add to the session
+        tracer's.  A cache-hit task whose bundle is
         still in the store contributes the spans and rows of the run that
         computed it, keeping traced resumes digest-comparable.
         """
-        tracer = obs_trace.current_tracer()
-        registry = obs_metrics.current_metrics()
-        if not (tracer.enabled or registry.enabled):
+        session = current_session()
+        tracer = session.tracer
+        if not tracer.enabled:
             return
-        journal = current_supervisor().journal
         for key in sorted(records):
             record = records[key]
             bundle = self.store.load(_trace_key(key))
@@ -376,30 +348,9 @@ class ParallelEngine:
             tracer.merge_bundle(bundle,
                                 container_name=f"task:{record.label}",
                                 task=record.label, kind=record.kind)
-            registry.merge_snapshot(bundle.metrics)
-            journal.extend(bundle.journal)
+            session.supervisor.journal.extend(bundle.journal)
             if not record.stages:
                 record.stages = _stage_walls(bundle.journal)
-
-    def _warm_libraries(self, pending: Dict[str, _PendingTask]) -> None:
-        """Pre-build the cell libraries the batch needs in the parent.
-
-        On fork-based platforms every worker inherits the warm library
-        cache instead of re-characterizing 66 cells per process; on spawn
-        platforms this is a harmless parent-side warm-up.
-        """
-        from repro.flow.design_flow import library_for
-
-        needed = set()
-        for task in pending.values():
-            spec = task.spec
-            if spec.kind == KIND_COMPARISON:
-                needed.update({(spec.payload.node_name, False),
-                               (spec.payload.node_name, True)})
-            elif spec.kind == KIND_FLOW:
-                needed.add((spec.payload.node_name, spec.payload.is_3d))
-        for node_name, is_3d in sorted(needed):
-            library_for(node_name, is_3d)
 
     def _record(self, records: Dict[str, TaskRecord], task: _PendingTask,
                 payload: Dict[str, object]) -> None:
@@ -446,16 +397,12 @@ class ParallelEngine:
         """Run the tasks in this process, each as a worker would: with
         the engine's worker context, in a session of its own bound to
         the engine's store."""
-        global _CONTEXT
-        previous = _CONTEXT
-        _CONTEXT = self._context()
-        try:
-            with use_session(Session(store=self.store)):
-                for key in list(pending):
-                    task = pending.pop(key)
-                    self._record(records, task, _execute_task(task.spec))
-        finally:
-            _CONTEXT = previous
+        context = self._context()
+        with use_session(Session(store=self.store)):
+            for key in list(pending):
+                task = pending.pop(key)
+                self._record(records, task,
+                             _execute_task(task.spec, context))
 
     def _run_pool_round(self, pending: Dict[str, _PendingTask],
                         records: Dict[str, TaskRecord],
@@ -467,7 +414,8 @@ class ParallelEngine:
                     max_workers=min(self.jobs, len(pending)),
                     initializer=_init_worker,
                     initargs=(context,)) as pool:
-                futures = {pool.submit(_execute_task, task.spec): task
+                futures = {pool.submit(_execute_task, task.spec,
+                                       context): task
                            for task in pending.values()}
                 not_done = set(futures)
                 while not_done:

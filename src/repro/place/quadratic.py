@@ -20,8 +20,7 @@ from scipy.sparse.linalg import cg
 
 from repro.errors import PlacementError
 from repro.circuits.netlist import Module
-from repro.obs import metrics as obs_metrics
-from repro.obs.trace import kernel
+from repro.obs.trace import counter, kernel
 from repro.place import quadratic_numpy
 from repro.place.floorplan import Floorplan, NetPoints
 from repro.place.quadratic_numpy import MedianPlan, PlacementSystem
@@ -93,7 +92,7 @@ def place_global(module: Module, library, floorplan: Floorplan
     spreading, then median-improvement rounds (linear-wirelength local
     refinement) each followed by a spreading pass to restore density.
     """
-    iterations = obs_metrics.counter("placer.iterations")
+    iterations = counter("placer.iterations")
     # Cell sizes and the netlist are fixed for the whole placement: one
     # area array and one scan of the pin table serve every pass.
     areas = cell_areas(module, library)

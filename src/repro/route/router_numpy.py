@@ -35,8 +35,7 @@ import numpy as np
 
 from repro.circuits.netlist import Module
 from repro.kernels.arrays import as_f64, ranges
-from repro.obs import metrics as obs_metrics
-from repro.obs.trace import kernel
+from repro.obs.trace import counter, kernel
 from repro.place.floorplan import NetPoints
 from repro.route.grid import RoutingGrid
 from repro.route.steiner import (MAX_EXACT_PINS, RSMT_FACTOR,
@@ -133,8 +132,8 @@ def run_numpy(router, module: Module, include_clock: bool):
                             LayerClass.LOCAL),
     }
     fill_target = 0.85
-    spills = obs_metrics.counter("router.spills")
-    ripups = obs_metrics.counter("router.ripups")
+    spills = counter("router.spills")
+    ripups = counter("router.ripups")
     assignment: Dict[int, LayerClass] = {}
     with kernel("route.layer_assign"):
         order = np.argsort(lens_arr, kind="stable")

@@ -2,10 +2,11 @@
 
 Four cooperating pieces:
 
-* :mod:`repro.runtime.supervisor` — per-stage timeouts, bounded retries
-  with backoff, graceful degradation, and a structured run journal with
-  one record (outcome, wall and CPU time, peak RSS) per attempt of every
-  stage of the design flow — the source of ``repro --profile``'s table.
+* :mod:`repro.runtime.supervisor` — one wall-clock timeout for every
+  stage, bounded retries, graceful degradation, and a structured run
+  journal with one record (outcome, wall and CPU time, peak RSS) per
+  attempt of every stage of the design flow — the source of ``repro
+  --profile``'s table.
 * :mod:`repro.runtime.checkpoint` — persistent, atomically-written,
   checksummed on-disk checkpoints of flow results keyed by a versioned
   canonical hash of the full configuration, so interrupted bench
@@ -13,9 +14,11 @@ Four cooperating pieces:
 * :mod:`repro.runtime.faults` — deterministic fault injection at stage
   boundaries (by stage name and occurrence count), used by the tests to
   prove every retry and degradation path actually fires.
-* :mod:`repro.runtime.session` — the run-scoped :class:`Session`: bound
-  checkpoint store, keep-going policy and row errors, in-process memos
-  and parallel task-failure records, in one swappable object.
+* :mod:`repro.runtime.session` — the run-scoped :class:`Session`, the
+  one handle a run reads: bound checkpoint store, keep-going policy and
+  row errors, in-process memos and parallel task-failure records, the
+  stage supervisor, the tracer, the fault plan and the open audit
+  captures.  :func:`override` scopes field changes on it.
 """
 
 from repro.runtime.checkpoint import (            # noqa: F401
@@ -31,6 +34,7 @@ from repro.runtime.session import (               # noqa: F401
     Session,
     current_session,
     install_session,
+    override,
     use_session,
 )
 from repro.runtime.supervisor import (            # noqa: F401
@@ -38,7 +42,4 @@ from repro.runtime.supervisor import (            # noqa: F401
     StagePolicy,
     StageRecord,
     StageSupervisor,
-    current_supervisor,
-    install_supervisor,
-    use_supervisor,
 )

@@ -86,7 +86,7 @@ except ImportError:                       # non-POSIX: locking is a no-op
     fcntl = None                          # type: ignore[assignment]
 
 from repro.errors import CheckpointError
-from repro.obs import metrics as obs_metrics
+from repro.obs.trace import counter
 from repro.runtime import faults
 
 logger = logging.getLogger(__name__)
@@ -100,7 +100,9 @@ logger = logging.getLogger(__name__)
 #    would load without one and read as unconnected.
 # 6: a TraceBundle carries its task's run-journal rows in place of the
 #    profile rows and stage walls; an older bundle has no ``journal``.
-SCHEMA_VERSION = 6
+# 7: a TraceBundle carries its task's counts (``counts``) in place of a
+#    metrics-registry snapshot (``metrics``).
+SCHEMA_VERSION = 7
 
 _MAGIC = b"repro-ckpt"
 
@@ -252,7 +254,7 @@ class CheckpointStore:
             return
         name = errno_mod.errorcode.get(exc.errno, str(exc.errno))
         self._degraded = f"{name}: {exc}"
-        obs_metrics.counter("store.degraded").inc()
+        counter("store.degraded").inc()
         logger.warning(
             "checkpoint store %s degraded to cache-off (%s); results stay "
             "in memory, completed work is not lost", self.root, name)
@@ -271,7 +273,7 @@ class CheckpointStore:
         if fcntl is None or self._degraded:
             return None
         if faults.fs_fault("lock", key) == "stale_lock":
-            obs_metrics.counter("store.lock_timeouts").inc()
+            counter("store.lock_timeouts").inc()
             logger.warning("stale lock on %s: writing lock-free",
                            self.lock_path_for(key))
             return None
@@ -288,7 +290,7 @@ class CheckpointStore:
             except OSError:
                 if time.monotonic() >= deadline:
                     handle.close()
-                    obs_metrics.counter("store.lock_timeouts").inc()
+                    counter("store.lock_timeouts").inc()
                     logger.warning(
                         "could not lock %s within %.1f s: writing "
                         "lock-free", self.lock_path_for(key),
@@ -432,7 +434,7 @@ class CheckpointStore:
         """
         path = self.path_for(key)
         if not path.exists():
-            obs_metrics.counter("checkpoint.misses").inc()
+            counter("checkpoint.misses").inc()
             return None
         try:
             with open(path, "rb") as stream:
@@ -443,22 +445,22 @@ class CheckpointStore:
                 logger.info("checkpoint %s has schema v%s (want v%s); "
                             "ignoring", path, wrapper.get("schema_version"),
                             self.schema_version)
-                obs_metrics.counter("checkpoint.misses").inc()
+                counter("checkpoint.misses").inc()
                 return None
             payload = wrapper["payload"]
             if hashlib.sha256(payload).hexdigest() != wrapper["sha256"]:
                 raise CheckpointError(f"checksum mismatch in {path}")
             value = pickle.loads(payload)
-            obs_metrics.counter("checkpoint.hits").inc()
+            counter("checkpoint.hits").inc()
             self._touch(path)
             return value
         except CheckpointError as exc:
             self._quarantine(path, str(exc))
-            obs_metrics.counter("checkpoint.misses").inc()
+            counter("checkpoint.misses").inc()
             return None
         except Exception as exc:
             self._quarantine(path, f"unreadable checkpoint: {exc}")
-            obs_metrics.counter("checkpoint.misses").inc()
+            counter("checkpoint.misses").inc()
             return None
 
     def _touch(self, path: Path) -> None:
@@ -558,7 +560,7 @@ class CheckpointStore:
             else:
                 report.corrupt_pending += 1
         if report.repairs:
-            obs_metrics.counter("store.repairs").inc(report.repairs)
+            counter("store.repairs").inc(report.repairs)
         return report
 
     def gc(self, max_bytes: Optional[int] = None,
@@ -595,7 +597,7 @@ class CheckpointStore:
         report.entries = count
         report.bytes = total
         if report.evicted:
-            obs_metrics.counter("store.evictions").inc(report.evicted)
+            counter("store.evictions").inc(report.evicted)
         return report
 
     def clear(self) -> int:

@@ -1,12 +1,14 @@
 """Deterministic fault injection at flow-stage and filesystem boundaries.
 
-The stage supervisor consults the active :class:`FaultPlan` every time a
-stage runs: once on entry (``where="before"``) and once after the stage
-body returns (``where="after"``).  A :class:`FaultSpec` names the stage
-it targets, which occurrences fire (skip the first ``skip`` hits, then
-fire ``times`` times), and what happens: raise a named repro exception,
-call a custom exception factory (handy for :class:`CongestionError`
-faults that need the attempt's partial result attached), or just sleep
+The stage supervisor consults the current session's :class:`FaultPlan`
+(:attr:`repro.runtime.session.Session.faults`, :data:`NULL_PLAN` unless
+a test injects one) every time a stage runs: once on entry
+(``where="before"``) and once after the stage body returns
+(``where="after"``).  A :class:`FaultSpec` names the stage it targets,
+which occurrences fire (skip the first ``skip`` hits, then fire
+``times`` times), and what happens: raise a named repro exception, call
+a custom exception factory (handy for :class:`CongestionError` faults
+that need the attempt's partial result attached), or just sleep
 ``delay_s`` seconds — long enough to trip a stage timeout.
 
 The checkpoint store consults the same plan for **filesystem faults**
@@ -28,11 +30,13 @@ Usage::
     with faults.inject(faults.FsFaultSpec(kind="torn_write")):
         store.store(key, value)   # the entry lands truncated on disk
 
-Counting is per-plan and thread-safe (stages may execute on a worker
-thread when a timeout is configured), so a plan is deterministic and
-reusable only within one ``install``/``inject`` scope.  Both spec kinds
-are picklable dataclasses, so a plan ships to pool workers through
-:class:`repro.parallel.pool.WorkerContext` unchanged.
+:func:`inject` puts a fresh plan on the current session for a ``with``
+block and restores the previous one on exit.  Counting is per-plan and
+thread-safe (stages may execute on a worker thread when a timeout is
+configured), so a plan is deterministic and reusable only within one
+``inject`` scope.  Both spec kinds are picklable dataclasses: a pool
+task gets its specs through :class:`repro.parallel.pool.WorkerContext`
+and runs them as a plan of its own.
 """
 
 from __future__ import annotations
@@ -225,46 +229,31 @@ class _NullPlan(FaultPlan):
         return None
 
 
-_NULL_PLAN = _NullPlan()
-_ACTIVE: FaultPlan = _NULL_PLAN
-
-
-def active_plan() -> FaultPlan:
-    return _ACTIVE
-
-
-def install(plan: FaultPlan) -> FaultPlan:
-    """Install a fault plan globally; returns it for convenience."""
-    global _ACTIVE
-    _ACTIVE = plan
-    return plan
-
-
-def reset() -> None:
-    """Remove any installed fault plan."""
-    global _ACTIVE
-    _ACTIVE = _NULL_PLAN
+NULL_PLAN = _NullPlan()
 
 
 @contextmanager
 def inject(*specs: object) -> Iterator[FaultPlan]:
-    """Context manager: install a plan of ``specs``, restore on exit.
+    """Context manager: put a plan of ``specs`` on the current session,
+    restore the previous plan on exit.
 
     Accepts any mix of :class:`FaultSpec` and :class:`FsFaultSpec`.
     """
-    previous = _ACTIVE
-    plan = install(FaultPlan(list(specs)))
-    try:
-        yield plan
-    finally:
-        install(previous)
+    from repro.runtime.session import override
+
+    with override(faults=FaultPlan(list(specs))) as session:
+        yield session.faults
 
 
 def check(stage: str, where: str = "before", result: object = None) -> None:
-    """Hook for the supervisor: fire matching faults of the active plan."""
-    _ACTIVE.check(stage, where, result)
+    """Hook for the supervisor: fire matching faults of the session plan."""
+    from repro.runtime.session import current_session
+
+    current_session().faults.check(stage, where, result)
 
 
 def fs_fault(op: str, key: str) -> Optional[str]:
     """Hook for the checkpoint store: the fault kind to apply, or None."""
-    return _ACTIVE.fs_fault(op, key)
+    from repro.runtime.session import current_session
+
+    return current_session().faults.fs_fault(op, key)

@@ -1,8 +1,9 @@
 """Run-scoped state: the one home for what a session binds.
 
-A *session* is one CLI invocation (or one test, or one script run): the
-checkpoint store it reads and writes through, its graceful-degradation
-policy, and everything it accumulates while running —
+A *session* is one CLI invocation (or one test, one script run, or one
+pool task): the checkpoint store it reads and writes through, its
+graceful-degradation policy, the handles its stages run under, and
+everything it accumulates while running —
 
 * ``store`` — the bound :class:`~repro.runtime.checkpoint.CheckpointStore`
   (``None``: in-process memoization only).  The whole-run caches in
@@ -15,14 +16,27 @@ policy, and everything it accumulates while running —
   comparisons and flow runs, keyed by canonical checkpoint key;
 * ``failed_tasks`` — parallel tasks that failed in a warm phase, so a
   driver asking for that result re-raises the worker's error instead of
-  recomputing a known failure.
+  recomputing a known failure;
+* ``supervisor`` — the :class:`~repro.runtime.supervisor.StageSupervisor`
+  the flow runs its stages under (its ``--timeout`` and its run
+  journal), a fresh one per session;
+* ``tracer`` — the observability layer (spans and counters,
+  :mod:`repro.obs.trace`), :data:`~repro.obs.trace.NULL_TRACER` unless
+  the run is traced;
+* ``faults`` — the :class:`~repro.runtime.faults.FaultPlan` stage and
+  store operations consult, :data:`~repro.runtime.faults.NULL_PLAN`
+  unless a test injects one;
+* ``captures`` — the open :func:`repro.check.audit.capture_artifacts`
+  buckets; a flow run deposits its artifacts into every one.
 
 One module-level instance is current at a time (:func:`current_session`);
 :func:`use_session` swaps one in for a scope and restores the caller's
-on exit, and a pool worker installs its own at start-up.  It is a plain
-global rather than a context variable on purpose: with ``--timeout`` the
-supervisor runs stage bodies on a fresh ``threading.Thread``, which would
-not see a context variable's value.
+on exit, and a pool worker installs its own at start-up.
+:func:`override` sets some fields of the current session for a scope and
+restores exactly those on exit.  The session is a plain global rather
+than a context variable on purpose: with ``--timeout`` the supervisor
+runs stage bodies on a fresh ``threading.Thread``, which would not see a
+context variable's value.
 """
 
 from __future__ import annotations
@@ -31,7 +45,10 @@ from contextlib import contextmanager
 from dataclasses import dataclass, field
 from typing import Dict, Iterator, List, Optional
 
+from repro.obs.trace import NULL_TRACER, Tracer
 from repro.runtime.checkpoint import CheckpointStore
+from repro.runtime.faults import NULL_PLAN, FaultPlan
+from repro.runtime.supervisor import StageSupervisor
 
 
 @dataclass
@@ -57,13 +74,17 @@ class Session:
     flows: Dict[str, object] = field(default_factory=dict)
     # key -> (label, worker error class name, message, was-a-ReproError)
     failed_tasks: Dict[str, tuple] = field(default_factory=dict)
+    supervisor: StageSupervisor = field(default_factory=StageSupervisor)
+    tracer: Tracer = NULL_TRACER
+    faults: FaultPlan = NULL_PLAN
+    captures: List[list] = field(default_factory=list)
 
 
 _CURRENT = Session()
 
 
 def current_session() -> Session:
-    """The session every cache and policy lookup reads."""
+    """The session every cache, policy and handle lookup reads."""
     return _CURRENT
 
 
@@ -83,3 +104,22 @@ def use_session(session: Session) -> Iterator[Session]:
         yield session
     finally:
         install_session(previous)
+
+
+@contextmanager
+def override(**fields: object) -> Iterator[Session]:
+    """Set ``fields`` on the current session for a ``with`` block.
+
+    Exactly the named fields are restored on exit; the session itself
+    is not copied, so anything else bound inside the block (a store, a
+    row error) stays bound.
+    """
+    session = _CURRENT
+    previous = {name: getattr(session, name) for name in fields}
+    for name, value in fields.items():
+        setattr(session, name, value)
+    try:
+        yield session
+    finally:
+        for name, value in previous.items():
+            setattr(session, name, value)

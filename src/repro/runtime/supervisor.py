@@ -3,12 +3,13 @@
 The :class:`StageSupervisor` wraps each stage of
 :func:`repro.flow.design_flow.run_flow` with
 
-* a per-stage wall-clock **timeout** (the stage body runs on a worker
-  thread only when a timeout is configured, so the common path stays
-  in-line and overhead-free),
-* **bounded retries** with exponential backoff for the exception classes
-  the stage's :class:`StagePolicy` declares retryable — this generalizes
-  the congestion-retry loop that used to live ad hoc in
+* one wall-clock **timeout** (:attr:`StageSupervisor.timeout_s`, the
+  ``--timeout`` flag) applied to every stage; the stage body runs on a
+  worker thread only when a timeout is set, so the common path stays
+  in-line and overhead-free,
+* **bounded retries** for the exception classes the stage's
+  :class:`StagePolicy` declares retryable — this generalizes the
+  congestion-retry loop that used to live ad hoc in
   ``design_flow.run_flow``,
 * **graceful degradation**: a retryable exception may carry a
   ``partial`` result (see :class:`repro.errors.CongestionError`); when
@@ -20,10 +21,12 @@ The :class:`StageSupervisor` wraps each stage of
   the one per-attempt record; ``repro --profile`` prints its per-stage
   table.
 
-A process-wide supervisor is always active (:func:`current_supervisor`);
-:func:`use_supervisor` swaps one in for a scope.  Every attempt also
-consults :mod:`repro.runtime.faults`, so fault plans work with the
-default supervisor too.
+The supervisor the flow uses is the current session's
+(:attr:`repro.runtime.session.Session.supervisor`); a pool task runs
+under a fresh one carrying the timeout from its
+:class:`~repro.parallel.pool.WorkerContext`.  Every attempt records into
+the session's tracer and consults the session's fault plan
+(:mod:`repro.runtime.faults`).
 """
 
 from __future__ import annotations
@@ -37,7 +40,6 @@ from dataclasses import dataclass
 from typing import Callable, Dict, Iterator, List, Optional, Sequence, Tuple
 
 from repro.errors import RetryExhaustedError, StageTimeoutError
-from repro.obs import metrics as obs_metrics
 from repro.obs import trace as obs_trace
 from repro.runtime import faults
 
@@ -61,22 +63,17 @@ def peak_rss_kb() -> float:
 
 @dataclass
 class StagePolicy:
-    """Retry/timeout/degradation policy for one stage."""
+    """Retry/degradation policy for one stage (the timeout is the
+    supervisor's)."""
 
-    timeout_s: Optional[float] = None
     max_attempts: int = 1
-    backoff_s: float = 0.0
-    backoff_factor: float = 2.0
     retry_on: Tuple[type, ...] = ()
     # When retries are exhausted and the final exception carries a
     # non-None ``partial`` attribute, return it instead of raising.
     degrade: bool = False
 
-    def backoff_for(self, attempt: int) -> float:
-        """Backoff to sleep after the given (1-based) failed attempt."""
-        if self.backoff_s <= 0.0:
-            return 0.0
-        return self.backoff_s * self.backoff_factor ** (attempt - 1)
+
+_SINGLE_ATTEMPT = StagePolicy()
 
 
 @dataclass
@@ -188,17 +185,12 @@ def _run_with_timeout(name: str, fn: Callable[[], object],
 
 
 class StageSupervisor:
-    """Run stage callables under per-stage policies, journaling attempts."""
+    """Run stage callables under their policies and one timeout,
+    journaling attempts."""
 
-    def __init__(self,
-                 policies: Optional[Dict[str, StagePolicy]] = None,
-                 default_policy: Optional[StagePolicy] = None,
-                 journal: Optional[RunJournal] = None,
-                 sleep: Callable[[float], None] = time.sleep):
-        self.policies: Dict[str, StagePolicy] = dict(policies or {})
-        self.default_policy = default_policy or StagePolicy()
-        self.journal = journal if journal is not None else RunJournal()
-        self._sleep = sleep
+    def __init__(self, timeout_s: Optional[float] = None):
+        self.timeout_s = timeout_s
+        self.journal = RunJournal()
         self._run_label = ""
 
     # -- run labelling ---------------------------------------------------
@@ -217,44 +209,23 @@ class StageSupervisor:
     def run_label(self) -> str:
         return self._run_label
 
-    # -- policy resolution -----------------------------------------------
-
-    def policy_for(self, stage: str,
-                   default: Optional[StagePolicy] = None) -> StagePolicy:
-        """Configured policy for ``stage``, else the call-site default.
-
-        A configured global timeout (``default_policy.timeout_s``) applies
-        to call-site defaults that do not set their own timeout.
-        """
-        if stage in self.policies:
-            return self.policies[stage]
-        policy = default or self.default_policy
-        if policy is not self.default_policy and policy.timeout_s is None \
-                and self.default_policy.timeout_s is not None:
-            policy = StagePolicy(
-                timeout_s=self.default_policy.timeout_s,
-                max_attempts=policy.max_attempts,
-                backoff_s=policy.backoff_s,
-                backoff_factor=policy.backoff_factor,
-                retry_on=policy.retry_on,
-                degrade=policy.degrade,
-            )
-        return policy
-
     # -- execution ---------------------------------------------------------
 
     def run_stage(self, stage: str, fn: Callable[[], object], *,
                   policy: Optional[StagePolicy] = None,
                   on_retry: Optional[Callable[[int, BaseException],
                                               None]] = None) -> object:
-        """Run one stage under its policy.
+        """Run one stage under its policy (one attempt by default) and
+        the supervisor's timeout.
 
         ``fn`` takes no arguments (bind stage inputs with a closure or
         ``functools.partial``).  ``on_retry(attempt, exc)`` runs between a
         retryable failure and the next attempt — the design flow uses it
         to lower the placement utilization between congestion retries.
         """
-        policy = self.policy_for(stage, policy)
+        from repro.runtime.session import current_session
+
+        policy = policy if policy is not None else _SINGLE_ATTEMPT
         attempts = max(1, policy.max_attempts)
 
         def body() -> object:
@@ -263,15 +234,14 @@ class StageSupervisor:
             faults.check(stage, "after", result)
             return result
 
-        tracer = obs_trace.current_tracer()
+        tracer = current_session().tracer
         for attempt in range(1, attempts + 1):
             clocks = (time.perf_counter(), time.process_time())
             with tracer.span(f"stage:{stage}", category="stage",
                              stage=stage, attempt=attempt,
                              run=self._run_label) as span:
                 try:
-                    result = _run_with_timeout(stage, body,
-                                               policy.timeout_s,
+                    result = _run_with_timeout(stage, body, self.timeout_s,
                                                tracer=tracer, parent=span)
                 except StageTimeoutError as exc:
                     # ``exc`` is not kept past its handler: its traceback
@@ -284,14 +254,15 @@ class StageSupervisor:
                             for cls in policy.retry_on)
                     self._note(stage, attempt, "timeout", clocks, exc)
                     span.set("outcome", "timeout")
-                    span.event("timeout", timeout_s=policy.timeout_s)
-                    obs_metrics.counter("supervisor.timeouts").inc()
+                    span.event("timeout", timeout_s=self.timeout_s)
+                    tracer.counter("supervisor.timeouts").inc()
                     if not retryable or attempt >= attempts:
                         raise
                     span.event("retry", error=type(exc).__name__,
                                next_attempt=attempt + 1)
-                    obs_metrics.counter("supervisor.retries").inc()
-                    self._between_attempts(policy, attempt, exc, on_retry)
+                    tracer.counter("supervisor.retries").inc()
+                    if on_retry is not None:
+                        on_retry(attempt, exc)
                 except policy.retry_on as exc:    # type: ignore[misc]
                     if attempt >= attempts:
                         partial = getattr(exc, "partial", None)
@@ -314,8 +285,9 @@ class StageSupervisor:
                     span.set("outcome", "retried")
                     span.event("retry", error=type(exc).__name__,
                                next_attempt=attempt + 1)
-                    obs_metrics.counter("supervisor.retries").inc()
-                    self._between_attempts(policy, attempt, exc, on_retry)
+                    tracer.counter("supervisor.retries").inc()
+                    if on_retry is not None:
+                        on_retry(attempt, exc)
                 except Exception as exc:
                     self._note(stage, attempt, "error", clocks, exc)
                     span.set("outcome", "error")
@@ -327,16 +299,6 @@ class StageSupervisor:
                     return result
         # Unreachable: every loop path returns or raises.
         raise RetryExhaustedError(stage, attempts)
-
-    def _between_attempts(self, policy: StagePolicy, attempt: int,
-                          exc: BaseException,
-                          on_retry: Optional[Callable[[int, BaseException],
-                                                      None]]) -> None:
-        if on_retry is not None:
-            on_retry(attempt, exc)
-        backoff = policy.backoff_for(attempt)
-        if backoff > 0.0:
-            self._sleep(backoff)
 
     def _note(self, stage: str, attempt: int, outcome: str,
               clocks: Tuple[float, float],
@@ -355,31 +317,3 @@ class StageSupervisor:
             error=type(exc).__name__ if exc is not None else None,
             message=str(exc) if exc is not None else "",
         ))
-
-
-_DEFAULT = StageSupervisor()
-_CURRENT = _DEFAULT
-
-
-def current_supervisor() -> StageSupervisor:
-    """The supervisor the design flow routes its stages through."""
-    return _CURRENT
-
-
-def install_supervisor(supervisor: Optional[StageSupervisor]
-                       ) -> StageSupervisor:
-    """Install (or with ``None``, reset to the default) globally."""
-    global _CURRENT
-    _CURRENT = supervisor if supervisor is not None else _DEFAULT
-    return _CURRENT
-
-
-@contextmanager
-def use_supervisor(supervisor: StageSupervisor) -> Iterator[StageSupervisor]:
-    """Scope a supervisor: installed on entry, previous restored on exit."""
-    previous = _CURRENT
-    install_supervisor(supervisor)
-    try:
-        yield supervisor
-    finally:
-        install_supervisor(previous)

@@ -15,7 +15,7 @@ import numpy as np
 from repro.errors import TimingError
 from repro.circuits.netlist import Module, NO_DRIVER, PIN_DRIVER, PO_SINK
 from repro.kernels.arrays import as_index, ranges
-from repro.obs import metrics as obs_metrics
+from repro.obs.trace import counter
 
 
 def levelize(module: Module, library) -> List[int]:
@@ -24,7 +24,7 @@ def levelize(module: Module, library) -> List[int]:
     Sequential cells are excluded: their Q pins act as sources with known
     availability, their D pins as sinks.
     """
-    obs_metrics.counter("sta.levelization_passes").inc()
+    counter("sta.levelization_passes").inc()
     is_seq = [library.cell(inst.cell_name).is_sequential
               for inst in module.instances]
     # In-degree = number of input nets driven by combinational cells.
@@ -226,7 +226,7 @@ class CombGraph:
         at the in-degree decrement that zeroes it, in (instance, output
         pin, sink) order.
         """
-        obs_metrics.counter("sta.levelization_passes").inc()
+        counter("sta.levelization_passes").inc()
         indegree = self.indegree0.copy()
         produced = self.net_ready.copy()
         levels: List[np.ndarray] = []

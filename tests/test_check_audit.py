@@ -18,6 +18,7 @@ from repro.check import (
     capture_artifacts,
     inject_defect,
 )
+from repro.check.audit import deposit
 from repro.check.timing import check_timing
 from repro.circuits.netlist import PO_SINK
 from repro.cli import main
@@ -116,6 +117,16 @@ def test_capture_scope_is_reentrant():
         with capture_artifacts() as inner:
             pass
         assert outer == [] and inner == []
+
+
+def test_nested_capture_keeps_filling_the_outer_bucket():
+    """A deposit reaches every open bucket, and closing the inner one
+    leaves the outer open even though both hold the same runs."""
+    with capture_artifacts() as outer:
+        with capture_artifacts() as inner:
+            deposit("run-a")
+        deposit("run-b")
+    assert outer == ["run-a", "run-b"] and inner == ["run-a"]
 
 
 # -- CLI ------------------------------------------------------------------

@@ -18,11 +18,8 @@ from repro.flow.design_flow import (
 )
 from repro.runtime import faults
 from repro.runtime.faults import ALWAYS, FaultSpec
-from repro.runtime.supervisor import (
-    StagePolicy,
-    StageSupervisor,
-    use_supervisor,
-)
+from repro.runtime.session import override
+from repro.runtime.supervisor import StageSupervisor
 
 # Small, fast, naturally congestion-free configuration.
 SMALL = dict(circuit="fpu", scale=0.06)
@@ -44,7 +41,7 @@ def _congestion_fault(**kwargs):
 
 def test_supervised_flow_journal_covers_all_stages():
     sup = StageSupervisor()
-    with use_supervisor(sup):
+    with override(supervisor=sup):
         run_flow(FlowConfig(**SMALL))
     stages = [r.stage for r in sup.journal.records if r.outcome == "ok"]
     assert stages == ["prepare", "synthesis", "layout", "post_route",
@@ -53,7 +50,7 @@ def test_supervised_flow_journal_covers_all_stages():
 
 def test_congestion_retry_steps_utilization():
     sup = StageSupervisor()
-    with use_supervisor(sup), faults.inject(_congestion_fault(times=2)):
+    with override(supervisor=sup), faults.inject(_congestion_fault(times=2)):
         result = run_flow(FlowConfig(**SMALL))
     # Two congested attempts -> two utilization steps, then success.
     assert sup.journal.outcomes("layout") == ["retried", "retried", "ok"]
@@ -63,7 +60,8 @@ def test_congestion_retry_steps_utilization():
 
 def test_congestion_gives_up_after_max_retries_and_degrades():
     sup = StageSupervisor()
-    with use_supervisor(sup), faults.inject(_congestion_fault(times=ALWAYS)):
+    with override(supervisor=sup), \
+            faults.inject(_congestion_fault(times=ALWAYS)):
         result = run_flow(FlowConfig(**SMALL))
     outcomes = sup.journal.outcomes("layout")
     assert len(outcomes) == MAX_ROUTE_RETRIES
@@ -80,7 +78,7 @@ def test_injected_routing_error_exhausts_retries():
     # A hard RoutingError (no partial layout) cannot degrade: after
     # MAX_ROUTE_RETRIES attempts the supervisor raises RetryExhaustedError.
     sup = StageSupervisor()
-    with use_supervisor(sup), \
+    with override(supervisor=sup), \
             faults.inject(FaultSpec(stage="layout", error="RoutingError",
                                     times=ALWAYS)) as plan:
         with pytest.raises(RetryExhaustedError) as info:
@@ -94,7 +92,7 @@ def test_paired_run_does_not_retry_on_congestion():
     # With an externally fixed clock the floorplan policy is part of the
     # experiment setup: congestion must not trigger a utilization retry.
     sup = StageSupervisor()
-    with use_supervisor(sup):
+    with override(supervisor=sup):
         result = run_flow(FlowConfig(target_clock_ns=2.0, **SMALL))
     assert sup.journal.outcomes("layout") == ["ok"]
     assert result.utilization_target == pytest.approx(0.80)
@@ -245,7 +243,7 @@ def test_store_degrades_to_cache_off_during_retry_loop(tmp_path):
 
     store = runner.use_persistent_cache(tmp_path)
     sup = StageSupervisor()
-    with use_supervisor(sup), faults.inject(
+    with override(supervisor=sup), faults.inject(
             _congestion_fault(times=2),
             FsFaultSpec(kind="enospc", op="store", times=ALWAYS)) as plan:
         result = run_flow(FlowConfig(**SMALL))
@@ -278,8 +276,8 @@ def test_degraded_store_keeps_results_in_memory(tmp_path):
 # -- stage timeouts / --timeout -------------------------------------------
 
 def test_stage_timeout_through_flow():
-    sup = StageSupervisor(default_policy=StagePolicy(timeout_s=0.05))
-    with use_supervisor(sup), \
+    sup = StageSupervisor(timeout_s=0.05)
+    with override(supervisor=sup), \
             faults.inject(FaultSpec(stage="synthesis", delay_s=1.0)):
         with pytest.raises(StageTimeoutError) as info:
             run_flow(FlowConfig(**SMALL))

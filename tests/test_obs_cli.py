@@ -14,12 +14,8 @@ import pytest
 
 from repro.cli import main
 from repro.flow.design_flow import FLOW_STAGES
-from repro.runtime.supervisor import (
-    StageRecord,
-    StageSupervisor,
-    current_supervisor,
-    use_supervisor,
-)
+from repro.runtime.session import current_session, override
+from repro.runtime.supervisor import StageRecord, StageSupervisor
 
 
 pytestmark = pytest.mark.usefixtures("fresh_session")
@@ -98,11 +94,11 @@ def test_main_runs_under_its_own_supervisor(capsys):
     mark = StageRecord(stage="caller", attempt=1, outcome="ok",
                        wall_time_s=0.0)
     caller.journal.record(mark)
-    with use_supervisor(caller):
+    with override(supervisor=caller):
         assert main(["compare", "fpu", "--scale", "0.03"]) == 0
         capsys.readouterr()
         assert main(["--profile", "compare", "fpu", "--scale", "0.03"]) == 0
-        assert current_supervisor() is caller
+        assert current_session().supervisor is caller
     assert caller.journal.records == [mark]
     out = capsys.readouterr().out
     table = out.split("per-stage profile", 1)[1].split("\n\n", 1)[0]

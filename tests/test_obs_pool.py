@@ -12,15 +12,11 @@ import os
 import pytest
 
 from repro.experiments import runner
-from repro.obs import (
-    MetricsRegistry,
-    Tracer,
-    use_metrics,
-    use_tracer,
-)
+from repro.obs import Tracer
 from repro.parallel import ParallelEngine, TaskGraph, comparison_task
 from repro.runtime.checkpoint import CheckpointStore
-from repro.runtime.supervisor import StageSupervisor, use_supervisor
+from repro.runtime.session import override
+from repro.runtime.supervisor import StageSupervisor
 
 SCALE = 0.04
 
@@ -30,15 +26,13 @@ pytestmark = pytest.mark.usefixtures("fresh_session")
 
 def _traced_run(store, jobs):
     """One traced engine session under a supervisor of its own; returns
-    (tracer, counters, the supervisor's journal rows, report)."""
-    tracer = Tracer()
-    with use_tracer(tracer), \
-            use_metrics(MetricsRegistry()) as registry, \
-            use_supervisor(StageSupervisor()) as supervisor:
+    (tracer, counts, the supervisor's journal rows, report)."""
+    tracer, supervisor = Tracer(), StageSupervisor()
+    with override(tracer=tracer, supervisor=supervisor):
         engine = ParallelEngine(store=store, jobs=jobs)
         report = engine.execute(
             TaskGraph([comparison_task("fpu", scale=SCALE)]))
-    return tracer, registry.snapshot(), supervisor.journal.records, report
+    return tracer, tracer.counts(), supervisor.journal.records, report
 
 
 def _summed_walls(rows):
@@ -89,10 +83,9 @@ def test_merged_trace_parity_and_digest_stability(tmp_path):
     # the parent's journal gains the task's rows once, and the record's
     # per-stage walls are those rows summed.
     for counters in (counters1, counters2):
-        assert counters["counters"]["placer.iterations"] > 0
-        assert counters["counters"]["sta.levelization_passes"] > 0
-    assert counters1["counters"]["placer.iterations"] == \
-        counters2["counters"]["placer.iterations"]
+        assert counters["placer.iterations"] > 0
+        assert counters["sta.levelization_passes"] > 0
+    assert counters1["placer.iterations"] == counters2["placer.iterations"]
     assert len(rows1) == len(rows2) > 0
     for rows, report in ((rows1, report1), (rows2, report2)):
         assert all(r.cpu_s >= 0.0 and r.peak_rss_kb > 0.0 for r in rows)
@@ -115,7 +108,8 @@ def test_untraced_run_ships_no_bundles(tmp_path):
     """Without observability the engine must not store trace bundles."""
     store = CheckpointStore(tmp_path)
     engine = ParallelEngine(store=store, jobs=1)
-    with use_supervisor(StageSupervisor()) as supervisor:
+    supervisor = StageSupervisor()
+    with override(supervisor=supervisor):
         report = engine.execute(
             TaskGraph([comparison_task("fpu", scale=SCALE)]))
     assert report.records[0].status == "ok"

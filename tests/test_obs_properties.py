@@ -4,9 +4,9 @@ The span model is checked structurally over randomly generated trees
 driven by a fake clock: children nest inside their parents, same-thread
 siblings never overlap, a parent's duration covers its children's, and
 the structural digest is invariant under timing jitter and merge order
-but sensitive to structure.  Metrics properties cover counter
-monotonicity and snapshot merging, and the run journal's per-stage table
-its aggregation.  The no-op layer is checked for identity (zero
+but sensitive to structure.  Counter properties cover monotonicity and
+the adding of counts on bundle merges, and the run journal's per-stage
+table its aggregation.  The no-op layer is checked for identity (zero
 allocation on hot paths).
 """
 
@@ -17,17 +17,9 @@ import random
 
 import pytest
 
-from repro.obs import (
-    NULL_METRICS,
-    NULL_TRACER,
-    MetricsRegistry,
-    Tracer,
-    current_metrics,
-    current_tracer,
-    kernel,
-    use_tracer,
-)
+from repro.obs import NULL_TRACER, Tracer, counter, kernel
 from repro.obs.trace import _NULL_SPAN_CONTEXT
+from repro.runtime.session import current_session, override
 from repro.runtime.supervisor import RunJournal, StageRecord
 
 SEEDS = (11, 23, 47)
@@ -180,11 +172,12 @@ def test_json_export_round_trips(seed):
     assert doc["digest"] == tracer.digest()
 
 
-# -- metrics ---------------------------------------------------------------
+# -- counters --------------------------------------------------------------
 
 def test_counter_is_monotonic():
-    registry = MetricsRegistry()
-    c = registry.counter("x")
+    tracer = Tracer()
+    c = tracer.counter("x")
+    assert tracer.counter("x") is c
     c.inc()
     c.inc(5)
     assert c.value == 6
@@ -195,39 +188,51 @@ def test_counter_is_monotonic():
 
 @pytest.mark.parametrize("seed", SEEDS)
 def test_snapshot_merge_adds(seed):
+    """Bundle merges add each task's counts into the parent's."""
     rng = random.Random(seed)
-    a, b = MetricsRegistry(), MetricsRegistry()
-    for registry in (a, b):
-        registry.counter("c").inc(rng.randint(0, 50))
-    merged = MetricsRegistry()
-    merged.merge_snapshot(a.snapshot())
-    merged.merge_snapshot(b.snapshot())
-    assert merged.counter("c").value == \
-        a.counter("c").value + b.counter("c").value
+    a, b = Tracer(), Tracer()
+    for tracer in (a, b):
+        tracer.counter("c").inc(rng.randint(0, 50))
+    a.counter("only_a").inc(1)
+    merged = Tracer()
+    merged.counter("c").inc(7)
+    merged.merge_bundle(a.export_bundle(label="a"))
+    merged.merge_bundle(b.export_bundle(label="b"))
+    assert merged.counts() == {
+        "c": 7 + a.counter("c").value + b.counter("c").value,
+        "only_a": 1,
+    }
+    # Counts stay out of the structural digest.
+    assert merged.digest() == Tracer().digest()
 
 
 def test_snapshot_is_plain_json():
-    registry = MetricsRegistry()
-    registry.counter("c").inc(3)
-    snap = registry.snapshot()
-    assert snap == {"counters": {"c": 3}}
+    tracer = Tracer()
+    tracer.counter("c").inc(3)
+    tracer.counter("a.b").inc()
+    snap = tracer.counts()
+    assert snap == {"a.b": 1, "c": 3}
+    assert list(snap) == sorted(snap)
     assert json.loads(json.dumps(snap)) == snap
+    assert tracer.export_bundle().counts == snap
 
 
 # -- the no-op layer -------------------------------------------------------
 
 def test_disabled_layer_is_shared_singletons():
     """Tracing off must not allocate: every hot-path handle is shared."""
-    assert current_tracer() is NULL_TRACER
-    assert current_metrics() is NULL_METRICS
+    assert current_session().tracer is NULL_TRACER
     # One shared context manager for every span/kernel request.
-    assert current_tracer().span("x") is current_tracer().span("y")
+    assert NULL_TRACER.span("x") is NULL_TRACER.span("y")
     assert kernel("place.spread") is kernel("sta.levelize")
     assert kernel("anything") is _NULL_SPAN_CONTEXT
-    assert NULL_METRICS.counter("a") is NULL_METRICS.counter("b")
+    # One shared counter for every name.
+    assert NULL_TRACER.counter("a") is NULL_TRACER.counter("b")
+    assert counter("a") is NULL_TRACER.counter("z")
     # Null instruments accept writes and record nothing.
-    NULL_METRICS.counter("a").inc(10)
-    assert NULL_METRICS.counter("a").value == 0
+    counter("a").inc(10)
+    assert NULL_TRACER.counter("a").value == 0
+    assert NULL_TRACER.counts() == {}
     with NULL_TRACER.span("x") as span:
         span.set("k", 1)
         span.event("e")
@@ -235,10 +240,16 @@ def test_disabled_layer_is_shared_singletons():
 
 
 def test_use_tracer_scopes_installation():
+    """A tracer installed on the session for a scope is the one that
+    kernel() and counter() record into; the null tracer returns after."""
     tracer = Tracer(clock=FakeClock(), wall=lambda: 0.0)
-    with use_tracer(tracer):
-        assert current_tracer() is tracer
-    assert current_tracer() is NULL_TRACER
+    with override(tracer=tracer):
+        assert current_session().tracer is tracer
+        with kernel("k"):
+            counter("c").inc()
+    assert current_session().tracer is NULL_TRACER
+    assert [s.name for s in tracer.snapshot()] == ["k"]
+    assert tracer.counts() == {"c": 1}
 
 
 def test_journal_stage_table_sums_times_and_maxes_rss():

@@ -3,7 +3,7 @@
 Retries, timeouts, and degradations driven by deterministic fault
 injection (:mod:`repro.runtime.faults`) must surface as annotated span
 events on the stage-attempt spans, alongside the run journal's
-per-attempt records and the supervisor counters.
+per-attempt records and the supervisor counters on the tracer.
 """
 
 from __future__ import annotations
@@ -11,27 +11,17 @@ from __future__ import annotations
 import pytest
 
 from repro.errors import RoutingError, StageTimeoutError
-from repro.obs import (
-    MetricsRegistry,
-    Tracer,
-    use_metrics,
-    use_tracer,
-)
+from repro.obs import Tracer
 from repro.obs.trace import kernel
 from repro.runtime import faults
-from repro.runtime.supervisor import (
-    RunJournal,
-    StagePolicy,
-    StageSupervisor,
-)
+from repro.runtime.session import override
+from repro.runtime.supervisor import StagePolicy, StageSupervisor
 
 
 @pytest.fixture()
-def obs():
-    tracer = Tracer()
-    registry = MetricsRegistry()
-    with use_tracer(tracer), use_metrics(registry):
-        yield tracer, registry
+def tracer():
+    with override(tracer=Tracer()) as session:
+        yield session.tracer
 
 
 def _stage_spans(tracer, stage):
@@ -39,9 +29,8 @@ def _stage_spans(tracer, stage):
     return sorted(spans, key=lambda s: s.attrs["attempt"])
 
 
-def test_retries_appear_as_span_events(obs):
-    tracer, registry = obs
-    supervisor = StageSupervisor(journal=RunJournal())
+def test_retries_appear_as_span_events(tracer):
+    supervisor = StageSupervisor()
     policy = StagePolicy(max_attempts=3, retry_on=(RoutingError,))
 
     with faults.inject(faults.FaultSpec(stage="layout",
@@ -60,7 +49,7 @@ def test_retries_appear_as_span_events(obs):
     assert len(retry_events) == 2
     assert all(e.attrs["error"] == "RoutingError" for e in retry_events)
     assert [e.attrs["next_attempt"] for e in retry_events] == [2, 3]
-    assert registry.counter("supervisor.retries").value == 2
+    assert tracer.counter("supervisor.retries").value == 2
     # One journal record per attempt, tagged with the run label and
     # carrying its CPU time and the process's peak RSS.
     records = supervisor.journal.records
@@ -71,11 +60,9 @@ def test_retries_appear_as_span_events(obs):
     assert [r.outcome for r in records].count("ok") == 1
 
 
-def test_timeout_appears_as_span_event(obs):
-    tracer, registry = obs
-    supervisor = StageSupervisor(journal=RunJournal())
-    policy = StagePolicy(timeout_s=0.05, max_attempts=2,
-                         retry_on=(StageTimeoutError,))
+def test_timeout_appears_as_span_event(tracer):
+    supervisor = StageSupervisor(timeout_s=0.05)
+    policy = StagePolicy(max_attempts=2, retry_on=(StageTimeoutError,))
 
     # A pure slowdown fault on the first attempt only: it trips the
     # stage deadline, the retry then runs clean.
@@ -91,31 +78,27 @@ def test_timeout_appears_as_span_event(obs):
     assert len(timeout_events) == 1
     assert timeout_events[0].attrs["timeout_s"] == pytest.approx(0.05)
     assert any(e.name == "retry" for e in spans[0].events)
-    assert registry.counter("supervisor.timeouts").value == 1
-    assert registry.counter("supervisor.retries").value == 1
+    assert tracer.counter("supervisor.timeouts").value == 1
+    assert tracer.counter("supervisor.retries").value == 1
 
 
-def test_timeout_exhaustion_keeps_annotated_spans(obs):
-    tracer, registry = obs
-    supervisor = StageSupervisor(journal=RunJournal())
-    policy = StagePolicy(timeout_s=0.05, max_attempts=1)
+def test_timeout_exhaustion_keeps_annotated_spans(tracer):
+    supervisor = StageSupervisor(timeout_s=0.05)
 
     with faults.inject(faults.FaultSpec(stage="signoff", delay_s=0.5,
                                         times=1)):
         with pytest.raises(StageTimeoutError):
-            supervisor.run_stage("signoff", lambda: "never",
-                                 policy=policy)
+            supervisor.run_stage("signoff", lambda: "never")
 
     (span,) = _stage_spans(tracer, "signoff")
     assert span.attrs["outcome"] == "timeout"
     assert not any(e.name == "retry" for e in span.events)
-    assert registry.counter("supervisor.timeouts").value == 1
-    assert registry.counter("supervisor.retries").value == 0
+    assert tracer.counter("supervisor.timeouts").value == 1
+    assert tracer.counter("supervisor.retries").value == 0
 
 
-def test_degraded_outcome_annotated(obs):
-    tracer, _registry = obs
-    supervisor = StageSupervisor(journal=RunJournal())
+def test_degraded_outcome_annotated(tracer):
+    supervisor = StageSupervisor()
     policy = StagePolicy(max_attempts=2, retry_on=(RoutingError,),
                          degrade=True)
 
@@ -135,19 +118,17 @@ def test_degraded_outcome_annotated(obs):
     assert any(e.name == "degraded" for e in spans[-1].events)
 
 
-def test_kernel_spans_parented_across_timeout_thread(obs):
+def test_kernel_spans_parented_across_timeout_thread(tracer):
     """A timed stage runs its body on a worker thread; kernel spans
     opened there must still hang off the attempt span, not become
     trace roots."""
-    tracer, _registry = obs
-    supervisor = StageSupervisor(journal=RunJournal())
-    policy = StagePolicy(timeout_s=5.0)
+    supervisor = StageSupervisor(timeout_s=5.0)
 
     def body():
         with kernel("sta.levelize"):
             return 7
 
-    assert supervisor.run_stage("signoff", body, policy=policy) == 7
+    assert supervisor.run_stage("signoff", body) == 7
     spans = {s.name: s for s in tracer.snapshot()}
     assert spans["sta.levelize"].parent_id == \
         spans["stage:signoff"].span_id

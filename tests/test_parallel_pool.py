@@ -5,7 +5,9 @@ the slowest unit tests in the suite — each one sticks to a single small
 circuit.
 """
 
+import functools
 import json
+import multiprocessing
 import os
 
 import pytest
@@ -13,15 +15,24 @@ import pytest
 from repro.errors import TaskFailedError, WorkerCrashError
 from repro.experiments import runner
 from repro.experiments import table04_45nm_summary as table4
+from repro.flow.design_flow import FlowConfig
 from repro.parallel import (
     DeferredTasks,
     ParallelEngine,
     TaskGraph,
     comparison_task,
+    flow_tasks,
 )
+from repro.parallel import pool as pool_mod
 from repro.runtime import faults
 from repro.runtime.checkpoint import CheckpointStore
-from repro.runtime.session import Session, use_session
+from repro.runtime.session import (
+    Session,
+    current_session,
+    override,
+    use_session,
+)
+from repro.runtime.supervisor import StageSupervisor
 
 SCALE = 0.04
 
@@ -88,6 +99,40 @@ def test_deferred_tasks_resolve_with_base_values(tmp_path):
                                            label="noop-sweep")])
     ParallelEngine(store=CheckpointStore(tmp_path), jobs=1).execute(graph)
     assert seen["clock"] > 0.0
+
+
+def test_spawn_started_pool_honors_timeout(tmp_path, monkeypatch):
+    """The session's --timeout reaches workers in their WorkerContext,
+    not by fork: a spawn-started pool times the slowed stage out too."""
+    monkeypatch.setattr(
+        pool_mod, "ProcessPoolExecutor",
+        functools.partial(pool_mod.ProcessPoolExecutor,
+                          mp_context=multiprocessing.get_context("spawn")))
+    slow = faults.FaultSpec(stage="prepare", delay_s=1.0)
+    configs = [FlowConfig(circuit="fpu", scale=0.03, is_3d=is_3d)
+               for is_3d in (False, True)]
+    with override(supervisor=StageSupervisor(timeout_s=0.2)):
+        engine = ParallelEngine(store=CheckpointStore(tmp_path), jobs=2,
+                                keep_going=True, worker_faults=(slow,))
+        report = engine.execute(TaskGraph(flow_tasks(configs)))
+    assert [r.error for r in report.records] == ["StageTimeoutError"] * 2
+
+
+def test_inline_run_keeps_the_callers_fault_plan(tmp_path):
+    """An inline task runs under the engine's worker faults alone: it
+    neither fires the caller's plan nor removes it."""
+    outer = faults.FaultSpec(stage="prepare", error="PlacementError",
+                             times=faults.ALWAYS)
+    inner = faults.FaultSpec(stage="prepare", error="RoutingError",
+                             times=faults.ALWAYS)
+    with faults.inject(outer) as plan:
+        engine = ParallelEngine(store=CheckpointStore(tmp_path), jobs=1,
+                                keep_going=True, worker_faults=(inner,))
+        report = engine.execute(TaskGraph(flow_tasks(
+            [FlowConfig(circuit="fpu", scale=0.03)])))
+        assert current_session().faults is plan
+    assert [r.error for r in report.records] == ["RoutingError"]
+    assert plan.fired() == 0
 
 
 def test_worker_crash_exhausts_retry_budget(tmp_path):

@@ -5,6 +5,7 @@ import pytest
 from repro.errors import PlacementError, RoutingError, TimingError
 from repro.runtime import faults
 from repro.runtime.faults import ALWAYS, FaultPlan, FaultSpec
+from repro.runtime.session import Session, current_session, use_session
 
 
 def test_spec_fires_named_error_for_counted_occurrences():
@@ -77,22 +78,24 @@ def test_unknown_error_name_rejected_eagerly():
 
 
 def test_inject_context_installs_and_restores():
-    outer = faults.active_plan()
+    outer = current_session().faults
     with faults.inject(FaultSpec(stage="s", error="RoutingError")) as plan:
-        assert faults.active_plan() is plan
+        assert current_session().faults is plan
         with pytest.raises(RoutingError):
             faults.check("s")
-    assert faults.active_plan() is outer
+    assert current_session().faults is outer
     faults.check("s")                   # no plan active: no fire
 
 
 def test_install_and_reset():
-    plan = faults.install(FaultPlan([FaultSpec(stage="s",
-                                               error="RoutingError")]))
-    try:
-        assert faults.active_plan() is plan
-    finally:
-        faults.reset()
+    """A plan installed on a session fires only while that session is
+    current; a fresh session starts with the null plan."""
+    plan = FaultPlan([FaultSpec(stage="s", error="RoutingError")])
+    with use_session(Session(faults=plan)):
+        assert current_session().faults is plan
+        with pytest.raises(RoutingError):
+            faults.check("s")
+    assert Session().faults is faults.NULL_PLAN
     faults.check("s")
 
 

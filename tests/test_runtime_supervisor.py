@@ -1,4 +1,4 @@
-"""Stage-supervisor unit tests: retries, backoff, timeouts, journal."""
+"""Stage-supervisor unit tests: retries, timeouts, journal."""
 
 import time
 
@@ -12,24 +12,24 @@ from repro.errors import (
     RoutingError,
     StageTimeoutError,
 )
+from repro.flow.design_flow import LAYOUT_POLICY
+from repro.runtime.session import (
+    Session,
+    current_session,
+    install_session,
+    override,
+    use_session,
+)
 from repro.runtime.supervisor import (
     RunJournal,
     StagePolicy,
     StageRecord,
     StageSupervisor,
-    current_supervisor,
-    install_supervisor,
-    use_supervisor,
 )
 
 
-def make_supervisor(**kwargs):
-    kwargs.setdefault("sleep", lambda s: None)
-    return StageSupervisor(**kwargs)
-
-
 def test_plain_stage_returns_value_and_journals():
-    sup = make_supervisor()
+    sup = StageSupervisor()
     assert sup.run_stage("s", lambda: 41 + 1) == 42
     (rec,) = sup.journal.records
     assert rec.stage == "s"
@@ -38,11 +38,9 @@ def test_plain_stage_returns_value_and_journals():
     assert rec.wall_time_s >= 0.0
 
 
-def test_retry_then_success_with_backoff():
-    sleeps = []
-    sup = make_supervisor(sleep=sleeps.append)
-    policy = StagePolicy(max_attempts=4, backoff_s=0.1, backoff_factor=2.0,
-                         retry_on=(RoutingError,))
+def test_retry_then_success():
+    sup = StageSupervisor()
+    policy = StagePolicy(max_attempts=4, retry_on=(RoutingError,))
     calls = {"n": 0}
 
     def flaky():
@@ -53,12 +51,11 @@ def test_retry_then_success_with_backoff():
 
     assert sup.run_stage("s", flaky, policy=policy) == "done"
     assert calls["n"] == 3
-    assert sleeps == [pytest.approx(0.1), pytest.approx(0.2)]
     assert sup.journal.outcomes("s") == ["retried", "retried", "ok"]
 
 
 def test_retry_exhausted_wraps_last_error():
-    sup = make_supervisor()
+    sup = StageSupervisor()
     policy = StagePolicy(max_attempts=3, retry_on=(RoutingError,))
 
     def always_fails():
@@ -74,7 +71,7 @@ def test_retry_exhausted_wraps_last_error():
 
 
 def test_on_retry_callback_runs_between_attempts():
-    sup = make_supervisor()
+    sup = StageSupervisor()
     policy = StagePolicy(max_attempts=3, retry_on=(RoutingError,))
     seen = []
 
@@ -91,7 +88,7 @@ def test_on_retry_callback_runs_between_attempts():
 
 
 def test_degrade_returns_partial_result():
-    sup = make_supervisor()
+    sup = StageSupervisor()
     policy = StagePolicy(max_attempts=2, retry_on=(RoutingError,),
                          degrade=True)
 
@@ -105,7 +102,7 @@ def test_degrade_returns_partial_result():
 
 
 def test_no_degrade_without_partial():
-    sup = make_supervisor()
+    sup = StageSupervisor()
     policy = StagePolicy(max_attempts=2, retry_on=(RoutingError,),
                          degrade=True)
 
@@ -117,7 +114,7 @@ def test_no_degrade_without_partial():
 
 
 def test_non_retryable_error_propagates_and_is_journaled():
-    sup = make_supervisor()
+    sup = StageSupervisor()
     policy = StagePolicy(max_attempts=3, retry_on=(RoutingError,))
 
     def wrong_kind():
@@ -129,19 +126,17 @@ def test_non_retryable_error_propagates_and_is_journaled():
 
 
 def test_stage_timeout():
-    sup = make_supervisor()
-    policy = StagePolicy(timeout_s=0.05)
+    sup = StageSupervisor(timeout_s=0.05)
     with pytest.raises(StageTimeoutError) as info:
-        sup.run_stage("slow", lambda: time.sleep(2.0), policy=policy)
+        sup.run_stage("slow", lambda: time.sleep(2.0))
     assert info.value.stage == "slow"
     assert info.value.timeout_s == pytest.approx(0.05)
     assert sup.journal.outcomes("slow") == ["timeout"]
 
 
 def test_timeout_retryable_when_policy_allows():
-    sup = make_supervisor()
-    policy = StagePolicy(timeout_s=0.05, max_attempts=2,
-                         retry_on=(StageTimeoutError,))
+    sup = StageSupervisor(timeout_s=0.05)
+    policy = StagePolicy(max_attempts=2, retry_on=(StageTimeoutError,))
     calls = {"n": 0}
 
     def slow_then_fast():
@@ -155,41 +150,26 @@ def test_timeout_retryable_when_policy_allows():
 
 
 def test_timeout_execution_propagates_worker_exception():
-    sup = make_supervisor()
-    policy = StagePolicy(timeout_s=5.0)
+    sup = StageSupervisor(timeout_s=5.0)
     with pytest.raises(RoutingError):
         sup.run_stage("s", lambda: (_ for _ in ()).throw(
-            RoutingError("from worker")), policy=policy)
-
-
-def test_configured_policy_overrides_call_site_default():
-    sup = make_supervisor(policies={
-        "layout": StagePolicy(max_attempts=1, retry_on=(RoutingError,))})
-    call_site = StagePolicy(max_attempts=5, retry_on=(RoutingError,))
-
-    def fails():
-        raise RoutingError("x")
-
-    with pytest.raises(RetryExhaustedError) as info:
-        sup.run_stage("layout", fails, policy=call_site)
-    assert info.value.attempts == 1
+            RoutingError("from worker")))
 
 
 def test_global_timeout_applies_to_call_site_policies():
-    sup = make_supervisor(default_policy=StagePolicy(timeout_s=7.0))
-    call_site = StagePolicy(max_attempts=3, retry_on=(RoutingError,),
-                            degrade=True)
-    policy = sup.policy_for("layout", call_site)
-    assert policy.timeout_s == 7.0
-    assert policy.max_attempts == 3
-    assert policy.degrade is True
-    # A policy with its own timeout keeps it.
-    timed = StagePolicy(timeout_s=1.0)
-    assert sup.policy_for("x", timed).timeout_s == 1.0
+    """The supervisor's one timeout bounds a stage run under the flow's
+    layout policy, which sets retries and degradation but no timeout."""
+    sup = StageSupervisor(timeout_s=0.05)
+    with pytest.raises(StageTimeoutError) as info:
+        sup.run_stage("layout", lambda: time.sleep(2.0),
+                      policy=LAYOUT_POLICY)
+    assert info.value.timeout_s == pytest.approx(0.05)
+    # A timeout is not in the layout policy's retry set: one attempt.
+    assert sup.journal.outcomes("layout") == ["timeout"]
 
 
 def test_run_context_labels_records():
-    sup = make_supervisor()
+    sup = StageSupervisor()
     with sup.run_context("aes@45nm-2D"):
         sup.run_stage("s", lambda: 1)
     sup.run_stage("s", lambda: 2)
@@ -198,22 +178,20 @@ def test_run_context_labels_records():
 
 
 def test_install_and_use_supervisor_scoping():
-    default = current_supervisor()
-    custom = make_supervisor()
-    with use_supervisor(custom):
-        assert current_supervisor() is custom
-    assert current_supervisor() is default
-    install_supervisor(custom)
+    """The supervisor stages run under is the current session's: scoped
+    by an override or by a whole session, restored on exit either way."""
+    default = current_session().supervisor
+    custom = StageSupervisor()
+    with override(supervisor=custom):
+        assert current_session().supervisor is custom
+    assert current_session().supervisor is default
+    with use_session(Session(supervisor=custom)):
+        assert current_session().supervisor is custom
+    assert current_session().supervisor is default
+    original = current_session()
+    install_session(Session(supervisor=custom))
     try:
-        assert current_supervisor() is custom
+        assert current_session().supervisor is custom
     finally:
-        install_supervisor(None)
-    assert current_supervisor() is default
-
-
-def test_backoff_schedule():
-    policy = StagePolicy(backoff_s=0.5, backoff_factor=3.0)
-    assert policy.backoff_for(1) == pytest.approx(0.5)
-    assert policy.backoff_for(2) == pytest.approx(1.5)
-    assert policy.backoff_for(3) == pytest.approx(4.5)
-    assert StagePolicy().backoff_for(1) == 0.0
+        install_session(original)
+    assert current_session().supervisor is default

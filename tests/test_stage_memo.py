@@ -9,7 +9,8 @@ import pytest
 from repro.experiments import runner
 from repro.flow import stagecache
 from repro.flow.design_flow import FlowConfig, run_flow
-from repro.obs import metrics as obs_metrics
+from repro.obs import Tracer
+from repro.runtime.session import override
 
 SMALL = dict(circuit="fpu", scale=0.06)
 
@@ -25,9 +26,8 @@ def _row_bytes(result):
     return json.dumps(result.summary_row(), sort_keys=True, default=str)
 
 
-def _stage_counters(registry):
-    return {name: value
-            for name, value in registry.snapshot()["counters"].items()
+def _stage_counters(tracer):
+    return {name: value for name, value in tracer.counts().items()
             if name.startswith("checkpoint.stage_")}
 
 
@@ -80,9 +80,10 @@ def test_placement_attempt_keys_distinguish_attempts():
 def test_warm_rerun_hits_every_persisted_stage(tmp_path):
     runner.use_persistent_cache(tmp_path)
     first = run_flow(FlowConfig(**SMALL))
-    with obs_metrics.use_metrics(obs_metrics.MetricsRegistry()) as reg:
+    tracer = Tracer()
+    with override(tracer=tracer):
         second = run_flow(FlowConfig(**SMALL))
-    counters = _stage_counters(reg)
+    counters = _stage_counters(tracer)
     for stage in PERSISTED:
         assert counters.get(f"checkpoint.stage_hits.{stage}") == 1
     assert counters.get("checkpoint.stage_misses", 0) == 0
@@ -101,10 +102,11 @@ def test_router_param_change_reuses_synthesis_and_placement(tmp_path):
 
     runner.use_persistent_cache(tmp_path)
     run_flow(FlowConfig(**SMALL))            # warm base run
-    with obs_metrics.use_metrics(obs_metrics.MetricsRegistry()) as reg:
+    tracer = Tracer()
+    with override(tracer=tracer):
         incremental = run_flow(changed_config)
 
-    counters = _stage_counters(reg)
+    counters = _stage_counters(tracer)
     assert counters.get("checkpoint.stage_hits.synthesis") == 1
     assert counters.get("checkpoint.stage_hits.placement") == 1
     for stage in ("layout", "post_route", "signoff", "power"):
@@ -114,9 +116,10 @@ def test_router_param_change_reuses_synthesis_and_placement(tmp_path):
 
 
 def test_without_store_is_pass_through():
-    with obs_metrics.use_metrics(obs_metrics.MetricsRegistry()) as reg:
+    tracer = Tracer()
+    with override(tracer=tracer):
         run_flow(FlowConfig(**SMALL))
-    assert not _stage_counters(reg)
+    assert not _stage_counters(tracer)
 
 
 # -- whatif ----------------------------------------------------------------

@@ -7,16 +7,11 @@ import time
 import pytest
 
 from repro.errors import CheckpointError
-from repro.obs import metrics as obs_metrics
+from repro.obs import Tracer
 from repro.runtime import faults
 from repro.runtime.checkpoint import STALE_TMP_S, CheckpointStore
 from repro.runtime.faults import ALWAYS, FsFaultSpec
-
-
-@pytest.fixture(autouse=True)
-def _reset_faults():
-    yield
-    faults.reset()
+from repro.runtime.session import override
 
 
 def _backdate(path, age_s):
@@ -133,11 +128,12 @@ def test_try_store_survives_single_enospc_without_degrading_reads(tmp_path):
 
 def test_stale_lock_proceeds_lock_free_and_counts(tmp_path):
     store = CheckpointStore(tmp_path)
-    with obs_metrics.use_metrics(obs_metrics.MetricsRegistry()) as reg:
+    tracer = Tracer()
+    with override(tracer=tracer):
         with faults.inject(FsFaultSpec(kind="stale_lock", op="lock")):
             store.store("k1", {"value": 1})
     assert store.load("k1") == {"value": 1}  # the write still landed
-    assert reg.snapshot()["counters"]["store.lock_timeouts"] == 1
+    assert tracer.counts()["store.lock_timeouts"] == 1
 
 
 def test_fsck_sweeps_stale_lock_files(tmp_path):
@@ -166,9 +162,10 @@ def test_fsck_repairs_surface_as_metric(tmp_path):
     store = CheckpointStore(tmp_path)
     with faults.inject(FsFaultSpec(kind="bit_flip")):
         store.store("k1", {"value": 1})
-    with obs_metrics.use_metrics(obs_metrics.MetricsRegistry()) as reg:
+    tracer = Tracer()
+    with override(tracer=tracer):
         store.fsck()
-    assert reg.snapshot()["counters"]["store.repairs"] == 1
+    assert tracer.counts()["store.repairs"] == 1
 
 
 def test_fsck_clean_on_healthy_store(tmp_path):
@@ -188,13 +185,14 @@ def test_gc_evicts_least_recently_used_first(tmp_path):
         store.store(f"k{i}", {"value": i})
         _backdate(store.path_for(f"k{i}"), 1000 - i * 100)
     store.load("k0")                         # a hit refreshes recency
-    with obs_metrics.use_metrics(obs_metrics.MetricsRegistry()) as reg:
+    tracer = Tracer()
+    with override(tracer=tracer):
         report = store.gc(max_entries=2)
     assert report.evicted == 2
     # k0 was oldest but freshly hit; k1 and k2 were the stalest left.
     assert "k0" in store and "k3" in store
     assert "k1" not in store and "k2" not in store
-    assert reg.snapshot()["counters"]["store.evictions"] == 2
+    assert tracer.counts()["store.evictions"] == 2
 
 
 def test_gc_byte_budget(tmp_path):
