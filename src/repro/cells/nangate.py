@@ -11,9 +11,13 @@ objects for any node / integration style:
   realistic case sits between DIELECTRIC and CONDUCTOR, and the paper's
   Table 2 shows the delta is small).
 
-Characterization uses the fast analytical model by default (validated
-against the MNA transient solver in the tests); pass
+Characterization uses the fast analytical model by default; pass
 ``characterizer="mna"`` to run full transient characterization instead.
+The analytical model is checked against the MNA transient solver in one
+test only (``test_analytic_matches_mna_for_inv``): INV delay within
+±45 % at three slew/load points.  Over the 63 cells the MNA path can
+characterize (45 nm 2D, 40 ps slew, 4 fF load), analytic ÷ MNA spans
+0.75–5.41 for energy and 0.57–2.08 for delay.
 """
 
 from __future__ import annotations

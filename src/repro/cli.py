@@ -57,7 +57,9 @@ Session flags (before the command)
                        becomes an error-marked row plus an exit summary
                        (exit code 1) instead of aborting the session
 --timeout SECONDS      per-stage wall-clock budget for supervised flow
-                       stages
+                       stages; a stage that overruns it stops at its
+                       next deadline check (a kernel entry or the stage's
+                       end) and fails with ``StageTimeoutError``
 --checkpoint-dir PATH  where the checkpoint store lives (default:
                        ``$REPRO_CHECKPOINT_DIR`` or
                        ``~/.cache/repro/checkpoints``)
@@ -732,7 +734,9 @@ def build_parser() -> argparse.ArgumentParser:
     parser.add_argument("--timeout", type=float, default=None,
                         metavar="SECONDS",
                         help="per-stage wall-clock budget for supervised "
-                             "flow stages")
+                             "flow stages; an overrunning stage stops at "
+                             "its next deadline check (a kernel entry or "
+                             "the stage's end)")
     parser.add_argument("--checkpoint-dir", default=None, metavar="PATH",
                         help="checkpoint store directory (default: "
                              "$REPRO_CHECKPOINT_DIR or "

@@ -2,8 +2,9 @@
 
 A :class:`Tracer` records **spans** — named intervals with a monotonic
 start, a duration, a category (``stage``, ``kernel``, ``task``, …), and
-free-form attributes — nested per thread: a span opened while another is
-open on the same thread becomes its child.  Spans carry **events**
+free-form attributes — nested: a span opened while another is open
+becomes its child (a run is single-threaded, so one stack per tracer
+holds the open spans).  Spans carry **events**
 (point-in-time annotations such as a supervisor retry) and serialize to
 plain JSON or to the Chrome ``traceEvents`` format (load the file at
 ``chrome://tracing`` / https://ui.perfetto.dev — zero dependencies).
@@ -16,8 +17,8 @@ Tracing is **opt-in and free when off**: the current session's tracer
 (:attr:`repro.runtime.session.Session.tracer`) defaults to
 :data:`NULL_TRACER`, whose :meth:`~Tracer.span` returns one shared,
 do-nothing context manager and whose :meth:`~Tracer.counter` returns one
-shared no-op counter — no allocation, no lock, no clock read on the hot
-paths (guarded by a no-op test).  ``repro --profile`` and ``repro
+shared no-op counter — no allocation and no clock read on the hot paths
+(guarded by a no-op test).  ``repro --profile`` and ``repro
 trace`` put a real tracer on the session.
 
 Cross-process traces: a worker exports its finished spans as a
@@ -37,13 +38,11 @@ from __future__ import annotations
 import hashlib
 import json
 import os
-import threading
 import time
-from contextlib import contextmanager
 from dataclasses import dataclass, field
-from typing import TYPE_CHECKING, Callable, Dict, Iterator, List, Optional
+from typing import TYPE_CHECKING, Callable, Dict, List, Optional
 
-if TYPE_CHECKING:                        # the supervisor imports this module
+if TYPE_CHECKING:                   # the runtime package imports this module
     from repro.runtime.supervisor import StageRecord
 
 __all__ = [
@@ -82,7 +81,6 @@ class Span:
     start_us: float
     dur_us: float = 0.0
     pid: int = 0
-    tid: int = 0
     attrs: Dict[str, object] = field(default_factory=dict)
     events: List[SpanEvent] = field(default_factory=list)
 
@@ -111,7 +109,6 @@ class Span:
             "start_us": round(self.start_us, 3),
             "dur_us": round(self.dur_us, 3),
             "pid": self.pid,
-            "tid": self.tid,
             "attrs": dict(self.attrs),
             "events": [e.to_dict() for e in self.events],
         }
@@ -149,18 +146,16 @@ _NULL_SPAN_CONTEXT = _NullSpanContext()
 class Counter:
     """Monotonically non-decreasing count."""
 
-    __slots__ = ("name", "_value", "_lock")
+    __slots__ = ("name", "_value")
 
     def __init__(self, name: str):
         self.name = name
         self._value = 0
-        self._lock = threading.Lock()
 
     def inc(self, n: int = 1) -> None:
         if n < 0:
             raise ValueError(f"counter {self.name!r} cannot decrease")
-        with self._lock:
-            self._value += n
+        self._value += n
 
     @property
     def value(self) -> int:
@@ -192,7 +187,7 @@ class TraceBundle:
 
 
 class _SpanContext:
-    """Context manager opening one span on the tracer's thread stack."""
+    """Context manager opening one span on the tracer's span stack."""
 
     __slots__ = ("_tracer", "_span")
 
@@ -209,7 +204,7 @@ class _SpanContext:
 
 
 class Tracer:
-    """Collects nested spans; thread-safe; exportable and mergeable."""
+    """Collects nested spans; exportable and mergeable."""
 
     enabled = True
 
@@ -219,8 +214,7 @@ class Tracer:
         self._clock = clock if clock is not None else time.perf_counter
         self._epoch = self._clock()
         self.wall_epoch_s = wall()
-        self._local = threading.local()
-        self._lock = threading.Lock()
+        self._stack: List[Span] = []     # open spans, innermost last
         self._next_id = 1
         self.spans: List[Span] = []      # finished spans, closing order
         self._counters: Dict[str, Counter] = {}
@@ -233,19 +227,12 @@ class Tracer:
 
     # -- span stack --------------------------------------------------------
 
-    def _stack(self) -> List[Span]:
-        stack = getattr(self._local, "stack", None)
-        if stack is None:
-            stack = []
-            self._local.stack = stack
-        return stack
-
     def _push(self, span: Span) -> None:
-        self._stack().append(span)
+        self._stack.append(span)
 
     def _pop(self, span: Span) -> None:
         span.dur_us = self.now_us() - span.start_us
-        stack = self._stack()
+        stack = self._stack
         if stack and stack[-1] is span:
             stack.pop()
         else:                             # unbalanced exit; drop if present
@@ -253,19 +240,16 @@ class Tracer:
                 stack.remove(span)
             except ValueError:
                 pass
-        with self._lock:
-            self.spans.append(span)
+        self.spans.append(span)
 
     def current_span(self) -> Optional[Span]:
-        stack = self._stack()
-        return stack[-1] if stack else None
+        return self._stack[-1] if self._stack else None
 
     def span(self, name: str, category: str = "span",
              **attrs: object) -> _SpanContext:
         """Open a span; use as ``with tracer.span("stage:layout") as s:``."""
-        with self._lock:
-            span_id = self._next_id
-            self._next_id += 1
+        span_id = self._next_id
+        self._next_id += 1
         parent = self.current_span()
         span = Span(
             span_id=span_id,
@@ -274,62 +258,31 @@ class Tracer:
             category=category,
             start_us=self.now_us(),
             pid=os.getpid(),
-            tid=threading.get_ident() & 0x7FFFFFFF,
             attrs=dict(attrs),
         )
         return _SpanContext(self, span)
-
-    @contextmanager
-    def attach(self, parent: Optional[Span]) -> Iterator[None]:
-        """Adopt ``parent`` as the current span on *this* thread.
-
-        The supervisor runs timed-out stage bodies on a worker thread;
-        attaching the attempt span there keeps kernel spans parented
-        correctly instead of becoming roots.
-        """
-        if parent is None:
-            yield
-            return
-        stack = self._stack()
-        stack.append(parent)
-        try:
-            yield
-        finally:
-            if stack and stack[-1] is parent:
-                stack.pop()
-
-    def event(self, name: str, **attrs: object) -> None:
-        """Annotate the innermost open span (no-op when none is open)."""
-        span = self.current_span()
-        if span is not None:
-            span.event(name, t_us=self.now_us(), **attrs)
 
     # -- counters ----------------------------------------------------------
 
     def counter(self, name: str) -> Counter:
         """The named counter, created on first use."""
-        with self._lock:
-            inst = self._counters.get(name)
-            if inst is None:
-                inst = self._counters[name] = Counter(name)
+        inst = self._counters.get(name)
+        if inst is None:
+            inst = self._counters[name] = Counter(name)
         return inst
 
     def counts(self) -> Dict[str, int]:
         """A plain-dict, picklable view of every counter, by name."""
-        with self._lock:
-            counters = dict(self._counters)
-        return {name: c.value for name, c in sorted(counters.items())}
+        return {name: c.value for name, c in sorted(self._counters.items())}
 
     # -- merging -----------------------------------------------------------
 
     def export_bundle(self, label: str = "") -> TraceBundle:
         """Snapshot the finished spans and the counts for shipping to
         another process."""
-        with self._lock:
-            spans = list(self.spans)
         return TraceBundle(label=label, pid=os.getpid(),
-                           wall_epoch_s=self.wall_epoch_s, spans=spans,
-                           counts=self.counts())
+                           wall_epoch_s=self.wall_epoch_s,
+                           spans=list(self.spans), counts=self.counts())
 
     def merge_bundle(self, bundle: TraceBundle,
                      container_name: Optional[str] = None,
@@ -346,58 +299,55 @@ class Tracer:
         for name, value in bundle.counts.items():
             self.counter(name).inc(int(value))
         offset_us = (bundle.wall_epoch_s - self.wall_epoch_s) * 1e6
-        with self._lock:
-            id_map: Dict[int, int] = {}
-            for span in bundle.spans:
-                id_map[span.span_id] = self._next_id
-                self._next_id += 1
-            container: Optional[Span] = None
-            if container_name is not None:
-                starts = [s.start_us + offset_us for s in bundle.spans]
-                ends = [s.end_us + offset_us for s in bundle.spans]
-                start = min(starts) if starts else offset_us
-                end = max(ends) if ends else offset_us
-                container = Span(
-                    span_id=self._next_id,
-                    parent_id=None,
-                    name=container_name,
-                    category="task",
-                    start_us=start,
-                    dur_us=end - start,
-                    pid=bundle.pid,
-                    attrs=dict(container_attrs),
-                )
-                self._next_id += 1
-            added = 0
-            for span in bundle.spans:
-                parent_id = (id_map.get(span.parent_id)
-                             if span.parent_id is not None else None)
-                if parent_id is None and container is not None:
-                    parent_id = container.span_id
-                self.spans.append(Span(
-                    span_id=id_map[span.span_id],
-                    parent_id=parent_id,
-                    name=span.name,
-                    category=span.category,
-                    start_us=span.start_us + offset_us,
-                    dur_us=span.dur_us,
-                    pid=span.pid,
-                    tid=span.tid,
-                    attrs=dict(span.attrs),
-                    events=[SpanEvent(e.name, e.t_us + offset_us,
-                                      dict(e.attrs)) for e in span.events],
-                ))
-                added += 1
-            if container is not None:
-                self.spans.append(container)
-                added += 1
+        id_map: Dict[int, int] = {}
+        for span in bundle.spans:
+            id_map[span.span_id] = self._next_id
+            self._next_id += 1
+        container: Optional[Span] = None
+        if container_name is not None:
+            starts = [s.start_us + offset_us for s in bundle.spans]
+            ends = [s.end_us + offset_us for s in bundle.spans]
+            start = min(starts) if starts else offset_us
+            end = max(ends) if ends else offset_us
+            container = Span(
+                span_id=self._next_id,
+                parent_id=None,
+                name=container_name,
+                category="task",
+                start_us=start,
+                dur_us=end - start,
+                pid=bundle.pid,
+                attrs=dict(container_attrs),
+            )
+            self._next_id += 1
+        added = 0
+        for span in bundle.spans:
+            parent_id = (id_map.get(span.parent_id)
+                         if span.parent_id is not None else None)
+            if parent_id is None and container is not None:
+                parent_id = container.span_id
+            self.spans.append(Span(
+                span_id=id_map[span.span_id],
+                parent_id=parent_id,
+                name=span.name,
+                category=span.category,
+                start_us=span.start_us + offset_us,
+                dur_us=span.dur_us,
+                pid=span.pid,
+                attrs=dict(span.attrs),
+                events=[SpanEvent(e.name, e.t_us + offset_us,
+                                  dict(e.attrs)) for e in span.events],
+            ))
+            added += 1
+        if container is not None:
+            self.spans.append(container)
+            added += 1
         return added
 
     # -- export ------------------------------------------------------------
 
     def snapshot(self) -> List[Span]:
-        with self._lock:
-            return list(self.spans)
+        return list(self.spans)
 
     def to_dict(self) -> Dict[str, object]:
         spans = self.snapshot()
@@ -416,7 +366,8 @@ class Tracer:
         """The Chrome/Perfetto ``traceEvents`` document (complete events).
 
         Span events ride along as zero-duration instant events (``ph: i``)
-        on the same track.
+        on the same track.  A run is single-threaded, so each process
+        gets one track: ``tid`` is the pid.
         """
         events: List[Dict[str, object]] = []
         for span in sorted(self.snapshot(),
@@ -428,7 +379,7 @@ class Tracer:
                 "ts": round(span.start_us, 3),
                 "dur": round(span.dur_us, 3),
                 "pid": span.pid,
-                "tid": span.tid,
+                "tid": span.pid,
                 "args": dict(span.attrs),
             })
             for ev in span.events:
@@ -438,7 +389,7 @@ class Tracer:
                     "ph": "i",
                     "ts": round(ev.t_us, 3),
                     "pid": span.pid,
-                    "tid": span.tid,
+                    "tid": span.pid,
                     "s": "t",
                     "args": dict(ev.attrs),
                 })
@@ -449,7 +400,7 @@ class Tracer:
     def digest(self) -> str:
         """SHA-256 over the span forest's *structure*.
 
-        Ids, pids, tids, and every timing value are stripped; siblings
+        Ids, pids, and every timing value are stripped; siblings
         are sorted canonically (not by time), so identical seeded
         sessions hash identically however their spans interleaved.
         """
@@ -508,15 +459,8 @@ class _NullTracer(Tracer):
              **attrs: object) -> _NullSpanContext:  # type: ignore[override]
         return _NULL_SPAN_CONTEXT
 
-    def event(self, name: str, **attrs: object) -> None:
-        return None
-
     def counter(self, name: str) -> Counter:
         return _NULL_COUNTER
-
-    @contextmanager
-    def attach(self, parent: Optional[Span]) -> Iterator[None]:
-        yield
 
     def merge_bundle(self, bundle: TraceBundle,
                      container_name: Optional[str] = None,
@@ -530,12 +474,19 @@ NULL_TRACER = _NullTracer()
 def kernel(name: str, **attrs: object):
     """Hot-kernel timer: a ``kernel`` span, or the shared no-op when off.
 
-    The disabled path is one session lookup and one attribute check —
-    cheap enough to sit inside placement/routing/STA inner drivers.
+    Every entry is also a stage-timeout check: once the session
+    supervisor's armed deadline has passed it raises
+    :class:`~repro.errors.StageTimeoutError` and opens no span.  The
+    disabled path is one session lookup, one ``is None`` test and one
+    attribute check — cheap enough to sit inside placement/routing/STA
+    inner drivers.
     """
     from repro.runtime.session import current_session
 
-    tracer = current_session().tracer
+    session = current_session()
+    if session.supervisor.deadline is not None:
+        session.supervisor.check_deadline()
+    tracer = session.tracer
     if not tracer.enabled:
         return _NULL_SPAN_CONTEXT
     return tracer.span(name, category="kernel", **attrs)

@@ -9,7 +9,9 @@ which occurrences fire (skip the first ``skip`` hits, then fire
 ``times`` times), and what happens: raise a named repro exception, call
 a custom exception factory (handy for :class:`CongestionError` faults
 that need the attempt's partial result attached), or just sleep
-``delay_s`` seconds — long enough to trip a stage timeout.
+``delay_s`` seconds — long enough to trip a stage timeout (under a
+timeout the supervisor cuts the sleep at the stage's deadline and
+raises there).
 
 The checkpoint store consults the same plan for **filesystem faults**
 (:class:`FsFaultSpec`): torn writes, partial renames, ``ENOSPC``,
@@ -31,17 +33,16 @@ Usage::
         store.store(key, value)   # the entry lands truncated on disk
 
 :func:`inject` puts a fresh plan on the current session for a ``with``
-block and restores the previous one on exit.  Counting is per-plan and
-thread-safe (stages may execute on a worker thread when a timeout is
-configured), so a plan is deterministic and reusable only within one
-``inject`` scope.  Both spec kinds are picklable dataclasses: a pool
-task gets its specs through :class:`repro.parallel.pool.WorkerContext`
-and runs them as a plan of its own.
+block and restores the previous one on exit.  Counting is per-plan (a
+run is single-threaded), so a plan is deterministic and reusable only
+within one ``inject`` scope.  Both spec kinds are picklable
+dataclasses: a pool task gets its specs through
+:class:`repro.parallel.pool.WorkerContext` and runs them as a plan of
+its own.
 """
 
 from __future__ import annotations
 
-import threading
 import time
 from contextlib import contextmanager
 from dataclasses import dataclass
@@ -138,14 +139,23 @@ class FsFaultSpec:
         return self.key_filter is None or self.key_filter in key
 
 
+def _count_hit(spec: FaultSpec | FsFaultSpec, hits: Dict[int, int],
+               i: int) -> bool:
+    """Count one hit of spec ``i``; True when it falls in the spec's
+    firing window (past ``skip``, within ``times``)."""
+    occurrence = hits[i] - spec.skip
+    hits[i] += 1
+    return occurrence >= 0 and (spec.times == ALWAYS or
+                                occurrence < spec.times)
+
+
 class FaultPlan:
     """An ordered set of fault specs plus per-spec hit counters.
 
     Holds both stage specs (:class:`FaultSpec`, consulted by the
     supervisor via :meth:`check`) and filesystem specs
     (:class:`FsFaultSpec`, consulted by the checkpoint store via
-    :meth:`fs_fault`); counters are shared so a mixed plan stays
-    deterministic across threads.
+    :meth:`fs_fault`).
     """
 
     def __init__(self, specs: List[object]):
@@ -161,37 +171,28 @@ class FaultPlan:
             i: 0 for i in range(len(self.fs_specs))}
         self._fs_fired: Dict[int, int] = {
             i: 0 for i in range(len(self.fs_specs))}
-        self._lock = threading.Lock()
 
     def fired(self, stage: Optional[str] = None) -> int:
         """How many stage faults have fired (optionally for one stage)."""
-        with self._lock:
-            return sum(n for i, n in self._fired.items()
-                       if stage is None or self.specs[i].stage == stage)
+        return sum(n for i, n in self._fired.items()
+                   if stage is None or self.specs[i].stage == stage)
 
     def fs_fired(self, kind: Optional[str] = None) -> int:
         """How many filesystem faults have fired (optionally one kind)."""
-        with self._lock:
-            return sum(n for i, n in self._fs_fired.items()
-                       if kind is None or self.fs_specs[i].kind == kind)
+        return sum(n for i, n in self._fs_fired.items()
+                   if kind is None or self.fs_specs[i].kind == kind)
 
-    def check(self, stage: str, where: str, result: object = None) -> None:
-        """Fire any matching spec; called by the supervisor."""
+    def check(self, stage: str, where: str, result: object = None,
+              sleep: Callable[[float], None] = time.sleep) -> None:
+        """Fire any matching spec; called by the supervisor, which
+        passes its deadline-bounded ``sleep`` for ``delay_s``."""
         for i, spec in enumerate(self.specs):
-            if spec.stage != stage or spec.where != where:
+            if spec.stage != stage or spec.where != where or \
+                    not _count_hit(spec, self._hits, i):
                 continue
-            with self._lock:
-                hit = self._hits[i]
-                self._hits[i] = hit + 1
-                occurrence = hit - spec.skip
-                fires = (occurrence >= 0 and
-                         (spec.times == ALWAYS or occurrence < spec.times))
-                if fires:
-                    self._fired[i] += 1
-            if not fires:
-                continue
+            self._fired[i] += 1
             if spec.delay_s > 0.0:
-                time.sleep(spec.delay_s)
+                sleep(spec.delay_s)
             exc = spec.build_exception(result)
             if exc is not None:
                 raise exc
@@ -205,15 +206,8 @@ class FaultPlan:
         for i, spec in enumerate(self.fs_specs):
             if not spec.matches(op, key):
                 continue
-            with self._lock:
-                hit = self._fs_hits[i]
-                self._fs_hits[i] = hit + 1
-                occurrence = hit - spec.skip
-                fires = (occurrence >= 0 and
-                         (spec.times == ALWAYS or occurrence < spec.times))
-                if fires:
-                    self._fs_fired[i] += 1
-            if fires:
+            if _count_hit(spec, self._fs_hits, i):
+                self._fs_fired[i] += 1
                 return spec.kind
         return None
 
@@ -222,7 +216,8 @@ class _NullPlan(FaultPlan):
     def __init__(self) -> None:
         super().__init__([])
 
-    def check(self, stage: str, where: str, result: object = None) -> None:
+    def check(self, stage: str, where: str, result: object = None,
+              sleep: Callable[[float], None] = time.sleep) -> None:
         return None
 
     def fs_fault(self, op: str, key: str) -> Optional[str]:
@@ -245,11 +240,12 @@ def inject(*specs: object) -> Iterator[FaultPlan]:
         yield session.faults
 
 
-def check(stage: str, where: str = "before", result: object = None) -> None:
+def check(stage: str, where: str = "before", result: object = None,
+          sleep: Callable[[float], None] = time.sleep) -> None:
     """Hook for the supervisor: fire matching faults of the session plan."""
     from repro.runtime.session import current_session
 
-    current_session().faults.check(stage, where, result)
+    current_session().faults.check(stage, where, result, sleep)
 
 
 def fs_fault(op: str, key: str) -> Optional[str]:

@@ -34,9 +34,10 @@ One module-level instance is current at a time (:func:`current_session`);
 on exit, and a pool worker installs its own at start-up.
 :func:`override` sets some fields of the current session for a scope and
 restores exactly those on exit.  The session is a plain global rather
-than a context variable on purpose: with ``--timeout`` the supervisor
-runs stage bodies on a fresh ``threading.Thread``, which would not see a
-context variable's value.
+than a context variable on purpose: a run is single-threaded (a stage
+timeout is a deadline checked on the stage's own thread, see
+:mod:`repro.runtime.supervisor`), so a context variable would isolate
+nothing and only add a lookup to every ``kernel()`` entry.
 """
 
 from __future__ import annotations

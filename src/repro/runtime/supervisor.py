@@ -4,9 +4,13 @@ The :class:`StageSupervisor` wraps each stage of
 :func:`repro.flow.design_flow.run_flow` with
 
 * one wall-clock **timeout** (:attr:`StageSupervisor.timeout_s`, the
-  ``--timeout`` flag) applied to every stage; the stage body runs on a
-  worker thread only when a timeout is set, so the common path stays
-  in-line and overhead-free,
+  ``--timeout`` flag) applied to every stage: each attempt arms a
+  deadline, and :meth:`StageSupervisor.check_deadline` raises
+  :class:`~repro.errors.StageTimeoutError` on the stage's own thread at
+  the stage boundaries, at the end of a delay fault and at every
+  :func:`repro.obs.trace.kernel` entry.  A run is single-threaded; a
+  body runs on until its next check, so a timeout fires late by at most
+  the longest stretch between two checks,
 * **bounded retries** for the exception classes the stage's
   :class:`StagePolicy` declares retryable — this generalizes the
   congestion-retry loop that used to live ad hoc in
@@ -33,14 +37,12 @@ from __future__ import annotations
 
 import logging
 import sys
-import threading
 import time
 from contextlib import contextmanager
 from dataclasses import dataclass
 from typing import Callable, Dict, Iterator, List, Optional, Sequence, Tuple
 
 from repro.errors import RetryExhaustedError, StageTimeoutError
-from repro.obs import trace as obs_trace
 from repro.runtime import faults
 
 try:
@@ -84,8 +86,8 @@ class StageRecord:
     attempt: int
     outcome: str                  # ok | retried | degraded | error | timeout
     wall_time_s: float
-    # Whole-process CPU time over the attempt (so a body running on the
-    # timeout thread is charged) and the process's peak RSS at its end.
+    # Process CPU time over the attempt (a run is single-threaded, so
+    # it is the attempt's own) and the process's peak RSS at its end.
     cpu_s: float = 0.0
     peak_rss_kb: float = 0.0
     run: str = ""                 # run label (e.g. "aes-2D"), if any
@@ -111,16 +113,13 @@ class RunJournal:
 
     def __init__(self) -> None:
         self.records: List[StageRecord] = []
-        self._lock = threading.Lock()
 
     def record(self, record: StageRecord) -> None:
-        with self._lock:
-            self.records.append(record)
+        self.records.append(record)
 
     def extend(self, records: Sequence[StageRecord]) -> None:
         """Append attempts journaled elsewhere (a pool task's rows)."""
-        with self._lock:
-            self.records.extend(records)
+        self.records.extend(records)
 
     def for_stage(self, stage: str) -> List[StageRecord]:
         return [r for r in self.records if r.stage == stage]
@@ -132,11 +131,9 @@ class RunJournal:
         """Per-stage rows in ``order`` for ``format_table`` (``repro
         --profile``): walls and CPU summed over attempts, peak RSS the
         max; stages with no attempt are left out."""
-        with self._lock:
-            records = list(self.records)
         rows = []
         for stage in order:
-            attempts = [r for r in records if r.stage == stage]
+            attempts = self.for_stage(stage)
             if not attempts:
                 continue
             rows.append({
@@ -150,40 +147,6 @@ class RunJournal:
         return rows
 
 
-def _run_with_timeout(name: str, fn: Callable[[], object],
-                      timeout_s: Optional[float],
-                      tracer: Optional["obs_trace.Tracer"] = None,
-                      parent: Optional["obs_trace.Span"] = None) -> object:
-    """Run ``fn`` (optionally on a worker thread with a deadline)."""
-    if timeout_s is None:
-        return fn()
-    box: Dict[str, object] = {}
-
-    def worker() -> None:
-        try:
-            if tracer is not None and tracer.enabled:
-                # Keep kernel spans opened on this thread parented to
-                # the attempt span instead of becoming trace roots.
-                with tracer.attach(parent):
-                    box["result"] = fn()
-            else:
-                box["result"] = fn()
-        except BaseException as exc:       # re-raised on the caller thread
-            box["error"] = exc
-
-    thread = threading.Thread(target=worker, name=f"stage-{name}",
-                              daemon=True)
-    thread.start()
-    thread.join(timeout_s)
-    if thread.is_alive():
-        # The worker cannot be killed; it is abandoned as a daemon and
-        # its eventual result discarded.
-        raise StageTimeoutError(name, timeout_s)
-    if "error" in box:
-        raise box["error"]                 # type: ignore[misc]
-    return box.get("result")
-
-
 class StageSupervisor:
     """Run stage callables under their policies and one timeout,
     journaling attempts."""
@@ -192,6 +155,10 @@ class StageSupervisor:
         self.timeout_s = timeout_s
         self.journal = RunJournal()
         self._run_label = ""
+        # The running attempt's deadline (a perf_counter() reading) and
+        # stage; None when no timeout is armed.
+        self.deadline: Optional[float] = None
+        self._deadline_stage = ""
 
     # -- run labelling ---------------------------------------------------
 
@@ -209,6 +176,38 @@ class StageSupervisor:
     def run_label(self) -> str:
         return self._run_label
 
+    # -- deadline ----------------------------------------------------------
+
+    @contextmanager
+    def _armed(self, stage: str) -> Iterator[None]:
+        """Arm this attempt's deadline when a timeout is set; restore
+        the previous one on exit."""
+        previous = (self.deadline, self._deadline_stage)
+        if self.timeout_s is not None:
+            self.deadline = time.perf_counter() + self.timeout_s
+            self._deadline_stage = stage
+        try:
+            yield
+        finally:
+            self.deadline, self._deadline_stage = previous
+
+    def check_deadline(self) -> None:
+        """Raise :class:`StageTimeoutError` once the clock has reached
+        the armed deadline (a no-op when none is armed)."""
+        if self.deadline is not None and \
+                time.perf_counter() >= self.deadline:
+            raise StageTimeoutError(self._deadline_stage, self.timeout_s)
+
+    def sleep(self, seconds: float) -> None:
+        """Sleep ``seconds``, but no later than the armed deadline, then
+        check it: a delay fault that outlasts the timeout raises at the
+        deadline instead of sleeping on."""
+        if self.deadline is not None:
+            seconds = min(seconds,
+                          max(0.0, self.deadline - time.perf_counter()))
+        time.sleep(seconds)
+        self.check_deadline()
+
     # -- execution ---------------------------------------------------------
 
     def run_stage(self, stage: str, fn: Callable[[], object], *,
@@ -222,18 +221,17 @@ class StageSupervisor:
         ``functools.partial``).  ``on_retry(attempt, exc)`` runs between a
         retryable failure and the next attempt — the design flow uses it
         to lower the placement utilization between congestion retries.
+
+        The deadline is checked before ``fn`` and after it returns (a
+        late result is journaled ``timeout`` and dropped); inside ``fn``
+        only :func:`repro.obs.trace.kernel` entries check it, and they
+        read the session's supervisor (``current_session().supervisor``,
+        the one the flow runs under).
         """
         from repro.runtime.session import current_session
 
         policy = policy if policy is not None else _SINGLE_ATTEMPT
         attempts = max(1, policy.max_attempts)
-
-        def body() -> object:
-            faults.check(stage, "before")
-            result = fn()
-            faults.check(stage, "after", result)
-            return result
-
         tracer = current_session().tracer
         for attempt in range(1, attempts + 1):
             clocks = (time.perf_counter(), time.process_time())
@@ -241,8 +239,13 @@ class StageSupervisor:
                              stage=stage, attempt=attempt,
                              run=self._run_label) as span:
                 try:
-                    result = _run_with_timeout(stage, body, self.timeout_s,
-                                               tracer=tracer, parent=span)
+                    with self._armed(stage):
+                        faults.check(stage, "before", sleep=self.sleep)
+                        self.check_deadline()
+                        result = fn()
+                        self.check_deadline()
+                        faults.check(stage, "after", result,
+                                     sleep=self.sleep)
                 except StageTimeoutError as exc:
                     # ``exc`` is not kept past its handler: its traceback
                     # holds this frame, so a reference from a local

@@ -294,3 +294,41 @@ def test_timeout_cli_flag(capsys):
     captured = capsys.readouterr()
     assert rc == 1
     assert "StageTimeoutError" in captured.err
+
+
+def test_timeouts_stop_the_stage_they_time_out(monkeypatch, capsys):
+    """Under ``--keep-going --timeout`` every table4 row fails in the
+    same stage on every run: the timed-out stage stops on the main
+    thread, and no stage body outlives ``main()`` to race the next row
+    (or the next run) for the library cache."""
+    import re
+    import threading
+
+    from repro.cli import main
+    from repro.flow import design_flow
+
+    probe_threads = []
+
+    def probe(result):
+        probe_threads.append(threading.current_thread())
+        return None
+
+    probes = [FaultSpec(stage=stage, where="after", factory=probe,
+                        times=ALWAYS)
+              for stage in design_flow.FLOW_STAGES]
+    threads_before = set(threading.enumerate())
+    failed_in = []
+    for _ in range(2):
+        monkeypatch.setattr(design_flow, "_LIBRARY_CACHE", {})
+        with faults.inject(*probes):
+            rc = main(["--keep-going", "--timeout", "0.01",
+                       "experiment", "table4"])
+        assert rc == 1
+        assert set(threading.enumerate()) <= threads_before
+        failed_in.append(dict(re.findall(
+            r"^  (\w+): StageTimeoutError: stage '(\w+)'",
+            capsys.readouterr().err, re.MULTILINE)))
+    assert sorted(failed_in[0]) == ["aes", "des", "fpu", "ldpc", "m256"]
+    assert failed_in[1] == failed_in[0]
+    assert probe_threads
+    assert all(t is threading.main_thread() for t in probe_threads)

@@ -1,10 +1,10 @@
 """Property tests for the observability layer (seeded, stdlib random).
 
 The span model is checked structurally over randomly generated trees
-driven by a fake clock: children nest inside their parents, same-thread
-siblings never overlap, a parent's duration covers its children's, and
-the structural digest is invariant under timing jitter and merge order
-but sensitive to structure.  Counter properties cover monotonicity and
+driven by a fake clock: children nest inside their parents, siblings
+never overlap, a parent's duration covers its children's, and the
+structural digest is invariant under timing jitter and merge order but
+sensitive to structure.  Counter properties cover monotonicity and
 the adding of counts on bundle merges, and the run journal's per-stage
 table its aggregation.  The no-op layer is checked for identity (zero
 allocation on hot paths).
@@ -20,7 +20,7 @@ import pytest
 from repro.obs import NULL_TRACER, Tracer, counter, kernel
 from repro.obs.trace import _NULL_SPAN_CONTEXT
 from repro.runtime.session import current_session, override
-from repro.runtime.supervisor import RunJournal, StageRecord
+from repro.runtime.supervisor import RunJournal, StageRecord, StageSupervisor
 
 SEEDS = (11, 23, 47)
 
@@ -226,6 +226,11 @@ def test_disabled_layer_is_shared_singletons():
     assert NULL_TRACER.span("x") is NULL_TRACER.span("y")
     assert kernel("place.spread") is kernel("sta.levelize")
     assert kernel("anything") is _NULL_SPAN_CONTEXT
+    # Likewise while a stage deadline is armed but not yet due.
+    supervisor = StageSupervisor(timeout_s=60.0)
+    with override(supervisor=supervisor):
+        assert supervisor.run_stage(
+            "s", lambda: kernel("place.spread")) is _NULL_SPAN_CONTEXT
     # One shared counter for every name.
     assert NULL_TRACER.counter("a") is NULL_TRACER.counter("b")
     assert counter("a") is NULL_TRACER.counter("z")

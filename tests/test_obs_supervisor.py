@@ -8,6 +8,8 @@ per-attempt records and the supervisor counters on the tracer.
 
 from __future__ import annotations
 
+import time
+
 import pytest
 
 from repro.errors import RoutingError, StageTimeoutError
@@ -118,18 +120,26 @@ def test_degraded_outcome_annotated(tracer):
     assert any(e.name == "degraded" for e in spans[-1].events)
 
 
-def test_kernel_spans_parented_across_timeout_thread(tracer):
-    """A timed stage runs its body on a worker thread; kernel spans
-    opened there must still hang off the attempt span, not become
-    trace roots."""
-    supervisor = StageSupervisor(timeout_s=5.0)
+def test_timed_stage_kernel_spans_nest_and_stop_at_deadline(tracer):
+    """A timed stage runs its body in line: a kernel span opened there
+    hangs off the attempt span, and the first kernel entry past the
+    deadline raises without opening a span."""
+    supervisor = StageSupervisor(timeout_s=0.05)
 
     def body():
         with kernel("sta.levelize"):
-            return 7
+            pass
+        time.sleep(0.1)
+        with kernel("sta.propagate"):
+            pass
+        return "late"
 
-    assert supervisor.run_stage("signoff", body) == 7
+    with override(supervisor=supervisor), \
+            pytest.raises(StageTimeoutError):
+        supervisor.run_stage("signoff", body)
     spans = {s.name: s for s in tracer.snapshot()}
     assert spans["sta.levelize"].parent_id == \
         spans["stage:signoff"].span_id
     assert spans["sta.levelize"].category == "kernel"
+    assert "sta.propagate" not in spans
+    assert spans["stage:signoff"].attrs["outcome"] == "timeout"

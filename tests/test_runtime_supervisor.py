@@ -13,6 +13,7 @@ from repro.errors import (
     StageTimeoutError,
 )
 from repro.flow.design_flow import LAYOUT_POLICY
+from repro.obs.trace import kernel
 from repro.runtime.session import (
     Session,
     current_session,
@@ -125,13 +126,41 @@ def test_non_retryable_error_propagates_and_is_journaled():
     assert sup.journal.outcomes("place") == ["error"]
 
 
+def _kernel_loop():
+    """A stage body that never finishes on its own.  Like the flow's
+    stages, it enters kernels, and the deadline check at a kernel entry
+    is what stops it."""
+    while True:
+        with kernel("place.spread"):
+            time.sleep(0.01)
+
+
 def test_stage_timeout():
     sup = StageSupervisor(timeout_s=0.05)
-    with pytest.raises(StageTimeoutError) as info:
-        sup.run_stage("slow", lambda: time.sleep(2.0))
+    t0 = time.perf_counter()
+    with override(supervisor=sup), \
+            pytest.raises(StageTimeoutError) as info:
+        sup.run_stage("slow", _kernel_loop)
+    assert time.perf_counter() - t0 < 0.5
     assert info.value.stage == "slow"
     assert info.value.timeout_s == pytest.approx(0.05)
     assert sup.journal.outcomes("slow") == ["timeout"]
+
+
+def test_late_result_is_journaled_timeout_and_dropped():
+    """A body with no check inside runs to its end; the supervisor's
+    check after it returns still times the attempt out."""
+    sup = StageSupervisor(timeout_s=0.05)
+
+    def late():
+        time.sleep(0.1)
+        return "late"
+
+    with pytest.raises(StageTimeoutError) as info:
+        sup.run_stage("slow", late)
+    assert info.value.stage == "slow"
+    assert sup.journal.outcomes("slow") == ["timeout"]
+    assert sup.deadline is None          # disarmed after the attempt
 
 
 def test_timeout_retryable_when_policy_allows():
@@ -142,10 +171,13 @@ def test_timeout_retryable_when_policy_allows():
     def slow_then_fast():
         calls["n"] += 1
         if calls["n"] == 1:
-            time.sleep(2.0)
+            _kernel_loop()
         return "fast"
 
-    assert sup.run_stage("s", slow_then_fast, policy=policy) == "fast"
+    t0 = time.perf_counter()
+    with override(supervisor=sup):
+        assert sup.run_stage("s", slow_then_fast, policy=policy) == "fast"
+    assert time.perf_counter() - t0 < 0.5
     assert sup.journal.outcomes("s") == ["timeout", "ok"]
 
 
@@ -153,16 +185,18 @@ def test_timeout_execution_propagates_worker_exception():
     sup = StageSupervisor(timeout_s=5.0)
     with pytest.raises(RoutingError):
         sup.run_stage("s", lambda: (_ for _ in ()).throw(
-            RoutingError("from worker")))
+            RoutingError("from the stage body")))
 
 
 def test_global_timeout_applies_to_call_site_policies():
     """The supervisor's one timeout bounds a stage run under the flow's
     layout policy, which sets retries and degradation but no timeout."""
     sup = StageSupervisor(timeout_s=0.05)
-    with pytest.raises(StageTimeoutError) as info:
-        sup.run_stage("layout", lambda: time.sleep(2.0),
-                      policy=LAYOUT_POLICY)
+    t0 = time.perf_counter()
+    with override(supervisor=sup), \
+            pytest.raises(StageTimeoutError) as info:
+        sup.run_stage("layout", _kernel_loop, policy=LAYOUT_POLICY)
+    assert time.perf_counter() - t0 < 0.5
     assert info.value.timeout_s == pytest.approx(0.05)
     # A timeout is not in the layout policy's retry set: one attempt.
     assert sup.journal.outcomes("layout") == ["timeout"]
