@@ -68,7 +68,9 @@ H_ROUTE_DETOUR = 1.50
 # Known fold styles: "pn" stacks all PMOS below all NMOS (the paper's
 # split, generalized to split each polarity across its half of the
 # tiers); "interleave" alternates P and N tiers so crossings stay short.
-FOLD_STYLES = ("pn", "interleave")
+# "gate" folds no cell: planar cells sit on two tiers (G-MI, the style
+# the paper's introduction sets beside T-MI).
+FOLD_STYLES = ("pn", "interleave", "gate")
 MIN_FOLD_TIERS = 2
 MAX_FOLD_TIERS = 8
 
@@ -94,6 +96,9 @@ class FoldSpec:
             known = ", ".join(FOLD_STYLES)
             raise TechnologyError(
                 f"unknown fold style {self.style!r}; known: {known}")
+        if self.style == "gate" and self.tiers != 2:
+            raise TechnologyError(
+                f"the gate fold places cells on 2 tiers, got {self.tiers}")
         if self.koz_diameters < 0.0:
             raise TechnologyError("MIV keep-out must be non-negative")
 

@@ -106,7 +106,8 @@ def _add_scenario_args(p) -> None:
     p.add_argument("--tiers", type=int, default=2,
                    help="T-MI fold tier count (default 2, the paper)")
     p.add_argument("--fold-style", default="pn", choices=list(FOLD_STYLES),
-                   help="how device polarities map to tiers (default pn)")
+                   help="how device polarities map to tiers (default pn); "
+                        "gate places planar cells on 2 tiers (G-MI)")
     p.add_argument("--koz", type=float, default=MIV_KOZ_DEFAULT,
                    help="MIV keep-out, in MIV diameters beyond the via "
                         f"(default {MIV_KOZ_DEFAULT})")

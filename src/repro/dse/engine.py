@@ -45,6 +45,7 @@ from repro.dse.cost import CostFunction, Objective, resolve_objectives
 from repro.dse.pareto import pareto_front
 from repro.dse.space import SweepSpace
 from repro.errors import DseError, ReproError, TaskFailedError
+from repro.flow.stagecache import run_key
 from repro.obs.trace import Tracer, counter
 from repro.runtime.session import override
 
@@ -285,14 +286,12 @@ class DseEngine:
         """Resolve proposals to (assignment, config, key), dropping
         duplicates within the batch and against evaluated points —
         the same canonical-key collapse the task planner applies."""
-        from repro.experiments.runner import flow_key
-
         seen = {point.key for point in self.points}
         seen.update(failure.key for failure in self.failures)
         fresh: List[Tuple[Dict[str, object], object, str]] = []
         for assignment in proposals:
             config = self.space.config_for(assignment)
-            key = flow_key(config)
+            key = run_key(config)
             if key in seen:
                 self.dedup_skips += 1
                 continue

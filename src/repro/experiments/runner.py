@@ -5,10 +5,10 @@ runs (e.g. Tables 4, 13, 16 and Fig. 3 all need the 45 nm comparisons).
 Results are memoized at two levels:
 
 * **in-process** — the current session's memos
-  (:class:`repro.runtime.session.Session`), keyed by the canonical
-  config hash from :mod:`repro.runtime.checkpoint` (the old
-  ``tuple(sorted(asdict(config).items()))`` keys raised ``TypeError``
-  the moment a config grew a dict- or list-valued field);
+  (:class:`repro.runtime.session.Session`): a flow run keyed on its
+  stage-digest chain (:func:`repro.flow.stagecache.run_key`, so configs
+  differing only in knobs the run ignores share one entry), a
+  comparison on the canonical hash of its arguments;
 * **on disk** (opt-in via :func:`use_persistent_cache`, the CLI's
   ``--resume``) — the session's :class:`repro.runtime.CheckpointStore`,
   so a bench session killed mid-experiment resumes without recomputing
@@ -35,13 +35,14 @@ error-marked row a sequential failure would produce.
 from __future__ import annotations
 
 import logging
-from dataclasses import asdict
+from dataclasses import replace
 from pathlib import Path
 from typing import Callable, Dict, Iterable, List, Optional, Union
 
 from repro.errors import ReproError, TaskFailedError
 from repro.flow.compare import ComparisonResult, run_iso_performance_comparison
 from repro.flow.design_flow import FlowConfig, LayoutResult, run_flow
+from repro.flow.stagecache import run_key
 from repro.runtime.checkpoint import CheckpointStore, config_key
 from repro.runtime.session import RowError, current_session
 
@@ -66,11 +67,6 @@ def default_scale(circuit: str) -> float:
 
 
 # -- cache keys -----------------------------------------------------------
-
-def flow_key(config: FlowConfig) -> str:
-    """Canonical, versioned checkpoint key for one flow run."""
-    return config_key("flow", asdict(config))
-
 
 def comparison_key(circuit: str, node_name: str, scale: float,
                    kwargs: dict) -> str:
@@ -221,13 +217,17 @@ def cached_comparison(circuit: str, node_name: str = "45nm",
 
 def cached_flow(config: FlowConfig) -> LayoutResult:
     """Run (or fetch) a single flow configuration."""
-    key = flow_key(config)
+    key = run_key(config)
     cache = current_session().flows
     value = _cache_lookup(cache, key)
     if value is None:
         _check_failed(key)
         value = run_flow(config)
         _cache_insert(cache, key, value)
+    if isinstance(value, LayoutResult) and value.config != config:
+        # Computed under a config that differs only in knobs the run
+        # ignores: the caller gets its own, which drivers derive from.
+        value = replace(value, config=config)
     return value
 
 

@@ -22,7 +22,9 @@ All experiment knobs of the paper's studies are exposed on
 :class:`FlowConfig`: node, integration style, metal stack variant
 (Table 17), local-resistivity scale (Table 9), pin-cap scale (Table 8),
 WLM style (Table 15), activity factors (Fig. 11), MIV/MB1 blockage
-overhead (Fig. 7), and the target clock (Fig. 4).
+overhead (Fig. 7), and the target clock (Fig. 4).  The gate-level style
+(G-MI, ``fold_style="gate"``) runs through the same stages, departing
+from them where :data:`repro.flow.gmi.GATE_LEVEL` says.
 
 When a checkpoint store is bound (``--resume``, parallel workers), each
 supervised stage additionally consults the stage-level incremental
@@ -52,6 +54,7 @@ from repro.check.timing import check_timing
 from repro.circuits.generators import generate_benchmark
 from repro.errors import CongestionError, RoutingError
 from repro.flow import stagecache
+from repro.flow.gmi import CELL_LEVEL, GATE_LEVEL, IntegrationStyle, with_mivs
 from repro.obs.trace import counter
 from repro.runtime.session import current_session
 from repro.runtime.supervisor import StagePolicy
@@ -101,13 +104,15 @@ def library_for(node_name: str, is_3d: bool,
                 fold: FoldSpec = FOLD_DEFAULT):
     """Build (or fetch) the characterized library for a node + style.
 
-    ``fold`` selects the T-MI fold scenario; 2D libraries normalize it
-    away so every 2D request shares one cache entry.
+    ``fold`` selects the T-MI fold scenario; planar libraries (2D, and
+    the gate fold of G-MI) normalize it away so every planar request
+    shares one cache entry.
     """
-    key = (node_name, is_3d, fold if is_3d else FOLD_DEFAULT)
+    folded = is_3d and fold.style != "gate"
+    key = (node_name, folded, fold if folded else FOLD_DEFAULT)
     if key not in _LIBRARY_CACHE:
         _LIBRARY_CACHE[key] = build_nangate_library(
-            get_node(node_name), is_3d=is_3d, fold=key[2])
+            get_node(node_name), is_3d=folded, fold=key[2])
     return _LIBRARY_CACHE[key]
 
 
@@ -130,10 +135,11 @@ class FlowConfig:
     pi_activity: float = 0.2
     seq_activity: float = 0.1
     # Scenario knobs (ROADMAP item 5): device tier count of the T-MI
-    # fold, the fold style ("pn" or "interleave"), and the MIV keep-out
-    # zone in diameters per side (ISQED'23, arXiv 2304.13808).  The
-    # defaults reproduce the paper's 2-tier scenario byte-for-byte; all
-    # three are ignored by 2D runs.
+    # fold, the fold style ("pn" or "interleave", or "gate" for G-MI's
+    # planar cells on two tiers), and the MIV keep-out zone in diameters
+    # per side (ISQED'23, arXiv 2304.13808).  The defaults reproduce the
+    # paper's 2-tier scenario byte-for-byte; all three are ignored by 2D
+    # runs.
     tiers: int = 2
     fold_style: str = "pn"
     miv_koz_diameters: float = MIV_KOZ_DEFAULT
@@ -150,6 +156,12 @@ class FlowConfig:
         """The fold scenario of this config (validates the knobs)."""
         return FoldSpec(tiers=self.tiers, style=self.fold_style,
                         koz_diameters=self.miv_koz_diameters)
+
+    def integration(self) -> IntegrationStyle:
+        """Where this run's flow departs from 2D's (G-MI only)."""
+        if self.is_3d and self.fold_style == "gate":
+            return GATE_LEVEL
+        return CELL_LEVEL
 
 
 @dataclass
@@ -172,6 +184,9 @@ class LayoutResult:
     synthesis_cells: int
     cts_buffers: int
     opt_buffers: int
+    # Nets between cells on different device tiers, one MIV each: G-MI
+    # only, as T-MI keeps its MIVs inside the cells.
+    crossing_nets: int = 0
     # Invariant-audit outcome of the run (see repro.check); None only
     # for results built outside run_flow (tests, synthetic fixtures).
     audit: Optional[AuditReport] = None
@@ -240,6 +255,7 @@ def run_flow(config: FlowConfig) -> LayoutResult:
     # supervised stage bodies, so the journal, tracing, and fault hooks
     # cover cached stages too; the audit stage is never cached.
     memo = stagecache.StageMemo(config)
+    style = config.integration()
 
     def _prepare():
         node = get_node(config.node_name)
@@ -272,10 +288,10 @@ def run_flow(config: FlowConfig) -> LayoutResult:
                            for i in module.instances)
             wlm = WireLoadModel.estimate(
                 name=f"{config.circuit}-{config.style()}",
-                total_cell_area_um2=pre_area,
+                total_cell_area_um2=pre_area * style.wlm_area_scale,
                 utilization=config.target_utilization,
                 interconnect=interconnect,
-                is_3d=config.is_3d,
+                is_3d=library.is_3d,
                 use_tmi_lengths=config.use_tmi_wlm,
             )
             synthesizer = Synthesizer(library, wlm,
@@ -353,7 +369,9 @@ def run_flow(config: FlowConfig) -> LayoutResult:
             pre_opt_buffers = placed["pre_opt_buffers"]
             net_model, optimizer, router = _rebuild_layout(floorplan)
         else:
-            placer = Placer(library, target_utilization=utilization_target)
+            placer = Placer(library, target_utilization=utilization_target,
+                            tiers=style.tiers,
+                            area_overhead=style.area_overhead)
             placement = placer.run(module)
             floorplan = placement.floorplan
             net_model = PlacedNetModel(module, interconnect,
@@ -436,6 +454,10 @@ def run_flow(config: FlowConfig) -> LayoutResult:
 
     # -- post-route optimization -------------------------------------------------
     def _post_route():
+        if not style.post_route_opt:
+            return {"module": module, "routing": layout.routing,
+                    "opt_buffers": 0}
+
         def compute():
             net_model.invalidate()
             post_opt = optimizer.run(module, net_model)
@@ -461,13 +483,20 @@ def run_flow(config: FlowConfig) -> LayoutResult:
     def _signoff():
         return memo.cached("signoff", _signoff_compute)
 
+    def _routed_model(route):
+        """Sign-off net model of ``route`` and its count of MIV nets:
+        with cells on two tiers, each net between them gets an MIV."""
+        ress, caps = route.resistances_kohm, route.capacitances_ff
+        crossing = 0
+        if style.tiers > 1:
+            ress, caps, crossing = with_mivs(module, library, ress, caps)
+        return RoutedNetModel(route.lengths_um, ress, caps), crossing
+
     def _signoff_compute():
         clock = clock_ns
         route = routing
         opt = optimizer
-        routed_model = RoutedNetModel(route.lengths_um,
-                                      route.resistances_kohm,
-                                      route.capacitances_ff)
+        routed_model, crossing = _routed_model(route)
         # One-run analyzers stay temporaries: an analyzer keeps its
         # timing graph, which the retune's optimizer and router would
         # otherwise carry at the flow's memory peak.
@@ -498,9 +527,7 @@ def run_flow(config: FlowConfig) -> LayoutResult:
                 net_model.invalidate()
                 opt.run(module, net_model, fix_drvs=False)
                 route = router.run(module)
-                routed_model = RoutedNetModel(route.lengths_um,
-                                              route.resistances_kohm,
-                                              route.capacitances_ff)
+                routed_model, crossing = _routed_model(route)
                 retuned = True
             if retuned:
                 report = TimingAnalyzer(module, library, routed_model,
@@ -518,6 +545,7 @@ def run_flow(config: FlowConfig) -> LayoutResult:
             "report": report,
             "routing": route,
             "routed_model": routed_model,
+            "crossing_nets": crossing,
         }
 
     signoff = supervisor.run_stage("signoff", _signoff)
@@ -581,6 +609,7 @@ def run_flow(config: FlowConfig) -> LayoutResult:
         synthesis_cells=synthesis_cells,
         cts_buffers=cts_buffers,
         opt_buffers=layout.pre_opt_buffers + post_opt_buffers,
+        crossing_nets=signoff["crossing_nets"],
         audit=audit,
     )
     if flow_audit.collecting():

@@ -15,39 +15,22 @@ integration levels can be compared head-to-head:
   the crossing count,
 * cells: unchanged 2D cells — no T-MI cell-internal RC effects at all.
 
-The flow mirrors :func:`repro.flow.design_flow.run_flow` with a two-tier
-floorplan (double row capacity), a connectivity-driven tier partitioner,
-and MIV parasitics added to crossing nets.
+A G-MI run is ``FlowConfig(is_3d=True, fold_style="gate")`` through
+:func:`repro.flow.design_flow.run_flow`, which reads :data:`GATE_LEVEL`
+at the steps where G-MI departs from the 2D and T-MI flow.  At sign-off
+the connectivity-driven tier partitioner below splits the placed cells,
+and every net it cuts gets one MIV's parasitics.
 """
 
 from __future__ import annotations
 
-import math
 from collections import deque
 from dataclasses import dataclass
-from typing import Dict, List, Set
+from typing import Dict, List, Set, Tuple
 
-from repro.circuits.generators import generate_benchmark
 from repro.circuits.netlist import Module
-from repro.flow.design_flow import FlowConfig, library_for
-from repro.opt.cts import synthesize_clock_tree
-from repro.opt.optimizer import Optimizer
-from repro.place.floorplan import Floorplan
-from repro.place.legalize import legalize
-from repro.place.quadratic import place_global
-from repro.power.analysis import PowerReport, analyze_power
-from repro.route.router import GlobalRouter, RoutingResult
-from repro.synth.synthesis import Synthesizer
-from repro.synth.wlm import WireLoadModel
-from repro.tech.interconnect import InterconnectModel
-from repro.tech.metal import build_stack_tmi
 from repro.tech.miv import MIVModel
-from repro.tech.node import get_node
-from repro.timing.netmodel import PlacedNetModel, RoutedNetModel
-from repro.timing.sta import TimingAnalyzer
 
-# Two device tiers share the footprint.
-N_TIERS = 2
 # Partitioning overhead over the ideal half-area core: tier balancing,
 # MIV keep-out, and power-network duplication keep real G-MI footprint
 # reductions near ~30 % (the paper's Section 4.2 quotes [2] at ~30 %,
@@ -55,25 +38,35 @@ N_TIERS = 2
 GMI_AREA_OVERHEAD = 1.40
 
 
-@dataclass
-class GMIResult:
-    """Layout result of a G-MI run."""
+@dataclass(frozen=True)
+class IntegrationStyle:
+    """Where an integration style's flow departs from 2D's.
 
-    config: FlowConfig
-    clock_ns: float
-    footprint_um2: float
-    n_cells: int
-    total_wirelength_um: float
-    wns_ps: float
-    power: PowerReport
-    routing: RoutingResult
-    n_miv_nets: int
-    tier_of: Dict[int, int]
+    2D and T-MI place one tier of cells and read :data:`CELL_LEVEL`,
+    whose values leave every step bit-identical (``x / 1 * 1.0`` is
+    exact); G-MI reads :data:`GATE_LEVEL`.  With more than one tier of
+    cells, sign-off adds an MIV to every net between cells on different
+    tiers.
+    """
 
-    @property
-    def miv_fraction(self) -> float:
-        total = max(len(self.tier_of), 1)
-        return self.n_miv_nets / total
+    # Cell area the synthesis WLM sizes its core from, per unit of
+    # netlist cell area.
+    wlm_area_scale: float = 1.0
+    # Device tiers of planar cells sharing the core: the core is 1/tiers
+    # of the planar one and each row holds tiers x its width of cells.
+    tiers: int = 1
+    # Core area over that ideal 1/tiers core.
+    area_overhead: float = 1.0
+    # Re-optimize and re-route after the first routing.
+    post_route_opt: bool = True
+
+
+CELL_LEVEL = IntegrationStyle()
+# A ~two-tier WLM length scale, a half-area core derated by the
+# partitioning overhead, and no post-route optimization.
+GATE_LEVEL = IntegrationStyle(wlm_area_scale=0.6, tiers=2,
+                              area_overhead=GMI_AREA_OVERHEAD,
+                              post_route_opt=False)
 
 
 def partition_tiers(module: Module, library) -> Dict[int, int]:
@@ -128,9 +121,10 @@ def partition_tiers(module: Module, library) -> Dict[int, int]:
     return tier
 
 
-def count_crossing_nets(module: Module, tier: Dict[int, int]) -> int:
-    """Nets whose pins span both tiers (each needs >= 1 MIV)."""
-    crossing = 0
+def crossing_nets(module: Module, tier: Dict[int, int]) -> List[int]:
+    """Indices of the nets whose pins span both tiers, in net order
+    (each needs >= 1 MIV)."""
+    crossing = []
     for net in module.nets:
         tiers = set()
         if net.driver is not None and net.driver[0] >= 0:
@@ -139,118 +133,25 @@ def count_crossing_nets(module: Module, tier: Dict[int, int]) -> int:
             if inst_idx >= 0:
                 tiers.add(tier.get(inst_idx, 0))
         if len(tiers) > 1:
-            crossing += 1
+            crossing.append(net.index)
     return crossing
 
 
-class _GMIFloorplan(Floorplan):
-    """Two tiers share the core: planar rows with double capacity."""
+def with_mivs(module: Module, library, resistances_kohm: Dict[int, float],
+              capacitances_ff: Dict[int, float]
+              ) -> Tuple[Dict[int, float], Dict[int, float], int]:
+    """Routed net R/C plus one MIV on every net the tier partition cuts.
 
-
-def _gmi_floorplan(module: Module, library,
-                   target_utilization: float) -> Floorplan:
-    total_area = sum(library.cell(i.cell_name).area_um2
-                     for i in module.instances)
-    row_height = library.node.cell_height_um
-    core_area = (total_area / target_utilization / N_TIERS
-                 * GMI_AREA_OVERHEAD)
-    dim = math.sqrt(core_area)
-    n_rows = max(1, int(round(dim / row_height)))
-    height = n_rows * row_height
-    width = core_area / height
-    fp = _GMIFloorplan(
-        width_um=width,
-        height_um=height,
-        row_height_um=row_height,
-        target_utilization=target_utilization,
-    )
-    fp.place_ios(module)
-    return fp
-
-
-def run_gmi_flow(config: FlowConfig) -> GMIResult:
-    """Run the G-MI flow for one configuration.
-
-    ``config.is_3d`` is ignored (G-MI uses the planar 2D library on the
-    T-MI metal stack); the other knobs behave as in ``run_flow``.
+    Returns new (resistance kOhm, capacitance fF) maps and the number
+    of crossing nets.
     """
-    node = get_node(config.node_name)
-    library = library_for(config.node_name, False)   # planar cells
-    interconnect = InterconnectModel(build_stack_tmi(node))
-    miv = MIVModel(node)
-
-    module = generate_benchmark(config.circuit, scale=config.scale,
-                                seed=config.seed)
-    pre_area = sum(library.cell(i.cell_name).area_um2
-                   for i in module.instances)
-    wlm = WireLoadModel.estimate(
-        name=f"{config.circuit}-GMI",
-        total_cell_area_um2=pre_area * 0.6,   # ~two-tier length scale
-        utilization=config.target_utilization,
-        interconnect=interconnect,
-        is_3d=False,
-    )
-    synth = Synthesizer(library, wlm,
-                        target_clock_ns=config.target_clock_ns,
-                        tightness=config.tightness).run(module)
-    clock_ns = synth.clock_ns
-
-    floorplan = _gmi_floorplan(module, library,
-                               config.target_utilization)
-    x, y = place_global(module, library, floorplan)
-    # Two tiers: each row accepts twice its width in cells (derated by
-    # the partitioning overhead baked into the floorplan).
-    legalize(module, library, floorplan, x, y,
-             capacity_factor=float(N_TIERS))
-
-    net_model = PlacedNetModel(module, interconnect,
-                               io_positions=floorplan.io_positions)
-    optimizer = Optimizer(library, interconnect, floorplan, clock_ns)
-    optimizer.run(module, net_model)
-    synthesize_clock_tree(module, library, floorplan)
-
-    tier = partition_tiers(module, library)
-    n_crossing = count_crossing_nets(module, tier)
-
-    router = GlobalRouter(library, interconnect, floorplan)
-    routing = router.run(module)
-    # MIV parasitics on crossing nets (small, but accounted).
-    extra_c = miv.capacitance_ff
+    miv = MIVModel(library.node)
     extra_r = miv.resistance_ohm / 1000.0
-    caps = dict(routing.capacitances_ff)
-    ress = dict(routing.resistances_kohm)
-    counted = 0
-    for net in module.nets:
-        tiers = set()
-        if net.driver is not None and net.driver[0] >= 0:
-            tiers.add(tier.get(net.driver[0], 0))
-        for inst_idx, _pin in net.sinks:
-            if inst_idx >= 0:
-                tiers.add(tier.get(inst_idx, 0))
-        if len(tiers) > 1:
-            caps[net.index] = caps.get(net.index, 0.0) + extra_c
-            ress[net.index] = ress.get(net.index, 0.0) + extra_r
-            counted += 1
-
-    routed_model = RoutedNetModel(routing.lengths_um, ress, caps)
-    report = TimingAnalyzer(module, library, routed_model, clock_ns).run()
-    if report.wns_ps < 0.0 and config.target_clock_ns is None:
-        clock_ns = math.ceil(
-            (clock_ns * 1000.0 - report.wns_ps) / 10.0) / 100.0
-        report = TimingAnalyzer(module, library, routed_model,
-                                clock_ns).run()
-    power = analyze_power(module, library, routed_model, clock_ns,
-                          pi_activity=config.pi_activity,
-                          seq_activity=config.seq_activity)
-    return GMIResult(
-        config=config,
-        clock_ns=clock_ns,
-        footprint_um2=floorplan.area_um2,
-        n_cells=module.n_cells,
-        total_wirelength_um=routing.total_wirelength_um,
-        wns_ps=report.wns_ps,
-        power=power,
-        routing=routing,
-        n_miv_nets=counted,
-        tier_of=tier,
-    )
+    extra_c = miv.capacitance_ff
+    ress = dict(resistances_kohm)
+    caps = dict(capacitances_ff)
+    crossing = crossing_nets(module, partition_tiers(module, library))
+    for net in crossing:
+        caps[net] = caps.get(net, 0.0) + extra_c
+        ress[net] = ress.get(net, 0.0) + extra_r
+    return ress, caps, len(crossing)

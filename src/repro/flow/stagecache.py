@@ -1,22 +1,25 @@
 """Stage-level incremental memoization for the design flow.
 
-The whole-run checkpoint (:mod:`repro.experiments.runner`) reuses a
-completed flow only when *every* ``FlowConfig`` field matches.  The
-paper's sensitivity studies (Tables 8/9/15/17, Figs. 4/7/11) vary one
-knob at a time, so that cache misses on every row even though most of
-the flow is identical.  This module keys each supervised stage on a
-canonical hash of its **actual inputs**: the digests of the upstream
-stages it consumes plus the subset of ``FlowConfig`` parameters the
-stage itself reads (:data:`STAGE_PARAMS`).  Parameters a stage only
-inherits through its inputs are *not* repeated in its key — they are
-already folded into the upstream digest — so changing
-``router_detour_coeff`` invalidates ``layout`` and everything after it
-while ``synthesis`` and the ``placement`` sub-step keep hitting.
+The paper's sensitivity studies (Tables 8/9/15/17, Figs. 4/7/11) vary
+one knob at a time, so a cache keyed on whole configs misses on every
+row even though most of the flow is identical.  This module keys each
+supervised stage on a canonical hash of its **actual inputs**: the
+digests of the upstream stages it consumes plus the subset of
+``FlowConfig`` parameters the stage itself reads (:data:`STAGE_PARAMS`).
+Parameters a stage only inherits through its inputs are *not* repeated
+in its key — they are already folded into the upstream digest — so
+changing ``router_detour_coeff`` invalidates ``layout`` and everything
+after it while ``synthesis`` and the ``placement`` sub-step keep
+hitting.
 
 The digest chain (:func:`stage_digests`) is pure arithmetic on the
 config — no store, no flow objects — which is what makes ``repro
 whatif`` possible: diff the chains of two configs and you know exactly
 which stages a parameter change recomputes, before running anything.
+A 2D config is hashed with the knobs a 2D run never reads at their
+defaults, so 2D configs that differ only there share every digest.
+The whole-run memo (:mod:`repro.experiments.runner`) keys a completed
+run on the chain's last digest (:func:`run_key`).
 
 Stage payloads live in the same :class:`~repro.runtime.checkpoint.
 CheckpointStore` as whole-run results (same schema versioning, same
@@ -38,6 +41,7 @@ from __future__ import annotations
 from dataclasses import asdict
 from typing import Callable, Dict, List, Optional, Tuple
 
+from repro.cells.folding import FOLD_DEFAULT
 from repro.runtime.checkpoint import CheckpointStore, config_key
 from repro.runtime.session import current_session
 
@@ -71,6 +75,15 @@ STAGE_DEPS: Dict[str, Tuple[str, ...]] = {
     "power": ("signoff",),
 }
 
+# What a 2D run reads of the fields only 3D runs use: nothing.  Its
+# digests hash them at these values.
+PLANAR_FIELDS: Dict[str, object] = {
+    "tiers": FOLD_DEFAULT.tiers,
+    "fold_style": FOLD_DEFAULT.style,
+    "miv_koz_diameters": FOLD_DEFAULT.koz_diameters,
+    "metal_stack": "default",
+}
+
 # Digest computation order (dependencies first).
 _DIGEST_ORDER = ("prepare", "synthesis", "placement", "layout",
                  "post_route", "signoff", "power")
@@ -92,9 +105,15 @@ def stage_digests(config: object) -> Dict[str, str]:
 
     ``digest[stage] = H(stage, digests of its deps, its direct params)``
     — two configs share a stage's digest iff every parameter that can
-    reach the stage (directly or through an upstream stage) is equal.
+    reach the stage (directly or through an upstream stage) is equal,
+    as the run reads it: a 2D config hashes :data:`PLANAR_FIELDS` and
+    an unset ``use_tmi_wlm`` as the planar WLM it resolves to.
     """
     cfg = asdict(config) if not isinstance(config, dict) else dict(config)
+    if not cfg["is_3d"]:
+        cfg.update(PLANAR_FIELDS)
+        if cfg["use_tmi_wlm"] is None:
+            cfg["use_tmi_wlm"] = False
     digests: Dict[str, str] = {}
     for stage in _DIGEST_ORDER:
         payload = {
@@ -103,6 +122,18 @@ def stage_digests(config: object) -> Dict[str, str]:
         }
         digests[stage] = config_key(f"stage.{stage}", payload)
     return digests
+
+
+def run_key(config: object) -> str:
+    """Checkpoint key of one whole flow run.
+
+    A run's result is a function of the inputs the ``power`` stage's
+    digest covers; the ``run`` namespace keeps the key apart from that
+    stage's own entry.  A malformed fold raises here, as the run would:
+    a 2D digest drops the fold knobs, so it would share a valid key.
+    """
+    config.fold_spec()
+    return config_key("run", stage_digests(config)["power"])
 
 
 def placement_attempt_key(placement_digest: str, utilization: float,

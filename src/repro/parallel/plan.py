@@ -7,7 +7,7 @@ same five 45 nm 2D-vs-T-MI comparisons.  This module turns the
 
 * :class:`TaskSpec` — one unit of work (a full iso-performance comparison
   or a single flow run), named by the same canonical checkpoint key the
-  cached-execution layer uses (:func:`repro.experiments.runner.flow_key`
+  cached-execution layer uses (:func:`repro.flow.stagecache.run_key`
   / :func:`~repro.experiments.runner.comparison_key`).  Two experiments
   that need the same run therefore declare the same key, and the graph
   keeps one task.
@@ -34,12 +34,9 @@ import importlib
 from dataclasses import dataclass, field
 from typing import Callable, Dict, Iterable, List, Optional, Sequence, Union
 
-from repro.experiments.runner import (
-    comparison_key,
-    default_scale,
-    flow_key,
-)
+from repro.experiments.runner import comparison_key, default_scale
 from repro.flow.design_flow import FlowConfig
+from repro.flow.stagecache import run_key
 
 KIND_FLOW = "flow"
 KIND_COMPARISON = "comparison"
@@ -107,7 +104,7 @@ def flow_task(config: FlowConfig) -> TaskSpec:
     """Declare one single-configuration flow run."""
     return TaskSpec(
         kind=KIND_FLOW,
-        key=flow_key(config),
+        key=run_key(config),
         label=(f"flow:{config.circuit}@{config.node_name}-{config.style()}"
                f"x{config.scale:g}"),
         payload=config,

@@ -39,8 +39,13 @@ class Floorplan:
 
     @classmethod
     def for_module(cls, module: Module, library,
-                   target_utilization: float = 0.80) -> "Floorplan":
-        """Size the core for a netlist at a target utilization."""
+                   target_utilization: float = 0.80, tiers: int = 1,
+                   area_overhead: float = 1.0) -> "Floorplan":
+        """Size the core for a netlist at a target utilization.
+
+        ``tiers`` tiers of planar cells share the core (G-MI), which
+        shrinks it to 1/tiers, derated by ``area_overhead``.
+        """
         if not (0.05 < target_utilization <= 1.0):
             raise PlacementError(
                 f"unreasonable utilization {target_utilization}")
@@ -55,7 +60,7 @@ class Floorplan:
         if row_height is None:
             row_height = library.node.tmi_cell_height_um if library.is_3d \
                 else library.node.cell_height_um
-        core_area = total_area / target_utilization
+        core_area = total_area / target_utilization / tiers * area_overhead
         # Square core, height snapped to a whole number of rows.
         dim = math.sqrt(core_area)
         n_rows = max(1, int(round(dim / row_height)))

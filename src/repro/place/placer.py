@@ -26,16 +26,23 @@ class PlacementResult:
 class Placer:
     """Analytic standard-cell placer (Encounter placement substitute)."""
 
-    def __init__(self, library, target_utilization: float = 0.80) -> None:
+    def __init__(self, library, target_utilization: float = 0.80,
+                 tiers: int = 1, area_overhead: float = 1.0) -> None:
         self.library = library
         self.target_utilization = target_utilization
+        # Tiers of planar cells sharing each row (G-MI), and the core's
+        # area over the ideal 1/tiers core (Floorplan.for_module).
+        self.tiers = tiers
+        self.area_overhead = area_overhead
 
     def run(self, module: Module,
             floorplan: Optional[Floorplan] = None) -> PlacementResult:
         fp = floorplan or Floorplan.for_module(
-            module, self.library, self.target_utilization)
+            module, self.library, self.target_utilization,
+            tiers=self.tiers, area_overhead=self.area_overhead)
         x, y = place_global(module, self.library, fp)
-        legalize(module, self.library, fp, x, y)
+        legalize(module, self.library, fp, x, y,
+                 capacity_factor=float(self.tiers))
         return PlacementResult(
             floorplan=fp,
             hpwl_um=total_hpwl(module, fp),

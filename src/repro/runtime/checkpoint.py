@@ -102,7 +102,10 @@ logger = logging.getLogger(__name__)
 #    profile rows and stage walls; an older bundle has no ``journal``.
 # 7: a TraceBundle carries its task's counts (``counts``) in place of a
 #    metrics-registry snapshot (``metrics``).
-SCHEMA_VERSION = 7
+# 8: whole runs are keyed on the stage-digest chain (stagecache.run_key),
+#    whose 2D digests drop the knobs 2D runs ignore, and LayoutResult
+#    carries ``crossing_nets``.
+SCHEMA_VERSION = 8
 
 _MAGIC = b"repro-ckpt"
 

@@ -94,6 +94,13 @@ def test_duplicate_points_collapse_before_running():
     assert result.dedup_skips == 1
 
 
+def test_knobs_2d_ignores_collapse_to_one_evaluation():
+    space = SweepSpace(BASE, [Axis(name="tiers", values=(2, 4))])
+    result = DseEngine(space, objectives=("power", "leakage")).explore()
+    assert len(result.points) == 1
+    assert result.dedup_skips == 1
+
+
 def test_budget_caps_evaluations():
     engine = DseEngine(_space(values=(0.1, 0.2, 0.3)),
                        objectives=("power", "leakage"), budget=2)

@@ -97,9 +97,9 @@ def test_int_and_categorical_axes_are_not_refinable():
 def test_coercion_unifies_text_and_json_scalars():
     """'0.8', 0.8, and 8e-1 must produce one canonical config key —
     the planner's dedup depends on it."""
-    from repro.experiments.runner import flow_key
+    from repro.flow.stagecache import run_key
 
-    keys = {flow_key(dataclasses.replace(
+    keys = {run_key(dataclasses.replace(
         BASE, pin_cap_scale=coerce_field_value("pin_cap_scale", raw)))
         for raw in ("0.8", 0.8, "8e-1", 0.8 + 0.0)}
     assert len(keys) == 1

@@ -1,5 +1,7 @@
 """End-to-end flow tests (small scales; the heavy runs live in benches)."""
 
+from dataclasses import replace
+
 import pytest
 
 from repro.flow.design_flow import FlowConfig, run_flow
@@ -55,6 +57,29 @@ def test_flow_config_knobs_run():
     result = run_flow(FlowConfig(circuit="fpu", scale=0.08,
                                  local_resistivity_scale=0.5))
     assert result.power.total_mw > 0.0
+
+
+@pytest.fixture(scope="module")
+def aes_2d_small():
+    return run_flow(FlowConfig(circuit="aes", scale=0.05))
+
+
+@pytest.mark.parametrize("knob", [
+    {"tiers": 4},
+    {"fold_style": "interleave"},
+    {"miv_koz_diameters": 2.0},
+    {"metal_stack": "tmi+m"},
+    {"use_tmi_wlm": False},
+])
+def test_2d_runs_ignore_the_3d_only_knobs(aes_2d_small, knob):
+    # 2D run keys leave these knobs out; that holds only while a 2D
+    # flow gives bit-identical results whatever their values.
+    def outcome(result):
+        return (result.summary_row(), result.power, result.clock_ns,
+                result.routing.lengths_um)
+
+    knobbed = run_flow(replace(aes_2d_small.config, **knob))
+    assert outcome(knobbed) == outcome(aes_2d_small)
 
 
 def test_explicit_clock_respected():

@@ -16,6 +16,7 @@ from repro.flow.design_flow import (
     FlowConfig,
     run_flow,
 )
+from repro.flow.stagecache import run_key
 from repro.runtime import faults
 from repro.runtime.faults import ALWAYS, FaultSpec
 from repro.runtime.session import override
@@ -143,7 +144,7 @@ def test_resume_recomputes_after_corruption(tmp_path, monkeypatch):
     runner.cached_flow(config)
     runner.clear_caches()
 
-    path = store.path_for(runner.flow_key(config))
+    path = store.path_for(run_key(config))
     data = bytearray(path.read_bytes())
     data[len(data) // 2] ^= 0xFF
     path.write_bytes(bytes(data))

@@ -1,13 +1,12 @@
 """Task-graph tests: dedup, key discipline, deferrals, plan building."""
 
+from dataclasses import replace
+
 import pytest
 
-from repro.experiments.runner import (
-    comparison_key,
-    default_scale,
-    flow_key,
-)
+from repro.experiments.runner import comparison_key, default_scale
 from repro.flow.design_flow import FlowConfig
+from repro.flow.stagecache import run_key
 from repro.parallel import (
     KIND_COMPARISON,
     KIND_FLOW,
@@ -40,13 +39,18 @@ def test_comparison_task_key_matches_cached_call_site():
     assert "pin_cap_scale=0.6" in spec.label
 
 
-def test_flow_task_key_matches_flow_key():
+def test_flow_task_key_matches_run_key():
     config = FlowConfig(circuit="m256", node_name="7nm", is_3d=True,
                         scale=0.05, metal_stack="tmi+m")
     spec = flow_task(config)
     assert spec.kind == KIND_FLOW
-    assert spec.key == flow_key(config)
+    assert spec.key == run_key(config)
     assert spec.payload is config
+    # The metal stack is a T-MI input, but a 2D run ignores it.
+    assert spec.key != flow_task(replace(config, metal_stack="default")).key
+    planar = replace(config, is_3d=False)
+    assert flow_task(planar).key == \
+        flow_task(replace(planar, metal_stack="default")).key
 
 
 def test_task_keys_stable_across_builds():

@@ -1,5 +1,7 @@
 """Experiment-runner cache tests."""
 
+from dataclasses import replace
+
 import pytest
 
 from repro.experiments.runner import (
@@ -39,6 +41,19 @@ def test_flow_cache_keyed_by_config():
     different = cached_flow(FlowConfig(circuit="fpu", scale=0.06,
                                        pin_cap_scale=0.5))
     assert different is not first
+    clear_caches()
+
+
+def test_flow_cache_hit_returns_the_callers_config():
+    # A 2D run ignores tiers, so a tiers=4 request hits the tiers=2
+    # entry; drivers that replace() the result's config keep their knob.
+    clear_caches()
+    config = FlowConfig(circuit="fpu", scale=0.06)
+    first = cached_flow(config)
+    hit = cached_flow(replace(config, tiers=4))
+    assert hit.config.tiers == 4
+    assert hit.power is first.power
+    assert cached_flow(config).config.tiers == 2
     clear_caches()
 
 

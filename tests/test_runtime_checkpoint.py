@@ -1,19 +1,21 @@
 """Checkpoint-store tests: canonical keys, atomicity, corruption, schema."""
 
 import pickle
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 from typing import Dict, List
 
 import pytest
 
+from repro.errors import TechnologyError
 from repro.flow.design_flow import FlowConfig
+from repro.flow.stagecache import run_key, stage_digests
 from repro.runtime.checkpoint import (
     SCHEMA_VERSION,
     CheckpointStore,
     canonical_key,
     config_key,
 )
-from repro.experiments.runner import comparison_key, flow_key
+from repro.experiments.runner import comparison_key
 
 
 # -- canonical keys -------------------------------------------------------
@@ -53,13 +55,43 @@ def test_config_key_versioned_and_kind_scoped():
     assert config_key("flow", cfg) == config_key("flow", dict(cfg))
 
 
-def test_flow_key_accepts_full_flow_config():
-    key1 = flow_key(FlowConfig(circuit="fpu", scale=0.06))
-    key2 = flow_key(FlowConfig(circuit="fpu", scale=0.06))
-    key3 = flow_key(FlowConfig(circuit="fpu", scale=0.06,
-                               pin_cap_scale=0.5))
+# Knobs a 2D run ignores (tests/test_flow.py proves it), each off its
+# default.
+KNOBS_2D_IGNORES = ({"tiers": 4}, {"fold_style": "interleave"},
+                    {"miv_koz_diameters": 2.0}, {"metal_stack": "tmi+m"},
+                    {"use_tmi_wlm": False})
+
+
+def test_run_key_accepts_full_flow_config():
+    key1 = run_key(FlowConfig(circuit="fpu", scale=0.06))
+    key2 = run_key(FlowConfig(circuit="fpu", scale=0.06))
+    key3 = run_key(FlowConfig(circuit="fpu", scale=0.06,
+                              pin_cap_scale=0.5))
     assert key1 == key2
     assert key1 != key3
+    # Namespaced apart from the power stage's own entry.
+    assert key1 != stage_digests(FlowConfig(circuit="fpu",
+                                            scale=0.06))["power"]
+
+
+def test_run_key_rejects_a_malformed_fold():
+    # A 2D run ignores the fold, but a memo hit must not skip the check
+    # a cold run makes.
+    with pytest.raises(TechnologyError):
+        run_key(FlowConfig(circuit="fpu", scale=0.06, tiers=9))
+
+
+@pytest.mark.parametrize("knob", KNOBS_2D_IGNORES)
+def test_run_key_drops_the_knobs_2d_ignores(knob):
+    base_2d = FlowConfig(circuit="aes", scale=0.05)
+    assert stage_digests(replace(base_2d, **knob)) == \
+        stage_digests(base_2d)
+    assert run_key(replace(base_2d, **knob)) == run_key(base_2d)
+    # A T-MI run reads every one of them.
+    base_3d = replace(base_2d, is_3d=True)
+    assert stage_digests(replace(base_3d, **knob))["power"] != \
+        stage_digests(base_3d)["power"]
+    assert run_key(replace(base_3d, **knob)) != run_key(base_3d)
 
 
 def test_comparison_key_tolerates_unhashable_kwargs():

@@ -57,6 +57,8 @@ from repro.tech.miv import (
 from repro.tech.node import NODE_7NM, NODE_45NM, get_node, node_names
 
 SEEDS = (11, 23, 47)
+# The fold styles that fold a cell; "gate" keeps cells planar (G-MI).
+CELL_FOLDS = tuple(style for style in FOLD_STYLES if style != "gate")
 NODES = ("45nm", "7nm", "asap7")
 
 GOLDEN_DIR = Path(__file__).resolve().parents[1] / "goldens"
@@ -186,7 +188,7 @@ def test_tier_groups_partition_all_tiers(seed):
     rng = random.Random(seed)
     for _ in range(50):
         tiers = rng.randint(MIN_FOLD_TIERS, MAX_FOLD_TIERS)
-        style = rng.choice(FOLD_STYLES)
+        style = rng.choice(CELL_FOLDS)
         p_group, n_group = FoldSpec(tiers=tiers, style=style).tier_groups()
         assert p_group and n_group
         assert not set(p_group) & set(n_group)
@@ -236,7 +238,7 @@ def test_fold_conserves_devices_and_nets(seed):
     for cell_type, strength in _sampled_variants(seed):
         nl = build_cell_netlist(cell_type, strength, node)
         spec = FoldSpec(tiers=rng.randint(MIN_FOLD_TIERS, MAX_FOLD_TIERS),
-                        style=rng.choice(FOLD_STYLES))
+                        style=rng.choice(CELL_FOLDS))
         g = fold_cell_geometry(nl, node, spec)
         # Every netlist net (beyond the rails) keeps geometry.
         rails = {"VDD", "VSS"}
@@ -254,7 +256,7 @@ def test_device_tier_assignment_in_range_and_polarity_true(seed):
     for cell_type, strength in _sampled_variants(seed):
         nl = build_cell_netlist(cell_type, strength, node)
         spec = FoldSpec(tiers=rng.randint(MIN_FOLD_TIERS, MAX_FOLD_TIERS),
-                        style=rng.choice(FOLD_STYLES))
+                        style=rng.choice(CELL_FOLDS))
         tiers = device_tiers(nl, spec)
         assert len(tiers) == len(nl.devices)
         p_group, n_group = spec.tier_groups()
@@ -270,7 +272,7 @@ def test_fold_places_mivs_on_every_crossing_cell(seed):
     for cell_type, strength in _sampled_variants(seed):
         nl = build_cell_netlist(cell_type, strength, node)
         spec = FoldSpec(tiers=rng.randint(MIN_FOLD_TIERS, MAX_FOLD_TIERS),
-                        style=rng.choice(FOLD_STYLES))
+                        style=rng.choice(CELL_FOLDS))
         g = fold_cell_geometry(nl, node, spec)
         has_p = any(d.is_pmos for d in nl.devices)
         has_n = any(not d.is_pmos for d in nl.devices)
@@ -290,7 +292,7 @@ def test_fuzzed_folds_extract_cleanly(seed):
     for cell_type, strength in _sampled_variants(seed, n=6):
         nl = build_cell_netlist(cell_type, strength, node)
         spec = FoldSpec(tiers=rng.randint(MIN_FOLD_TIERS, MAX_FOLD_TIERS),
-                        style=rng.choice(FOLD_STYLES))
+                        style=rng.choice(CELL_FOLDS))
         g = fold_cell_geometry(nl, node, spec)
         parasitics = extract_cell(g, ExtractionMode.DIELECTRIC, node)
         for net in parasitics.nets.values():
