@@ -41,7 +41,7 @@ from repro.characterize.analytic import (
 )
 from repro.characterize.charlib import (
     CharacterizationSetup,
-    characterize_cell,
+    characterize_cells,
 )
 from repro.tech.node import TechNode, NODE_45NM
 
@@ -85,57 +85,68 @@ def build_cell(cell_type: str, strength: float, node: TechNode,
                char_setup: Optional[CharacterizationSetup] = None,
                fold: FoldSpec = FOLD_DEFAULT) -> Cell:
     """Build one fully characterized cell."""
-    name = f"{cell_type}_X{strength:g}"
-    netlist = build_cell_netlist(cell_type, float(strength), node=node,
-                                 cell_name=name)
-    if is_3d:
-        geometry = fold_cell_geometry(netlist, node, fold)
-        parasitics = _average_3d_parasitics(geometry, node)
-    else:
-        geometry = build_cell_geometry_2d(netlist, node)
-        parasitics = extract_cell(geometry, ExtractionMode.FLAT, node)
+    return _build_cells([(cell_type, strength)], node, is_3d, characterizer,
+                        char_setup, fold)[0]
 
-    pins: Dict[str, Pin] = {}
-    for pin_name in netlist.input_pins:
-        pins[pin_name] = Pin(
-            name=pin_name,
-            direction=PinDirection.INPUT,
-            cap_ff=pin_capacitance_ff(netlist, pin_name, node, parasitics),
-        )
-    for pin_name in netlist.clock_pins:
-        pins[pin_name] = Pin(
-            name=pin_name,
-            direction=PinDirection.INPUT,
-            cap_ff=pin_capacitance_ff(netlist, pin_name, node, parasitics),
-            is_clock=True,
-        )
-    for pin_name in netlist.output_pins:
-        pins[pin_name] = Pin(
-            name=pin_name,
-            direction=PinDirection.OUTPUT,
-            cap_ff=0.0,
-        )
+
+def _build_cells(types: List[Tuple[str, float]], node: TechNode,
+                 is_3d: bool, characterizer: str,
+                 char_setup: Optional[CharacterizationSetup],
+                 fold: FoldSpec) -> List[Cell]:
+    """Build and characterize cells; the MNA path characterizes them all
+    in one :func:`characterize_cells` call."""
+    cells = []
+    for cell_type, strength in types:
+        name = f"{cell_type}_X{strength:g}"
+        netlist = build_cell_netlist(cell_type, float(strength), node=node,
+                                     cell_name=name)
+        if is_3d:
+            geometry = fold_cell_geometry(netlist, node, fold)
+            parasitics = _average_3d_parasitics(geometry, node)
+        else:
+            geometry = build_cell_geometry_2d(netlist, node)
+            parasitics = extract_cell(geometry, ExtractionMode.FLAT, node)
+
+        pins: Dict[str, Pin] = {}
+        for pin_name in netlist.input_pins:
+            pins[pin_name] = Pin(
+                name=pin_name,
+                direction=PinDirection.INPUT,
+                cap_ff=pin_capacitance_ff(netlist, pin_name, node,
+                                          parasitics),
+            )
+        for pin_name in netlist.clock_pins:
+            pins[pin_name] = Pin(
+                name=pin_name,
+                direction=PinDirection.INPUT,
+                cap_ff=pin_capacitance_ff(netlist, pin_name, node,
+                                          parasitics),
+                is_clock=True,
+            )
+        for pin_name in netlist.output_pins:
+            pins[pin_name] = Pin(
+                name=pin_name,
+                direction=PinDirection.OUTPUT,
+                cap_ff=0.0,
+            )
+        cells.append((Cell(name=name, cell_type=cell_type,
+                           strength=float(strength), netlist=netlist,
+                           geometry=geometry, pins=pins), parasitics))
 
     if characterizer == "analytic":
-        char = analytic_characterization(
-            netlist, parasitics, node, cell_type=cell_type,
-            strength=float(strength))
+        chars = [analytic_characterization(
+            cell.netlist, parasitics, node, cell_type=cell.cell_type,
+            strength=cell.strength) for cell, parasitics in cells]
     elif characterizer == "mna":
         setup = char_setup or CharacterizationSetup(node=node)
-        char = characterize_cell(netlist, parasitics, setup,
-                                 cell_type=cell_type)
+        chars = characterize_cells([
+            (cell.netlist, parasitics, setup, cell.cell_type)
+            for cell, parasitics in cells])
     else:
         raise LibraryError(f"unknown characterizer {characterizer!r}")
-
-    return Cell(
-        name=name,
-        cell_type=cell_type,
-        strength=float(strength),
-        netlist=netlist,
-        geometry=geometry,
-        pins=pins,
-        characterization=char,
-    )
+    for (cell, _parasitics), char in zip(cells, chars):
+        cell.characterization = char
+    return [cell for cell, _parasitics in cells]
 
 
 def _average_3d_parasitics(geometry, node) -> CellParasitics:
@@ -178,10 +189,10 @@ def build_nangate_library(node: TechNode = NODE_45NM, is_3d: bool = False,
     wanted = None
     if cell_subset is not None:
         wanted = {(t, float(s)) for t, s in cell_subset}
-    for cell_type, strengths in CELL_DEFINITIONS:
-        for strength in strengths:
-            if wanted is not None and (cell_type, float(strength)) not in wanted:
-                continue
-            library.add(build_cell(cell_type, float(strength), node, is_3d,
-                                   characterizer=characterizer, fold=fold))
+    types = [(cell_type, float(strength))
+             for cell_type, strengths in CELL_DEFINITIONS
+             for strength in strengths
+             if wanted is None or (cell_type, float(strength)) in wanted]
+    for cell in _build_cells(types, node, is_3d, characterizer, None, fold):
+        library.add(cell)
     return library

@@ -15,7 +15,7 @@ latch state.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Dict, Optional, Sequence, Tuple
+from typing import Dict, List, Optional, Sequence, Tuple
 
 import numpy as np
 
@@ -32,7 +32,8 @@ from repro.characterize.liberty import (
     TimingArc,
     CellCharacterization,
 )
-from repro.characterize.mna import MNACircuit
+from repro.characterize.mna import MNACircuit, TransientResult
+from repro.characterize.mna_batch import TransientSpec, transient_batch
 from repro.characterize.waveforms import (
     RampStimulus,
     constant,
@@ -64,6 +65,9 @@ _PREFERRED_ARC = {
 
 # Held values for sequential side pins during clock->Q characterization.
 _SEQ_SIDE_VALUES = {"RN": True, "SE": False, "SI": False}
+
+# Input edges start this long into a measurement run, ns.
+_START_NS = 0.02
 
 
 @dataclass
@@ -167,125 +171,192 @@ def preferred_arc(netlist: CellNetlist, cell_type: str) -> Tuple[str, str]:
     return netlist.input_pins[0], netlist.output_pins[0]
 
 
-def _sweep_grid_batch(netlist: CellNetlist,
-                      parasitics: Optional[CellParasitics],
-                      cell_type: str, in_pin: str, out_pin: str,
-                      slews: Sequence[float], loads: Sequence[float],
-                      setup: CharacterizationSetup, sequential: bool,
-                      delay: np.ndarray, oslew: np.ndarray,
-                      energy: np.ndarray) -> None:
-    """Phase-batched characterization grid.
+class _Sweep:
+    """One cell's characterization grid, phase by phase.
 
     Runs the same simulations as a one-transient-at-a-time grid loop
-    (the reference, frozen in ``tests/kernel_oracle.py``) but batched in
-    lockstep: one settle per (direction, load) — the settle result does
-    not depend on slew, so the loop's repeats are redundant — then every
-    (slew, load, direction) measurement at once.  Table values are
-    bit-identical to the scalar sweep.
+    (the reference, frozen in ``tests/kernel_oracle.py``) but hands
+    them to the batch engine: one settle per (direction, load) — the
+    settle result does not depend on slew, so the loop's repeats are
+    redundant — then every (slew, load, direction) measurement.  Table
+    values are bit-identical to the scalar sweep.
     """
-    from repro.characterize.mna_batch import TransientSpec, transient_batch
 
-    node = setup.node
-    vdd = node.vdd
-    start_ns = 0.02
-    directions = (True, False)
-    leak_mw = _leakage_mw(netlist, node)
-    if sequential:
-        data_pin = netlist.input_pins[0]
-        side = {}
-    else:
-        side = sensitizing_vector(cell_type, in_pin, out_pin)
+    def __init__(self, netlist: CellNetlist,
+                 parasitics: Optional[CellParasitics] = None,
+                 setup: Optional[CharacterizationSetup] = None,
+                 cell_type: Optional[str] = None) -> None:
+        self.netlist = netlist
+        self.parasitics = parasitics
+        self.setup = setup or CharacterizationSetup()
+        if cell_type is None:
+            cell_type = netlist.cell_name.split("_X")[0]
+        self.sequential = bool(netlist.clock_pins)
+        if not self.sequential and not is_combinational(cell_type):
+            raise CharacterizationError(
+                f"cannot characterize cell type {cell_type!r}")
+        self.in_pin, self.out_pin = preferred_arc(netlist, cell_type)
+        self.slews = list(self.setup.seq_slews_ps if self.sequential
+                          else self.setup.slews_ps)
+        self.loads = list(self.setup.loads_ff)
+        self.side = ({} if self.sequential else
+                     sensitizing_vector(cell_type, self.in_pin,
+                                        self.out_pin))
+        self.vdd = self.setup.node.vdd
+        # Far-node map per settled (direction, load), and per measurement
+        # (slew index, load index, stimulus, window, output rising, node).
+        self.far: Dict[Tuple[bool, int], Dict[str, str]] = {}
+        self.meta: List[tuple] = []
 
-    def _drive_side(circuit: MNACircuit, rising: bool) -> None:
-        if sequential:
-            d_value = vdd if rising else 0.0
-            circuit.drive(data_pin, constant(d_value))
-            for pin in netlist.input_pins[1:]:
+    def _circuit(self, load_ff: float, rising: bool
+                 ) -> Tuple[MNACircuit, Dict[str, str]]:
+        """The cell at one load with its side inputs driven."""
+        circuit, far = _build_circuit(self.netlist, self.parasitics,
+                                      self.setup.node, load_ff, self.out_pin)
+        vdd = self.vdd
+        if self.sequential:
+            circuit.drive(self.netlist.input_pins[0],
+                          constant(vdd if rising else 0.0))
+            for pin in self.netlist.input_pins[1:]:
                 held = _SEQ_SIDE_VALUES.get(pin, False)
                 circuit.drive(pin, constant(vdd if held else 0.0))
         else:
-            for pin, value in side.items():
+            for pin, value in self.side.items():
                 circuit.drive(pin, constant(vdd if value else 0.0))
+        return circuit, far
 
-    # Phase 1: settling runs, one per (direction, load).
-    settle_specs = []
-    settle_keys = []
-    far_map = {}
-    for rising in directions:
-        for j, load_ff in enumerate(loads):
-            circuit, far = _build_circuit(netlist, parasitics, node,
-                                          load_ff, out_pin)
-            _drive_side(circuit, rising)
-            seed = None
-            if sequential:
-                circuit.drive(in_pin, constant(0.0))
-                seed_s_in = vdd if rising else 0.0
-                seed = {"s_in": seed_s_in, "s_in__w": seed_s_in,
-                        "s_fb": seed_s_in, "s_fb__w": seed_s_in,
-                        "s_out": vdd - seed_s_in,
-                        "s_out__w": vdd - seed_s_in}
-            else:
-                v0 = 0.0 if rising else vdd
-                circuit.drive(in_pin, constant(v0))
-            settle_specs.append(TransientSpec(
-                circuit, setup.settle_ns, setup.settle_dt_ns, None, seed))
-            settle_keys.append((rising, j))
-            far_map[(rising, j)] = far
-    initial_map = {
-        key: {name: float(wave[-1])
-              for name, wave in result.voltages.items()}
-        for key, result in zip(settle_keys,
-                               transient_batch(settle_specs))}
-
-    # Phase 2: every (slew, load, direction) measurement at once.
-    meas_specs = []
-    meta = []
-    for i, slew_ps in enumerate(slews):
-        for j, load_ff in enumerate(loads):
-            for rising in directions:
-                circuit2, far2 = _build_circuit(netlist, parasitics, node,
-                                                load_ff, out_pin)
-                _drive_side(circuit2, rising)
-                initial = initial_map[(rising, j)]
-                if sequential:
-                    stim = RampStimulus(v0=0.0, v1=vdd, start_ns=start_ns,
-                                        slew_ps=slew_ps)
-                    t_stop, dt = _window_ns(node, slew_ps, load_ff + 6.0,
-                                            setup)
-                    output_rising = rising
+    def settle_specs(self) -> List[TransientSpec]:
+        """Settling runs, one per (direction, load)."""
+        specs = []
+        for rising in (True, False):
+            for j, load_ff in enumerate(self.loads):
+                circuit, self.far[rising, j] = self._circuit(load_ff, rising)
+                seed = None
+                if self.sequential:
+                    circuit.drive(self.in_pin, constant(0.0))
+                    s_in = self.vdd if rising else 0.0
+                    seed = {"s_in": s_in, "s_in__w": s_in,
+                            "s_fb": s_in, "s_fb__w": s_in,
+                            "s_out": self.vdd - s_in,
+                            "s_out__w": self.vdd - s_in}
                 else:
-                    v0 = 0.0 if rising else vdd
-                    stim = RampStimulus(v0=v0, v1=vdd - v0,
-                                        start_ns=start_ns, slew_ps=slew_ps)
-                    t_stop, dt = _window_ns(node, slew_ps, load_ff, setup)
-                    out_start = initial.get(
-                        far_map[(rising, j)][out_pin], 0.0)
-                    output_rising = out_start < vdd / 2.0
-                circuit2.drive(in_pin, stim)
-                meas_specs.append(TransientSpec(
-                    circuit2, t_stop + start_ns, dt, [far2[out_pin]],
-                    initial))
-                meta.append((i, j, stim, t_stop, output_rising,
-                             far2[out_pin]))
+                    circuit.drive(self.in_pin,
+                                  constant(0.0 if rising else self.vdd))
+                specs.append(TransientSpec(circuit, self.setup.settle_ns,
+                                           self.setup.settle_dt_ns, None,
+                                           seed))
+        return specs
 
-    # Phase 3: measurements and rise/fall averaging, scalar-path order.
-    triples: Dict[Tuple[int, int], list] = {}
-    for (i, j, stim, t_stop, output_rising, out_node), result in zip(
-            meta, transient_batch(meas_specs)):
-        out_wave = result.voltage(out_node)
-        delay_ps, out_slew_ps = measure_delay_slew(
-            result.times_ns, out_wave, vdd, stim.mid_crossing_ns,
-            output_rising)
-        leak_fj = (leak_mw * 1.0e3) * (t_stop + start_ns)
-        e_int = result.supply_energy_fj - leak_fj
-        if output_rising:
-            e_int -= loads[j] * vdd * vdd
-        triples.setdefault((i, j), []).append(
-            (delay_ps, out_slew_ps, max(e_int, 0.0)))
-    for (i, j), vals in triples.items():
-        delay[i, j] = float(np.mean([v[0] for v in vals]))
-        oslew[i, j] = float(np.mean([v[1] for v in vals]))
-        energy[i, j] = float(np.mean([v[2] for v in vals]))
+    def measure_specs(self, settled: Sequence[TransientResult]
+                      ) -> List[TransientSpec]:
+        """Every (slew, load, direction) measurement, from the settled
+        states of :meth:`settle_specs`."""
+        node, vdd = self.setup.node, self.vdd
+        initial_map = {
+            key: {name: float(wave[-1])
+                  for name, wave in result.voltages.items()}
+            for key, result in zip(self.far, settled)}
+        specs = []
+        for i, slew_ps in enumerate(self.slews):
+            for j, load_ff in enumerate(self.loads):
+                for rising in (True, False):
+                    circuit, far = self._circuit(load_ff, rising)
+                    initial = initial_map[rising, j]
+                    if self.sequential:
+                        stim = RampStimulus(v0=0.0, v1=vdd,
+                                            start_ns=_START_NS,
+                                            slew_ps=slew_ps)
+                        t_stop, dt = _window_ns(node, slew_ps,
+                                                load_ff + 6.0, self.setup)
+                        output_rising = rising
+                    else:
+                        v0 = 0.0 if rising else vdd
+                        stim = RampStimulus(v0=v0, v1=vdd - v0,
+                                            start_ns=_START_NS,
+                                            slew_ps=slew_ps)
+                        t_stop, dt = _window_ns(node, slew_ps, load_ff,
+                                                self.setup)
+                        out_start = initial.get(
+                            self.far[rising, j][self.out_pin], 0.0)
+                        output_rising = out_start < vdd / 2.0
+                    circuit.drive(self.in_pin, stim)
+                    specs.append(TransientSpec(
+                        circuit, t_stop + _START_NS, dt,
+                        [far[self.out_pin]], initial))
+                    self.meta.append((i, j, stim, t_stop, output_rising,
+                                      far[self.out_pin]))
+        return specs
+
+    def characterization(self, measured: Sequence[TransientResult]
+                         ) -> CellCharacterization:
+        """Measurements and rise/fall averaging, scalar-path order."""
+        vdd = self.vdd
+        leak_mw = _leakage_mw(self.netlist, self.setup.node)
+        shape = (len(self.slews), len(self.loads))
+        delay = np.zeros(shape)
+        oslew = np.zeros(shape)
+        energy = np.zeros(shape)
+        triples: Dict[Tuple[int, int], list] = {}
+        for (i, j, stim, t_stop, output_rising, out_node), result in zip(
+                self.meta, measured):
+            delay_ps, out_slew_ps = measure_delay_slew(
+                result.times_ns, result.voltage(out_node), vdd,
+                stim.mid_crossing_ns, output_rising)
+            leak_fj = (leak_mw * 1.0e3) * (t_stop + _START_NS)
+            e_int = result.supply_energy_fj - leak_fj
+            if output_rising:
+                e_int -= self.loads[j] * vdd * vdd
+            triples.setdefault((i, j), []).append(
+                (delay_ps, out_slew_ps, max(e_int, 0.0)))
+        for (i, j), vals in triples.items():
+            delay[i, j] = float(np.mean([v[0] for v in vals]))
+            oslew[i, j] = float(np.mean([v[1] for v in vals]))
+            energy[i, j] = float(np.mean([v[2] for v in vals]))
+
+        slews, loads = self.slews, self.loads
+        arc = TimingArc(
+            input_pin=self.in_pin,
+            output_pin=self.out_pin,
+            delay=NLDMTable(slews, loads, delay),
+            output_slew=NLDMTable(slews, loads, oslew),
+            internal_energy=NLDMTable(slews, loads, energy),
+        )
+        mid_delay = float(delay[len(slews) // 2, len(loads) // 2])
+        return CellCharacterization(
+            cell_name=self.netlist.cell_name,
+            arcs={self.out_pin: arc},
+            leakage_mw=leak_mw,
+            setup_time_ps=(SETUP_FRACTION_OF_CLK_Q * mid_delay
+                           if self.sequential else 0.0),
+        )
+
+
+def _run_batched(per_cell: List[List[TransientSpec]]
+                 ) -> List[List[TransientResult]]:
+    """One ``transient_batch`` call over every cell's specs."""
+    results = iter(transient_batch([s for specs in per_cell for s in specs]))
+    return [[next(results) for _ in specs] for specs in per_cell]
+
+
+def characterize_cells(jobs: Sequence[tuple]) -> List[CellCharacterization]:
+    """Full-grid characterization of several cells at once.
+
+    ``jobs`` holds ``(netlist, parasitics, setup, cell_type)`` tuples,
+    the arguments of :func:`characterize_cell` (trailing ones may be
+    left out).  Every cell's settle runs go to the engine in one
+    :func:`~repro.characterize.mna_batch.transient_batch` call and its
+    measurements in a second, so the drive strengths of a cell type
+    share lockstep groups.  Each result equals that cell's
+    :func:`characterize_cell` bit for bit; a failing measurement raises
+    for the first failing cell in ``jobs`` order.
+    """
+    sweeps = [_Sweep(*job) for job in jobs]
+    with kernel("char.mna_sweep",
+                points=sum(len(s.slews) * len(s.loads) for s in sweeps)):
+        settled = _run_batched([s.settle_specs() for s in sweeps])
+        measured = _run_batched([s.measure_specs(r)
+                                 for s, r in zip(sweeps, settled)])
+        return [s.characterization(r) for s, r in zip(sweeps, measured)]
 
 
 def characterize_cell(netlist: CellNetlist,
@@ -297,37 +368,4 @@ def characterize_cell(netlist: CellNetlist,
 
     ``cell_type`` defaults to the prefix of the cell name before "_X".
     """
-    setup = setup or CharacterizationSetup()
-    if cell_type is None:
-        cell_type = netlist.cell_name.split("_X")[0]
-    sequential = bool(netlist.clock_pins)
-    in_pin, out_pin = preferred_arc(netlist, cell_type)
-    slews = list(setup.seq_slews_ps if sequential else setup.slews_ps)
-    loads = list(setup.loads_ff)
-
-    if not sequential and not is_combinational(cell_type):
-        raise CharacterizationError(
-            f"cannot characterize cell type {cell_type!r}")
-    delay = np.zeros((len(slews), len(loads)))
-    oslew = np.zeros_like(delay)
-    energy = np.zeros_like(delay)
-    with kernel("char.mna_sweep", points=len(slews) * len(loads)):
-        _sweep_grid_batch(netlist, parasitics, cell_type, in_pin,
-                          out_pin, slews, loads, setup, sequential,
-                          delay, oslew, energy)
-
-    arc = TimingArc(
-        input_pin=in_pin,
-        output_pin=out_pin,
-        delay=NLDMTable(slews, loads, delay),
-        output_slew=NLDMTable(slews, loads, oslew),
-        internal_energy=NLDMTable(slews, loads, energy),
-    )
-    mid_delay = float(delay[len(slews) // 2, len(loads) // 2])
-    return CellCharacterization(
-        cell_name=netlist.cell_name,
-        arcs={out_pin: arc},
-        leakage_mw=_leakage_mw(netlist, setup.node),
-        setup_time_ps=(SETUP_FRACTION_OF_CLK_Q * mid_delay
-                       if sequential else 0.0),
-    )
+    return characterize_cells([(netlist, parasitics, setup, cell_type)])[0]

@@ -7,11 +7,13 @@ nodes, resistors, capacitors (to ground or coupling), nonlinear MOSFETs
 
 Integration is backward Euler with a damped Newton solve per step.  Device
 evaluation is vectorized over all transistors (currents and the three
-terminal partial derivatives via per-device finite differences), which
-keeps characterization grids fast enough to run inside the test suite.
-Backward Euler's numerical damping is an asset here: characterization
-needs monotone, robust waveforms rather than high-order accuracy, and the
-fixed step is chosen well below the fastest circuit time constant.
+terminal partial derivatives via per-device finite differences), and
+:mod:`repro.characterize.mna_batch` advances many circuits of one
+topology in lockstep, which keeps characterization grids fast enough to
+run inside the test suite.  Backward Euler's numerical damping is an
+asset here: characterization needs monotone, robust waveforms rather
+than high-order accuracy, and the fixed step is chosen well below the
+fastest circuit time constant.
 """
 
 from __future__ import annotations
@@ -51,10 +53,14 @@ class TransientResult:
 
 
 class _DeviceBank:
-    """Vectorized alpha-power-law evaluation over all MOSFETs."""
+    """Vectorized alpha-power-law evaluation over all MOSFETs.
+
+    ``widths`` is one width per device, or one row of widths per
+    simulation of a lockstep batch (the devices' terminals are shared).
+    """
 
     def __init__(self, params_list: List[DeviceParams],
-                 widths: List[float],
+                 widths: Sequence,
                  gates: List[int], drains: List[int],
                  sources: List[int]) -> None:
         n = len(params_list)
@@ -76,15 +82,16 @@ class _DeviceBank:
             [p.ioff_na_per_um * 1.0e-3 for p in params_list]) * w
 
     def currents_ma(self, vg: np.ndarray, vd: np.ndarray,
-                    vs: np.ndarray) -> np.ndarray:
+                    vs: np.ndarray, rows=slice(None)) -> np.ndarray:
         """Signed current delivered by each device INTO its drain node, mA.
 
         The model is symmetric in drain/source; polarity handled per the
         device type (an NMOS pulling its drain low delivers negative
-        current into the drain node).
+        current into the drain node).  ``rows`` picks the simulations of
+        a per-simulation bank whose terminal voltages are given.
         """
-        if self.n == 0:
-            return np.zeros(0)
+        kw = self.kw[rows]
+        ioffw = self.ioffw[rows]
         # Effective (vgs, vds) magnitudes with D/S symmetry:
         # NMOS: vgs = vg - min(vd, vs); PMOS: vgs = max(vd, vs) - vg.
         vmin = np.minimum(vd, vs)
@@ -93,11 +100,11 @@ class _DeviceBank:
         vds = vmax - vmin
         vov = vgs - self.vth
         vg_sub = np.minimum(vgs, self.vth)
-        i_sub = (self.ioffw * 1.0e-3 * np.exp(
+        i_sub = (ioffw * 1.0e-3 * np.exp(
             np.clip(vg_sub / self.n_vt, -60.0, 60.0))
             * (1.0 - np.exp(-np.maximum(vds, 0.0) / V_THERMAL)))
         vov_pos = np.maximum(vov, 1.0e-12)
-        i_sat = (self.kw * 1.0e-3 * vov_pos ** self.alpha
+        i_sat = (kw * 1.0e-3 * vov_pos ** self.alpha
                  * (1.0 + self.lam * vds))
         v_dsat = self.kv * vov_pos ** (self.alpha / 2.0)
         x = np.minimum(vds / np.maximum(v_dsat, 1.0e-12), 1.0)
@@ -172,11 +179,6 @@ class MNACircuit:
 
     # -- solver ---------------------------------------------------------------
 
-    def _volts_at(self, volts: np.ndarray, idx: np.ndarray) -> np.ndarray:
-        """Node voltages with ground (-1) mapped to 0."""
-        padded = np.append(volts, 0.0)
-        return padded[idx]
-
     def transient(self, t_stop_ns: float, dt_ns: float,
                   record: Optional[Sequence[str]] = None,
                   initial: Optional[Dict[str, float]] = None
@@ -185,165 +187,10 @@ class MNACircuit:
 
         ``record`` limits stored waveforms (all nodes by default);
         ``initial`` seeds node voltages (driven nodes always follow their
-        waveforms).
+        waveforms).  The one-simulation case of
+        :func:`~repro.characterize.mna_batch.transient_batch`.
         """
-        if self._n_nodes == 0:
-            raise SimulationError("circuit has no nodes")
-        if dt_ns <= 0.0 or t_stop_ns <= dt_ns:
-            raise SimulationError("bad transient time parameters")
-        n = self._n_nodes
-        bank = _DeviceBank(self._mos_params, self._mos_widths,
-                           [t[0] for t in self._mos_terms],
-                           [t[1] for t in self._mos_terms],
-                           [t[2] for t in self._mos_terms])
-        free = np.ones(n, dtype=bool)
-        for idx in self._drivers:
-            free[idx] = False
-        free_idx = np.where(free)[0]
+        from repro.characterize.mna_batch import TransientSpec, transient_batch
 
-        # Static (linear) conductance matrix: resistors + BE capacitors.
-        g_static = np.zeros((n, n))
-        for a, b, r in self._resistors:
-            g = 1.0 / r
-            if a >= 0:
-                g_static[a, a] += g
-                if b >= 0:
-                    g_static[a, b] -= g
-            if b >= 0:
-                g_static[b, b] += g
-                if a >= 0:
-                    g_static[b, a] -= g
-        geq_caps = []
-        for a, b, c in self._capacitors:
-            geq = c / dt_ns * 1.0e-3   # mA per V
-            geq_caps.append(geq)
-            if a >= 0:
-                g_static[a, a] += geq
-                if b >= 0:
-                    g_static[a, b] -= geq
-            if b >= 0:
-                g_static[b, b] += geq
-                if a >= 0:
-                    g_static[b, a] -= geq
-
-        volts = np.zeros(n)
-        if initial:
-            for name, v in initial.items():
-                idx = self._node_index.get(name)
-                if idx is not None and idx >= 0:
-                    volts[idx] = v
-        for idx, wf in self._drivers.items():
-            volts[idx] = wf(0.0)
-
-        steps = int(np.ceil(t_stop_ns / dt_ns))
-        record_names = list(record) if record is not None \
-            else self.node_names()
-        rec_idx = {name: self._node_index[name] for name in record_names
-                   if self._node_index.get(name, -1) >= 0}
-        times = np.zeros(steps + 1)
-        waves = {name: np.zeros(steps + 1) for name in rec_idx}
-        supply_i = np.zeros(steps + 1)
-        for name, idx in rec_idx.items():
-            waves[name][0] = volts[idx]
-
-        energy_fj = 0.0
-        v_prev = volts.copy()
-
-        def residual(v: np.ndarray):
-            """KCL residual (mA entering each node) with current volts."""
-            f = np.zeros(n)
-            # Linear part: f -= G_static * v  plus capacitor history term.
-            f -= g_static @ v
-            for (a, b, _c), geq in zip(self._capacitors, geq_caps):
-                hist = geq * (self._volt(v_prev, a) - self._volt(v_prev, b))
-                if a >= 0:
-                    f[a] += hist
-                if b >= 0:
-                    f[b] -= hist
-            if bank.n:
-                vg = self._volts_at(v, bank.gate)
-                vd = self._volts_at(v, bank.drain)
-                vs = self._volts_at(v, bank.source)
-                i = bank.currents_ma(vg, vd, vs)
-                np.add.at(f, bank.drain[bank.drain >= 0],
-                          i[bank.drain >= 0])
-                np.subtract.at(f, bank.source[bank.source >= 0],
-                               i[bank.source >= 0])
-            return f
-
-        for step in range(1, steps + 1):
-            t = step * dt_ns
-            times[step] = t
-            for idx, wf in self._drivers.items():
-                volts[idx] = wf(t)
-            converged = False
-            for _ in range(MAX_NEWTON_ITERS):
-                f = residual(volts)
-                if np.max(np.abs(f[free_idx])) < NEWTON_TOL_I_MA:
-                    converged = True
-                    break
-                jac = -g_static.copy()
-                if bank.n:
-                    self._stamp_device_jacobian(bank, volts, jac)
-                j_free = jac[np.ix_(free_idx, free_idx)]
-                try:
-                    delta = np.linalg.solve(j_free, -f[free_idx])
-                except np.linalg.LinAlgError:
-                    delta = np.linalg.lstsq(j_free, -f[free_idx],
-                                            rcond=None)[0]
-                delta = np.clip(delta, -MAX_DELTA_V, MAX_DELTA_V)
-                volts[free_idx] += delta
-                if np.max(np.abs(delta)) < NEWTON_TOL_V:
-                    converged = True
-                    break
-            if not converged:
-                raise SimulationError(
-                    f"Newton failed to converge at t = {t:.4f} ns")
-            f = residual(volts)
-            i_vdd_ma = sum(-f[idx] for idx in self._supply_nodes)
-            supply_i[step] = i_vdd_ma * 1.0e3
-            v_vdd = (volts[self._supply_nodes[0]]
-                     if self._supply_nodes else 0.0)
-            # mA * V * ns = uJ*1e-6... 1 mA * 1 V * 1 ns = 1e-12 J = 1000 fJ.
-            energy_fj += i_vdd_ma * v_vdd * dt_ns * 1000.0
-            for name, idx in rec_idx.items():
-                waves[name][step] = volts[idx]
-            v_prev = volts.copy()
-
-        return TransientResult(
-            times_ns=times,
-            voltages=waves,
-            supply_current_ua=supply_i,
-            supply_energy_fj=energy_fj,
-        )
-
-    @staticmethod
-    def _volt(v: np.ndarray, idx: int) -> float:
-        return 0.0 if idx < 0 else float(v[idx])
-
-    def _stamp_device_jacobian(self, bank: _DeviceBank, volts: np.ndarray,
-                               jac: np.ndarray) -> None:
-        """Finite-difference device partials, vectorized over devices."""
-        vg = self._volts_at(volts, bank.gate)
-        vd = self._volts_at(volts, bank.drain)
-        vs = self._volts_at(volts, bank.source)
-        i0 = bank.currents_ma(vg, vd, vs)
-        partials = {
-            "gate": (bank.currents_ma(vg + FD_STEP_V, vd, vs) - i0)
-            / FD_STEP_V,
-            "drain": (bank.currents_ma(vg, vd + FD_STEP_V, vs) - i0)
-            / FD_STEP_V,
-            "source": (bank.currents_ma(vg, vd, vs + FD_STEP_V) - i0)
-            / FD_STEP_V,
-        }
-        for term, di in partials.items():
-            col = getattr(bank, {"gate": "gate", "drain": "drain",
-                                 "source": "source"}[term])
-            for k in range(bank.n):
-                c = col[k]
-                if c < 0:
-                    continue
-                if bank.drain[k] >= 0:
-                    jac[bank.drain[k], c] += di[k]
-                if bank.source[k] >= 0:
-                    jac[bank.source[k], c] -= di[k]
+        return transient_batch(
+            [TransientSpec(self, t_stop_ns, dt_ns, record, initial)])[0]

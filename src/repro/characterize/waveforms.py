@@ -55,11 +55,19 @@ class RampStimulus:
         return self.start_ns + self.slew_ps / 2000.0
 
 
-def constant(value: float):
+@dataclass(frozen=True)
+class Constant:
+    """A constant-voltage waveform (the transient engine sets it once)."""
+
+    value: float
+
+    def __call__(self, _t_ns: float) -> float:
+        return self.value
+
+
+def constant(value: float) -> Constant:
     """A constant-voltage waveform."""
-    def waveform(_t_ns: float) -> float:
-        return value
-    return waveform
+    return Constant(value)
 
 
 def _crossing_time(times_ns: np.ndarray, wave: np.ndarray,

@@ -7,23 +7,26 @@ pin adjacency and median sweep of ``repro.place.quadratic``, the Tetris
 legalizer and wirelength sum of ``repro.place``, the global router's
 net points, passes and L-route demand booking (``repro.route``), the
 timing graph's netlist scan (``repro.timing.graph.CombGraph``), the STA
-propagation and endpoint accounting of ``repro.timing.sta``, and the
-one-transient-at-a-time characterization grid of
-``repro.characterize.charlib``.  ``test_kernel_equivalence.py`` demands
-that the array code reproduce these results bit for bit on the same
-inputs, so this module must not change with it.
+propagation and endpoint accounting of ``repro.timing.sta``, the solo
+backward-Euler loop of ``MNACircuit.transient`` (with its Jacobian
+stamp and ground-padding helpers), and the one-transient-at-a-time
+characterization grid of ``repro.characterize.charlib`` that runs it.
+``test_kernel_equivalence.py`` demands that the array code reproduce
+these results bit for bit on the same inputs, so this module must not
+change with it.
 
 Deliberate edits, none of which touches the arithmetic:
 
 * methods became functions taking the object they were bound to
-  (``router``, ``grid``, ``analyzer``), and ``CombGraph.__init__``
-  became the constructor of :class:`CombGraphScan`;
+  (``router``, ``grid``, ``analyzer``, ``circuit``), and
+  ``CombGraph.__init__`` became the constructor of
+  :class:`CombGraphScan`;
 * the trace spans and metric counters are gone: the whole-flow checks
   run the oracle beside the flow, where they would add to its trace;
 * helpers the array kernels still call (layer preference, pin loads,
-  cell-circuit assembly, measurement windows, leakage, ``levelize``)
-  are imported from ``repro``; the numeric constants the loops read
-  are copied.
+  cell-circuit assembly, measurement windows, leakage, ``levelize``,
+  the MOSFET bank ``_DeviceBank``) are imported from ``repro``; the
+  numeric constants the loops read are copied.
 """
 
 from __future__ import annotations
@@ -49,7 +52,11 @@ from repro.characterize.liberty import (
     NLDMTable,
     TimingArc,
 )
-from repro.characterize.mna import MNACircuit
+from repro.characterize.mna import (
+    MNACircuit,
+    TransientResult,
+    _DeviceBank,
+)
 from repro.characterize.waveforms import (
     RampStimulus,
     constant,
@@ -57,7 +64,7 @@ from repro.characterize.waveforms import (
 )
 from repro.circuits.netlist import Module, Net, PIN_DRIVER, PO_SINK
 from repro.errors import (CharacterizationError, PlacementError,
-                          RoutingError, TimingError)
+                          RoutingError, SimulationError, TimingError)
 from repro.extraction.rc import CellParasitics
 from repro.kernels.arrays import as_index
 from repro.place.floorplan import Floorplan
@@ -913,6 +920,194 @@ def finish_report(analyzer, arrival: Dict[int, float],
     )
 
 
+# -- transient solver (repro.characterize.mna.MNACircuit) --------------------
+
+FD_STEP_V = 1.0e-4
+MAX_NEWTON_ITERS = 60
+NEWTON_TOL_V = 1.0e-6
+NEWTON_TOL_I_MA = 1.0e-7
+MAX_DELTA_V = 0.3
+
+
+def _volts_at(volts: np.ndarray, idx: np.ndarray) -> np.ndarray:
+    """Node voltages with ground (-1) mapped to 0."""
+    padded = np.append(volts, 0.0)
+    return padded[idx]
+
+
+def transient(circuit: MNACircuit, t_stop_ns: float, dt_ns: float,
+              record: Optional[Sequence[str]] = None,
+              initial: Optional[Dict[str, float]] = None
+              ) -> TransientResult:
+    """Run a fixed-step backward-Euler transient from t = 0.
+
+    ``record`` limits stored waveforms (all nodes by default);
+    ``initial`` seeds node voltages (driven nodes always follow their
+    waveforms).
+    """
+    if circuit._n_nodes == 0:
+        raise SimulationError("circuit has no nodes")
+    if dt_ns <= 0.0 or t_stop_ns <= dt_ns:
+        raise SimulationError("bad transient time parameters")
+    n = circuit._n_nodes
+    bank = _DeviceBank(circuit._mos_params, circuit._mos_widths,
+                       [t[0] for t in circuit._mos_terms],
+                       [t[1] for t in circuit._mos_terms],
+                       [t[2] for t in circuit._mos_terms])
+    free = np.ones(n, dtype=bool)
+    for idx in circuit._drivers:
+        free[idx] = False
+    free_idx = np.where(free)[0]
+
+    # Static (linear) conductance matrix: resistors + BE capacitors.
+    g_static = np.zeros((n, n))
+    for a, b, r in circuit._resistors:
+        g = 1.0 / r
+        if a >= 0:
+            g_static[a, a] += g
+            if b >= 0:
+                g_static[a, b] -= g
+        if b >= 0:
+            g_static[b, b] += g
+            if a >= 0:
+                g_static[b, a] -= g
+    geq_caps = []
+    for a, b, c in circuit._capacitors:
+        geq = c / dt_ns * 1.0e-3   # mA per V
+        geq_caps.append(geq)
+        if a >= 0:
+            g_static[a, a] += geq
+            if b >= 0:
+                g_static[a, b] -= geq
+        if b >= 0:
+            g_static[b, b] += geq
+            if a >= 0:
+                g_static[b, a] -= geq
+
+    volts = np.zeros(n)
+    if initial:
+        for name, v in initial.items():
+            idx = circuit._node_index.get(name)
+            if idx is not None and idx >= 0:
+                volts[idx] = v
+    for idx, wf in circuit._drivers.items():
+        volts[idx] = wf(0.0)
+
+    steps = int(np.ceil(t_stop_ns / dt_ns))
+    record_names = list(record) if record is not None \
+        else circuit.node_names()
+    rec_idx = {name: circuit._node_index[name] for name in record_names
+               if circuit._node_index.get(name, -1) >= 0}
+    times = np.zeros(steps + 1)
+    waves = {name: np.zeros(steps + 1) for name in rec_idx}
+    supply_i = np.zeros(steps + 1)
+    for name, idx in rec_idx.items():
+        waves[name][0] = volts[idx]
+
+    energy_fj = 0.0
+    v_prev = volts.copy()
+
+    def residual(v: np.ndarray):
+        """KCL residual (mA entering each node) with current volts."""
+        f = np.zeros(n)
+        # Linear part: f -= G_static * v  plus capacitor history term.
+        f -= g_static @ v
+        for (a, b, _c), geq in zip(circuit._capacitors, geq_caps):
+            hist = geq * (_volt(v_prev, a) - _volt(v_prev, b))
+            if a >= 0:
+                f[a] += hist
+            if b >= 0:
+                f[b] -= hist
+        if bank.n:
+            vg = _volts_at(v, bank.gate)
+            vd = _volts_at(v, bank.drain)
+            vs = _volts_at(v, bank.source)
+            i = bank.currents_ma(vg, vd, vs)
+            np.add.at(f, bank.drain[bank.drain >= 0],
+                      i[bank.drain >= 0])
+            np.subtract.at(f, bank.source[bank.source >= 0],
+                           i[bank.source >= 0])
+        return f
+
+    for step in range(1, steps + 1):
+        t = step * dt_ns
+        times[step] = t
+        for idx, wf in circuit._drivers.items():
+            volts[idx] = wf(t)
+        converged = False
+        for _ in range(MAX_NEWTON_ITERS):
+            f = residual(volts)
+            if np.max(np.abs(f[free_idx])) < NEWTON_TOL_I_MA:
+                converged = True
+                break
+            jac = -g_static.copy()
+            if bank.n:
+                _stamp_device_jacobian(bank, volts, jac)
+            j_free = jac[np.ix_(free_idx, free_idx)]
+            try:
+                delta = np.linalg.solve(j_free, -f[free_idx])
+            except np.linalg.LinAlgError:
+                delta = np.linalg.lstsq(j_free, -f[free_idx],
+                                        rcond=None)[0]
+            delta = np.clip(delta, -MAX_DELTA_V, MAX_DELTA_V)
+            volts[free_idx] += delta
+            if np.max(np.abs(delta)) < NEWTON_TOL_V:
+                converged = True
+                break
+        if not converged:
+            raise SimulationError(
+                f"Newton failed to converge at t = {t:.4f} ns")
+        f = residual(volts)
+        i_vdd_ma = sum(-f[idx] for idx in circuit._supply_nodes)
+        supply_i[step] = i_vdd_ma * 1.0e3
+        v_vdd = (volts[circuit._supply_nodes[0]]
+                 if circuit._supply_nodes else 0.0)
+        # mA * V * ns = uJ*1e-6... 1 mA * 1 V * 1 ns = 1e-12 J = 1000 fJ.
+        energy_fj += i_vdd_ma * v_vdd * dt_ns * 1000.0
+        for name, idx in rec_idx.items():
+            waves[name][step] = volts[idx]
+        v_prev = volts.copy()
+
+    return TransientResult(
+        times_ns=times,
+        voltages=waves,
+        supply_current_ua=supply_i,
+        supply_energy_fj=energy_fj,
+    )
+
+
+def _volt(v: np.ndarray, idx: int) -> float:
+    return 0.0 if idx < 0 else float(v[idx])
+
+
+def _stamp_device_jacobian(bank: _DeviceBank, volts: np.ndarray,
+                           jac: np.ndarray) -> None:
+    """Finite-difference device partials, vectorized over devices."""
+    vg = _volts_at(volts, bank.gate)
+    vd = _volts_at(volts, bank.drain)
+    vs = _volts_at(volts, bank.source)
+    i0 = bank.currents_ma(vg, vd, vs)
+    partials = {
+        "gate": (bank.currents_ma(vg + FD_STEP_V, vd, vs) - i0)
+        / FD_STEP_V,
+        "drain": (bank.currents_ma(vg, vd + FD_STEP_V, vs) - i0)
+        / FD_STEP_V,
+        "source": (bank.currents_ma(vg, vd, vs + FD_STEP_V) - i0)
+        / FD_STEP_V,
+    }
+    for term, di in partials.items():
+        col = getattr(bank, {"gate": "gate", "drain": "drain",
+                             "source": "source"}[term])
+        for k in range(bank.n):
+            c = col[k]
+            if c < 0:
+                continue
+            if bank.drain[k] >= 0:
+                jac[bank.drain[k], c] += di[k]
+            if bank.source[k] >= 0:
+                jac[bank.source[k], c] -= di[k]
+
+
 # -- characterization (repro.characterize.charlib) ---------------------------
 
 SETUP_FRACTION_OF_CLK_Q = 0.6
@@ -922,8 +1117,8 @@ _SEQ_SIDE_VALUES = {"RN": True, "SE": False, "SI": False}
 def settle(circuit: MNACircuit, setup: CharacterizationSetup,
            initial: Optional[Dict[str, float]] = None) -> Dict[str, float]:
     """Run the settling phase; returns final node voltages."""
-    result = circuit.transient(setup.settle_ns, setup.settle_dt_ns,
-                               initial=initial)
+    result = transient(circuit, setup.settle_ns, setup.settle_dt_ns,
+                       initial=initial)
     return {name: float(wave[-1]) for name, wave in result.voltages.items()}
 
 
@@ -958,9 +1153,8 @@ def measure_combinational(netlist: CellNetlist,
                             slew_ps=slew_ps)
         circuit2.drive(in_pin, stim)
         t_stop, dt = _window_ns(node, slew_ps, load_ff, setup)
-        result = circuit2.transient(t_stop + start_ns, dt,
-                                    record=[far2[out_pin]],
-                                    initial=initial)
+        result = transient(circuit2, t_stop + start_ns, dt,
+                           record=[far2[out_pin]], initial=initial)
         out_wave = result.voltage(far2[out_pin])
         delay_ps, out_slew_ps = measure_delay_slew(
             result.times_ns, out_wave, vdd, stim.mid_crossing_ns,
@@ -1021,9 +1215,8 @@ def measure_sequential(netlist: CellNetlist,
                             slew_ps=slew_ps)
         circuit2.drive(clk_pin, stim)
         t_stop, dt = _window_ns(node, slew_ps, load_ff + 6.0, setup)
-        result = circuit2.transient(t_stop + start_ns, dt,
-                                    record=[far2[out_pin]],
-                                    initial=initial)
+        result = transient(circuit2, t_stop + start_ns, dt,
+                           record=[far2[out_pin]], initial=initial)
         out_wave = result.voltage(far2[out_pin])
         delay_ps, out_slew_ps = measure_delay_slew(
             result.times_ns, out_wave, vdd, stim.mid_crossing_ns, q_rising)

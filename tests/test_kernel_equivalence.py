@@ -210,9 +210,12 @@ def _lines_run(func, *args, **kwargs):
 def test_crowded_core_reaches_the_fallbacks(lib45_2d):
     # The crowded case above tests the fallbacks only if the reference
     # takes them: the widened row search, the scan of every row for a
-    # left-packed spot and the tolerated overlap.  (The left-packed
-    # spot itself is never found: a row's used width never exceeds its
-    # right edge, so a row the search skipped has no room there.)
+    # left-packed spot and the tolerated overlap.  (This core never
+    # finds a left-packed spot.  One is found only when rounding makes
+    # fl(fl(capacity - w) + w) exceed capacity, so that the search
+    # rejects the right-edge clamp in every row with room; the 7 nm
+    # flow behind the table7 and table14 goldens places one G-MI cell
+    # that way.)
     module, floorplan, x, y = _crowded(lib45_2d)
     run = _lines_run(oracle.legalize, module, lib45_2d, floorplan, x, y)
     assert "radius *= 2" in run
@@ -626,6 +629,119 @@ def test_mna_characterization_bit_identical_sequential():
     assert np.array_equal(ap.internal_energy.values,
                           an.internal_energy.values)
     assert cp.setup_time_ps == cn.setup_time_ps
+
+
+def _gate_only_circuit(width_um):
+    """A free node nothing conducts to (an NMOS gate), which makes every
+    Newton matrix singular, beside a supply that only drives a gate, so
+    its KCL residual is exactly +0.0."""
+    from repro.cells.transistor import device_params_for
+    from repro.characterize.mna import MNACircuit
+    from repro.characterize.waveforms import constant
+    from repro.tech.node import NODE_45NM
+
+    nmos = device_params_for(NODE_45NM, is_pmos=False)
+    circuit = MNACircuit()
+    circuit.drive("VG", constant(1.1), is_supply=True)
+    circuit.drive("VDD", constant(1.1))
+    circuit.add_resistor("VDD", "OUT", 20.0)
+    circuit.add_capacitor("OUT", "GND", 2.0)
+    circuit.add_mosfet(nmos, width_um, gate="IN", drain="OUT",
+                       source="GND")
+    circuit.add_mosfet(nmos, width_um, gate="VG", drain="OUT",
+                       source="GND")
+    return circuit
+
+
+def _quiet_ramp_circuit(slew_ps):
+    """A supply ramp coupled so weakly to its one free node that each
+    step's first Newton check passes while the ramp still moves: a
+    step that changes only a driver must not count as a repeat."""
+    from repro.characterize.mna import MNACircuit
+    from repro.characterize.waveforms import RampStimulus
+
+    circuit = MNACircuit()
+    circuit.drive("X", RampStimulus(v0=0.0, v1=0.01, start_ns=0.005,
+                                    slew_ps=slew_ps), is_supply=True)
+    circuit.add_capacitor("X", "Y", 1.0e-5)
+    circuit.add_capacitor("Y", "GND", 1.0)
+    circuit.add_resistor("Y", "GND", 1.0)
+    return circuit
+
+
+def test_transient_batch_matches_solo_loop():
+    # One mixed call: INV_X1/X4 in 2D and T-MI (widths and resistances
+    # differ inside one lockstep group), two loads and two step sizes
+    # (different step counts), all-node and one-node records, runs with
+    # and without initial state, a singular group that takes the
+    # per-sim solve/lstsq fallback, and a driver that moves while the
+    # rest of its circuit holds still.
+    from repro.cells.netlist import build_cell_netlist
+    from repro.cells.geometry import build_cell_geometry_2d
+    from repro.cells.folding import fold_cell_geometry
+    from repro.extraction.rc import ExtractionMode, extract_cell
+    from repro.characterize.charlib import _build_circuit
+    from repro.characterize.mna_batch import (
+        TransientSpec,
+        _signature,
+        transient_batch,
+    )
+    from repro.characterize.waveforms import RampStimulus
+    from repro.tech.node import NODE_45NM
+
+    specs = []
+    for strength in (1.0, 4.0):
+        nl = build_cell_netlist("INV", strength, NODE_45NM)
+        for parasitics in (
+                extract_cell(build_cell_geometry_2d(nl, NODE_45NM),
+                             ExtractionMode.FLAT),
+                extract_cell(fold_cell_geometry(nl, NODE_45NM),
+                             ExtractionMode.DIELECTRIC)):
+            for load_ff, dt_ns in ((0.8, 0.0015), (12.8, 0.004)):
+                for rising in (True, False):
+                    circuit, far = _build_circuit(nl, parasitics, NODE_45NM,
+                                                  load_ff, "ZN")
+                    v0 = 0.0 if rising else 1.1
+                    circuit.drive("A", RampStimulus(v0=v0, v1=1.1 - v0,
+                                                    start_ns=0.02,
+                                                    slew_ps=37.5))
+                    initial = ({"ZN": 1.1 - v0, far["ZN"]: 1.1 - v0}
+                               if rising else None)
+                    record = [far["ZN"]] if load_ff > 1.0 else None
+                    specs.append(TransientSpec(circuit, 0.4, dt_ns, record,
+                                               initial))
+    assert len({_signature(s.circuit) for s in specs}) == 1
+    for width_um in (0.415, 1.66):
+        specs.append(TransientSpec(_gate_only_circuit(width_um), 0.05,
+                                   0.001, None, {"IN": 0.3}))
+    for slew_ps in (10.0, 20.0):
+        specs.append(TransientSpec(_quiet_ramp_circuit(slew_ps), 0.04,
+                                   0.001))
+    assert len({s.t_stop_ns / s.dt_ns for s in specs}) > 2
+
+    lstsq_calls = []
+    real_lstsq = np.linalg.lstsq
+
+    def lstsq(*args, **kwargs):
+        lstsq_calls.append(1)
+        return real_lstsq(*args, **kwargs)
+
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(np.linalg, "lstsq", lstsq)
+        batch = transient_batch(specs)
+    assert lstsq_calls
+    for spec, got in zip(specs, batch):
+        want = oracle.transient(spec.circuit, spec.t_stop_ns, spec.dt_ns,
+                                spec.record, spec.initial)
+        assert got.times_ns.tobytes() == want.times_ns.tobytes()
+        assert list(got.voltages) == list(want.voltages)
+        for name, wave in want.voltages.items():
+            assert got.voltages[name].tobytes() == wave.tobytes(), name
+        assert (got.supply_current_ua.tobytes()
+                == want.supply_current_ua.tobytes())
+        assert got.supply_energy_fj == want.supply_energy_fj
+    # The gate-only supply's current is +0.0 (Python's sum from int 0).
+    assert np.signbit(batch[-3].supply_current_ua).sum() == 0
 
 
 # -- dtype and degenerate-input regressions ----------------------------------

@@ -2,9 +2,14 @@
 
 import pytest
 
-from repro.errors import LibraryError
+from repro.errors import CharacterizationError, LibraryError
 from repro.cells.library import PinDirection
-from repro.cells.nangate import CELL_DEFINITIONS, cell_count, build_cell
+from repro.cells.nangate import (
+    CELL_DEFINITIONS,
+    build_cell,
+    build_nangate_library,
+    cell_count,
+)
 from repro.tech.node import NODE_45NM
 
 
@@ -112,6 +117,49 @@ def test_build_single_cell_mna_path():
     with pytest.raises(LibraryError):
         build_cell("INV", 1.0, NODE_45NM, is_3d=False,
                    characterizer="spice")
+
+
+@pytest.mark.parametrize("is_3d", [False, True])
+def test_mna_library_equals_per_cell_characterization(is_3d):
+    # One characterize_cells call for the library (every INV strength in
+    # one lockstep group) gives each cell's own tables bit for bit.
+    from repro.cells.nangate import _average_3d_parasitics
+    from repro.characterize.charlib import (
+        CharacterizationSetup,
+        characterize_cell,
+    )
+    from repro.extraction.rc import ExtractionMode, extract_cell
+
+    subset = [("INV", s) for s in (1, 2, 4, 8, 16, 32)]
+    library = build_nangate_library(NODE_45NM, is_3d, characterizer="mna",
+                                    cell_subset=subset)
+    assert [cell.name for cell in library] == [
+        f"INV_X{s}" for _t, s in subset]
+    setup = CharacterizationSetup(node=NODE_45NM)
+    for cell in library:
+        parasitics = (_average_3d_parasitics(cell.geometry, NODE_45NM)
+                      if is_3d else extract_cell(cell.geometry,
+                                                 ExtractionMode.FLAT,
+                                                 NODE_45NM))
+        want = characterize_cell(cell.netlist, parasitics, setup, "INV")
+        got = cell.characterization
+        for arc_name, arc in want.arcs.items():
+            other = got.arcs[arc_name]
+            for table in ("delay", "output_slew", "internal_energy"):
+                assert (getattr(other, table).values.tobytes()
+                        == getattr(arc, table).values.tobytes())
+        assert got.leakage_mw == want.leakage_mw
+        assert got.setup_time_ps == want.setup_time_ps
+
+
+def test_mna_library_raises_for_the_first_failing_cell():
+    # DLH_X1's measurement never crosses mid-rail; the library call
+    # raises that cell's error, as a cell-by-cell build does.
+    with pytest.raises(CharacterizationError,
+                       match=r"^waveform never crosses 0\.550 V after "
+                             r"0\.000 ns$"):
+        build_nangate_library(NODE_45NM, False, characterizer="mna",
+                              cell_subset=[("INV", 1), ("DLH", 1)])
 
 
 def test_definitions_cover_logic_and_sequential():
