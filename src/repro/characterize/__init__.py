@@ -13,8 +13,10 @@ paper's flow:
 * :mod:`~repro.characterize.charlib` — the ELC equivalent: sweep input
   slew x load capacitance for every cell and build a characterized library,
 * :mod:`~repro.characterize.analytic` — a fast calibrated switch-level
-  characterizer used to populate full libraries for the layout flow
-  (validated against the MNA solver in the test suite).
+  characterizer used to populate full libraries for the layout flow (one
+  test checks INV delay against the MNA solver within ±45 % at three
+  slew/load points; over 63 cells, analytic ÷ MNA spans 0.75–5.41 for
+  energy and 0.57–2.08 for delay).
 """
 
 from repro.characterize.liberty import NLDMTable, TimingArc, CellCharacterization

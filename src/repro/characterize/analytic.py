@@ -2,9 +2,11 @@
 
 Populating full 66-cell libraries for every node / integration style with
 transient simulation would dominate runtime, so the layout flow uses this
-calibrated switch-level model instead — validated against the MNA solver
-in the test suite (the paper itself derives its 7 nm library analytically
-from the characterized 45 nm one, Section S3).
+calibrated switch-level model instead (the paper itself derives its 7 nm
+library analytically from the characterized 45 nm one, Section S3).  One
+test checks it against the MNA solver (``test_analytic_matches_mna_for_inv``:
+INV delay within ±45 % at three slew/load points); over 63 cells,
+analytic ÷ MNA spans 0.75–5.41 for energy and 0.57–2.08 for delay.
 
 Model per output arc::
 

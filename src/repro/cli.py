@@ -114,50 +114,31 @@ def _add_scenario_args(p) -> None:
 
 
 def _scenario_kwargs(args: argparse.Namespace) -> dict:
-    """Non-default scenario knobs as FlowConfig kwargs.
-
-    Defaults are omitted so the paper scenario's cache keys (and rows)
-    stay byte-identical to a pre-scenario invocation.
-    """
-    kwargs = {}
-    if getattr(args, "tiers", 2) != 2:
-        kwargs["tiers"] = args.tiers
-    if getattr(args, "fold_style", "pn") != "pn":
-        kwargs["fold_style"] = args.fold_style
-    if getattr(args, "koz", MIV_KOZ_DEFAULT) != MIV_KOZ_DEFAULT:
-        kwargs["miv_koz_diameters"] = args.koz
-    return kwargs
+    """The scenario knobs as FlowConfig kwargs."""
+    return {"tiers": args.tiers, "fold_style": args.fold_style,
+            "miv_koz_diameters": args.koz}
 
 
 def _cmd_compare(args: argparse.Namespace) -> int:
     from repro.experiments.runner import cached_comparison
 
-    circuit, node, scale = args.circuit, args.node, args.scale
-    extra = _scenario_kwargs(args)
     if args.scenario:
         from repro.flow.scenario import get_scenario
 
-        spec = get_scenario(args.scenario)
-        circuit = circuit or spec.circuit
-        node, scale = spec.node_name, spec.scale
-        # Non-default knobs only, like _scenario_kwargs: the paper
-        # scenario must hit the same cache keys as a bare invocation.
-        defaults = {"tiers": 2, "fold_style": "pn",
-                    "miv_koz_diameters": MIV_KOZ_DEFAULT}
-        extra = {k: v for k, v in spec.knobs().items()
-                 if k in defaults and v != defaults[k]}
-    elif circuit is None:
+        _description, values = get_scenario(args.scenario)
+        values = dict(values)
+    elif args.circuit is None:
         print("compare: name a circuit or a --scenario", file=sys.stderr)
         return 2
-    cmp = cached_comparison(
-        circuit,
-        node_name=node,
-        scale=scale,
-        target_clock_ns=args.clock,
-        **extra,
-    )
+    else:
+        values = {"node_name": args.node, "scale": args.scale,
+                  **_scenario_kwargs(args)}
+    if args.circuit:
+        values["circuit"] = args.circuit
+    cmp = cached_comparison(target_clock_ns=args.clock, **values)
+    config = cmp.result_2d.config
     print(format_table(cmp.detail_rows(),
-                       f"{circuit.upper()} at {node}, "
+                       f"{config.circuit.upper()} at {config.node_name}, "
                        f"clock {cmp.clock_ns:.2f} ns"))
     print()
     print(format_table([cmp.summary_row()], "T-MI vs 2D (% difference)"))
@@ -366,11 +347,9 @@ def _cmd_audit(args: argparse.Namespace) -> int:
     from repro.check.findings import AuditReport
     from repro.flow.compare import run_iso_performance_comparison
     from repro.flow.design_flow import FlowConfig, run_flow
-    from repro.runtime.session import current_session
 
     circuits = args.circuits or list(PAPER_CIRCUITS)
     scenario_kwargs = _scenario_kwargs(args)
-    supervisor = current_session().supervisor
     report = AuditReport()
     with audit_mod.capture_artifacts() as bucket:
         for circuit in circuits:
@@ -386,9 +365,7 @@ def _cmd_audit(args: argparse.Namespace) -> int:
                     circuit=circuit, node_name=args.node,
                     is_3d=args.style == "tmi", scale=args.scale,
                     target_clock_ns=args.clock, **scenario_kwargs)
-                label = f"{circuit}@{args.node}-{config.style()}"
-                with supervisor.run_context(label):
-                    run_flow(config)
+                run_flow(config)
                 report.merge(audit_mod.audit_artifacts(bucket[-1]))
             if args.inject:
                 injected = audit_mod.inject_defect(bucket[-1], args.inject)
@@ -759,8 +736,10 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--clock", type=float, default=None,
                    help="target clock in ns (default: auto-closed)")
     p.add_argument("--scenario", default=None, metavar="NAME",
-                   help="run a named ScenarioSpec (overrides circuit/"
-                        "node/scale and the fold knobs)")
+                   help="run a named scenario: it sets the workload, "
+                        "node, scale and fold knobs, overriding --node, "
+                        "--scale and the fold flags (a circuit named "
+                        "here still wins over its workload)")
     _add_scenario_args(p)
     p.set_defaults(func=_cmd_compare)
 

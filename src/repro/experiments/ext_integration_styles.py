@@ -14,6 +14,7 @@ from dataclasses import replace
 from typing import Dict, List, Optional
 
 from repro.experiments.runner import cached_comparison, cached_flow
+from repro.flow.compare import paired_config
 from repro.flow.reports import percentage_diff
 
 
@@ -22,10 +23,8 @@ def run(circuit: str = "aes", node_name: str = "45nm",
     cmp = cached_comparison(circuit, node_name=node_name, scale=scale)
     r2, r3 = cmp.result_2d, cmp.result_3d
     # G-MI takes the 2D run's clock and utilization, as T-MI does.
-    gmi = cached_flow(replace(
-        r2.config, is_3d=True, fold_style="gate",
-        target_clock_ns=r2.clock_ns,
-        target_utilization=r2.utilization_target))
+    gmi = cached_flow(replace(paired_config(r2.config, r2),
+                              fold_style="gate"))
 
     def row(name, fp, wl, power, extra=""):
         return {

@@ -58,16 +58,16 @@ def run(circuits=CIRCUITS, scale: Optional[float] = None
 
 
 def _corner_tasks(circuit: str, scale: Optional[float], values):
-    """Derive the off-medium corner tasks from the base comparison.
+    """Derive the off-medium corner tasks from the base 2D run.
 
     Must mirror ``run`` exactly (same clock rounding, same kwargs) so the
     derived task keys match the driver's later cache lookups.
     """
     from repro.parallel import comparison_task
 
-    base = values[0]
-    base_clock = base.clock_ns
-    base_util = base.result_2d.utilization_target
+    base_2d = values[0]
+    base_clock = base_2d.clock_ns
+    base_util = base_2d.utilization_target
     tasks = []
     for _corner, mult in SWEEP:
         if mult == 1.0:
@@ -80,8 +80,8 @@ def _corner_tasks(circuit: str, scale: Optional[float], values):
 
 
 def declare_tasks(circuits=CIRCUITS, scale: Optional[float] = None):
-    """Base comparisons now; the sweep corners once each base's clock is
-    known (the grid depends on the auto-closed medium clock)."""
+    """Base comparisons now; the sweep corners once each base's 2D clock
+    is known (the grid depends on the auto-closed medium clock)."""
     from functools import partial
 
     from repro.parallel import DeferredTasks, comparison_task
@@ -91,7 +91,7 @@ def declare_tasks(circuits=CIRCUITS, scale: Optional[float] = None):
         base = comparison_task(circuit, scale=scale)
         items.append(base)
         items.append(DeferredTasks(
-            requires=(base,),
+            requires=base.requires,
             derive=partial(_corner_tasks, circuit, scale),
             label=f"fig4-sweep:{circuit}"))
     return items

@@ -2,13 +2,14 @@
 
 A bench session touches many tables that share the same underlying layout
 runs (e.g. Tables 4, 13, 16 and Fig. 3 all need the 45 nm comparisons).
-Results are memoized at two levels:
+There is one cache, of whole flow runs, keyed on each run's stage-digest
+chain (:func:`repro.flow.stagecache.run_key`, so configs differing only
+in knobs the run ignores share one entry).  A comparison is its two
+cached runs: the 2D run, then the T-MI run paired with it
+(:func:`repro.flow.compare.paired_config`).  The cache has two levels:
 
-* **in-process** — the current session's memos
-  (:class:`repro.runtime.session.Session`): a flow run keyed on its
-  stage-digest chain (:func:`repro.flow.stagecache.run_key`, so configs
-  differing only in knobs the run ignores share one entry), a
-  comparison on the canonical hash of its arguments;
+* **in-process** — the current session's memo
+  (:attr:`repro.runtime.session.Session.flows`);
 * **on disk** (opt-in via :func:`use_persistent_cache`, the CLI's
   ``--resume``) — the session's :class:`repro.runtime.CheckpointStore`,
   so a bench session killed mid-experiment resumes without recomputing
@@ -23,13 +24,14 @@ error record instead of aborting the whole bench session.
 For multi-experiment sessions there is a **parallel warm phase**
 (:func:`prefetch`, the CLI's ``--jobs``): the deduplicated task graph of
 everything the requested experiments declared runs on a process pool
-(:mod:`repro.parallel`), results land in these caches through the shared
-checkpoint store, and the drivers then assemble their rows sequentially
-from warm caches — byte-identical to a sequential session.  A task that
-failed in a worker is remembered (:func:`task_failures`); asking for its
-result raises :class:`repro.errors.TaskFailedError` carrying the
-worker-side error, which :func:`resilient_rows` degrades into the same
-error-marked row a sequential failure would produce.
+(:mod:`repro.parallel`), results land in the flow cache through the
+shared checkpoint store, and the experiment drivers then assemble their rows
+sequentially from a warm cache — byte-identical to a sequential
+session.  A task that failed in a worker is remembered
+(:func:`task_failures`); asking for its result raises
+:class:`repro.errors.TaskFailedError` carrying the worker-side error,
+which :func:`resilient_rows` degrades into the same error-marked row a
+sequential failure would produce.
 """
 
 from __future__ import annotations
@@ -40,10 +42,10 @@ from pathlib import Path
 from typing import Callable, Dict, Iterable, List, Optional, Union
 
 from repro.errors import ReproError, TaskFailedError
-from repro.flow.compare import ComparisonResult, run_iso_performance_comparison
+from repro.flow.compare import ComparisonResult, paired_config
 from repro.flow.design_flow import FlowConfig, LayoutResult, run_flow
 from repro.flow.stagecache import run_key
-from repro.runtime.checkpoint import CheckpointStore, config_key
+from repro.runtime.checkpoint import CheckpointStore
 from repro.runtime.session import RowError, current_session
 
 logger = logging.getLogger(__name__)
@@ -64,19 +66,6 @@ DEFAULT_SCALES: Dict[str, float] = {
 
 def default_scale(circuit: str) -> float:
     return DEFAULT_SCALES.get(circuit.lower(), 0.1)
-
-
-# -- cache keys -----------------------------------------------------------
-
-def comparison_key(circuit: str, node_name: str, scale: float,
-                   kwargs: dict) -> str:
-    """Canonical, versioned checkpoint key for one paired comparison."""
-    return config_key("comparison", {
-        "circuit": circuit,
-        "node_name": node_name,
-        "scale": scale,
-        "kwargs": kwargs,
-    })
 
 
 # -- persistent store -----------------------------------------------------
@@ -103,19 +92,20 @@ def persistent_store() -> Optional[CheckpointStore]:
     return current_session().store
 
 
-def _cache_lookup(cache: Dict[str, object], key: str) -> Optional[object]:
-    value = cache.get(key)
-    store = current_session().store
-    if value is None and store is not None:
-        value = store.load(key)
+def _cache_lookup(key: str) -> Optional[object]:
+    session = current_session()
+    value = session.flows.get(key)
+    if value is None and session.store is not None:
+        value = session.store.load(key)
         if value is not None:
-            cache[key] = value
+            session.flows[key] = value
     return value
 
 
-def _cache_insert(cache: Dict[str, object], key: str, value: object) -> None:
-    cache[key] = value
-    store = current_session().store
+def _cache_insert(key: str, value: object) -> None:
+    session = current_session()
+    session.flows[key] = value
+    store = session.store
     if store is not None:
         # Best-effort: a disk-write failure must not discard a fully
         # computed result — the in-process entry above stays usable.
@@ -150,7 +140,7 @@ def _check_failed(key: str) -> None:
 
 def prefetch(tasks: object, jobs: Optional[int] = None,
              **engine_options) -> "object":
-    """Warm the caches by running a task graph on the process pool.
+    """Warm the flow cache by running a task graph on the process pool.
 
     ``tasks`` is a :class:`repro.parallel.TaskGraph` or any iterable of
     task specs / deferrals (see :mod:`repro.parallel.plan`).  Results are
@@ -164,7 +154,7 @@ def prefetch(tasks: object, jobs: Optional[int] = None,
     import shutil
     import tempfile
 
-    from repro.parallel import KIND_COMPARISON, ParallelEngine, TaskGraph
+    from repro.parallel import ParallelEngine, TaskGraph
 
     graph = tasks if isinstance(tasks, TaskGraph) else TaskGraph(tasks)
     session = current_session()
@@ -186,11 +176,8 @@ def prefetch(tasks: object, jobs: Optional[int] = None,
                                     repro_error=record.repro_error)
                 continue
             value = engine.value_for(record.key)
-            if value is None:
-                continue
-            cache = (session.comparisons if record.kind == KIND_COMPARISON
-                     else session.flows)
-            cache[record.key] = value
+            if value is not None:
+                session.flows[record.key] = value
         return report
     finally:
         if ephemeral_root is not None:
@@ -199,31 +186,36 @@ def prefetch(tasks: object, jobs: Optional[int] = None,
 
 # -- cached execution -----------------------------------------------------
 
+def comparison_config(circuit: str, node_name: str = "45nm",
+                      scale: Optional[float] = None,
+                      **kwargs) -> FlowConfig:
+    """The 2D config of one comparison request; ``scale`` defaults to
+    the circuit's bench scale and ``kwargs`` are ``FlowConfig`` fields."""
+    scale = scale if scale is not None else default_scale(circuit)
+    return FlowConfig(circuit=circuit, node_name=node_name, is_3d=False,
+                      scale=scale, **kwargs)
+
+
 def cached_comparison(circuit: str, node_name: str = "45nm",
                       scale: Optional[float] = None,
                       **kwargs) -> ComparisonResult:
-    """Run (or fetch) an iso-performance 2D vs T-MI comparison."""
-    scale = scale if scale is not None else default_scale(circuit)
-    key = comparison_key(circuit, node_name, scale, kwargs)
-    cache = current_session().comparisons
-    value = _cache_lookup(cache, key)
-    if value is None:
-        _check_failed(key)
-        value = run_iso_performance_comparison(
-            circuit, node_name=node_name, scale=scale, **kwargs)
-        _cache_insert(cache, key, value)
-    return value
+    """Run (or fetch) an iso-performance 2D vs T-MI comparison: the 2D
+    run, then the T-MI run paired with it, each through
+    :func:`cached_flow`."""
+    config_2d = comparison_config(circuit, node_name, scale, **kwargs)
+    result_2d = cached_flow(config_2d)
+    result_3d = cached_flow(paired_config(config_2d, result_2d))
+    return ComparisonResult(result_2d=result_2d, result_3d=result_3d)
 
 
 def cached_flow(config: FlowConfig) -> LayoutResult:
     """Run (or fetch) a single flow configuration."""
     key = run_key(config)
-    cache = current_session().flows
-    value = _cache_lookup(cache, key)
+    value = _cache_lookup(key)
     if value is None:
         _check_failed(key)
         value = run_flow(config)
-        _cache_insert(cache, key, value)
+        _cache_insert(key, value)
     if isinstance(value, LayoutResult) and value.config != config:
         # Computed under a config that differs only in knobs the run
         # ignores: the caller gets its own, which drivers derive from.
@@ -247,7 +239,6 @@ def flow_cached(key: str) -> bool:
 def clear_caches(disk: bool = False) -> None:
     """Drop the in-process memos (and, with ``disk=True``, the store)."""
     session = current_session()
-    session.comparisons.clear()
     session.flows.clear()
     session.failed_tasks.clear()
     if disk and session.store is not None:

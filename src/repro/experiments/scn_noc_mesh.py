@@ -53,6 +53,6 @@ def declare_tasks(node_name: str = "45nm",
 
 def reference() -> List[Dict[str, object]]:
     """No paper reference: the scenario extends beyond the paper."""
-    spec = get_scenario("noc-quad")
-    return [{"note": f"scenario '{spec.name}': {spec.description}; "
+    description, _values = get_scenario("noc-quad")
+    return [{"note": f"scenario 'noc-quad': {description}; "
                      f"no published reference"}]

@@ -19,7 +19,8 @@ CIRCUIT = "aes"
 SCALE = 0.08
 
 # (tiers, fold kwargs forwarded to both FlowConfigs); 2-tier passes no
-# kwargs so it shares cache keys (and bytes) with the paper runs.
+# kwargs, so it is the paper run.  Both variants share one 2D run: a 2D
+# run ignores the fold knobs.
 VARIANTS = (
     (2, {}),
     (4, {"tiers": 4, "miv_koz_diameters": 1.0}),
@@ -56,6 +57,6 @@ def declare_tasks(node_name: str = "45nm",
 
 def reference() -> List[Dict[str, object]]:
     """No paper reference: the scenario extends beyond the paper."""
-    spec = get_scenario("quad-tier")
-    return [{"note": f"scenario '{spec.name}': {spec.description}; "
+    description, _values = get_scenario("quad-tier")
+    return [{"note": f"scenario 'quad-tier': {description}; "
                      f"no published reference"}]

@@ -51,12 +51,12 @@ def run(circuit: str = "des",
 
 
 def _sweep_tasks(circuit: str, scale, values):
-    """Derive the pin-cap grid from the base run (mirrors ``run``)."""
+    """Derive the pin-cap grid from the base 2D run (mirrors ``run``)."""
     from repro.parallel import comparison_task
 
-    base = values[0]
-    base_clock = base.clock_ns
-    base_util = base.result_2d.utilization_target
+    base_2d = values[0]
+    base_clock = base_2d.clock_ns
+    base_util = base_2d.utilization_target
     return [comparison_task(circuit, node_name="7nm", scale=scale,
                             pin_cap_scale=pin_scale,
                             target_clock_ns=base_clock,
@@ -72,7 +72,7 @@ def declare_tasks(circuit: str = "des", scale: Optional[float] = None):
 
     base = comparison_task(circuit, node_name="7nm", scale=scale)
     return [base,
-            DeferredTasks(requires=(base,),
+            DeferredTasks(requires=base.requires,
                           derive=partial(_sweep_tasks, circuit, scale),
                           label=f"table8-sweep:{circuit}")]
 

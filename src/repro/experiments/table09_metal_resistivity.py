@@ -46,15 +46,15 @@ def run(circuit: str = "m256",
 
 
 def _material_tasks(circuit: str, scale, values):
-    """Derive the low-resistivity variant from the base run."""
+    """Derive the low-resistivity variant from the base 2D run."""
     from repro.parallel import comparison_task
 
-    base = values[0]
+    base_2d = values[0]
     return [comparison_task(
         circuit, node_name="7nm", scale=scale,
         local_resistivity_scale=0.5,
-        target_clock_ns=base.clock_ns,
-        target_utilization=base.result_2d.utilization_target)]
+        target_clock_ns=base_2d.clock_ns,
+        target_utilization=base_2d.utilization_target)]
 
 
 def declare_tasks(circuit: str = "m256", scale: Optional[float] = None):
@@ -65,7 +65,7 @@ def declare_tasks(circuit: str = "m256", scale: Optional[float] = None):
 
     base = comparison_task(circuit, node_name="7nm", scale=scale)
     return [base,
-            DeferredTasks(requires=(base,),
+            DeferredTasks(requires=base.requires,
                           derive=partial(_material_tasks, circuit, scale),
                           label=f"table9-material:{circuit}")]
 

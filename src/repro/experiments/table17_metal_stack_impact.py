@@ -16,6 +16,7 @@ from repro.experiments.runner import (
     cached_flow,
     resilient_rows,
 )
+from repro.flow.compare import paired_config
 from repro.flow.reports import percentage_diff
 
 CIRCUITS = ("ldpc", "m256")
@@ -50,25 +51,29 @@ def run(circuits=CIRCUITS,
     return resilient_rows(circuits, one)
 
 
-def _modified_stack_tasks(values):
-    """Derive the T-MI+M re-run of the base T-MI layout's config."""
+def _modified_stack_tasks(config_2d, values):
+    """Derive the T-MI+M re-run of the base comparison's T-MI config."""
     from repro.parallel import flow_task
 
-    base = values[0].result_3d
-    return [flow_task(replace(base.config, metal_stack="tmi+m"))]
+    config_3d = paired_config(config_2d, values[0])
+    return [flow_task(replace(config_3d, metal_stack="tmi+m"))]
 
 
 def declare_tasks(circuits=CIRCUITS, scale: Optional[float] = None):
-    """Base 7 nm comparisons now; each +M flow once its base closes."""
+    """Base 7 nm comparisons now; each +M flow once its 2D base closes."""
+    from functools import partial
+
     from repro.parallel import DeferredTasks, comparison_task
 
     items = []
     for circuit in circuits:
         base = comparison_task(circuit, node_name="7nm", scale=scale)
+        (base_2d,) = base.requires
         items.append(base)
-        items.append(DeferredTasks(requires=(base,),
-                                   derive=_modified_stack_tasks,
-                                   label=f"table17-stack:{circuit}"))
+        items.append(DeferredTasks(
+            requires=base.requires,
+            derive=partial(_modified_stack_tasks, base_2d.config),
+            label=f"table17-stack:{circuit}"))
     return items
 
 

@@ -9,11 +9,10 @@ the same performance and only power/area/wirelength differ — the paper's
 from __future__ import annotations
 
 from dataclasses import dataclass, replace
-from typing import Dict, Optional
+from typing import Dict
 
 from repro.flow.design_flow import FlowConfig, LayoutResult, run_flow
 from repro.flow.reports import percentage_diff
-from repro.runtime.session import current_session
 
 
 @dataclass
@@ -55,36 +54,34 @@ class ComparisonResult:
         return [self.result_2d.summary_row(), self.result_3d.summary_row()]
 
 
-def run_iso_performance_comparison(
-        circuit: str,
-        node_name: str = "45nm",
-        scale: float = 0.1,
-        tightness: str = "medium",
-        target_clock_ns: Optional[float] = None,
-        **config_kwargs) -> ComparisonResult:
+def paired_config(config_2d: FlowConfig,
+                  result_2d: LayoutResult) -> FlowConfig:
+    """The T-MI config paired with a closed 2D run: iso-performance AND
+    iso-floorplan-policy.
+
+    The T-MI design takes the 2D design's closed clock and its final
+    (possibly congestion-lowered) utilization target, as the paper does
+    per circuit.  ``config_2d`` is passed separately because a cached or
+    pooled 2D result may carry another request's config: 2D configs that
+    differ only in the knobs a 2D run ignores (``tiers``, ``fold_style``,
+    ``miv_koz_diameters``) share one result.
+    """
+    return replace(config_2d, is_3d=True,
+                   target_clock_ns=result_2d.clock_ns,
+                   target_utilization=result_2d.utilization_target)
+
+
+def run_iso_performance_comparison(circuit: str, node_name: str = "45nm",
+                                   scale: float = 0.1,
+                                   **config_kwargs) -> ComparisonResult:
     """Run the paired 2D / T-MI flow for one benchmark.
 
-    Extra keyword arguments are forwarded to both FlowConfigs (pin-cap
-    scale, resistivity scale, metal stack, activities, ...).
+    Extra keyword arguments are ``FlowConfig`` fields forwarded to both
+    runs (clock target, pin-cap scale, resistivity scale, metal stack,
+    activities, fold knobs, ...).
     """
-    supervisor = current_session().supervisor
-    config_2d = FlowConfig(
-        circuit=circuit,
-        node_name=node_name,
-        is_3d=False,
-        scale=scale,
-        tightness=tightness,
-        target_clock_ns=target_clock_ns,
-        **config_kwargs,
-    )
-    with supervisor.run_context(f"{circuit}@{node_name}-2D"):
-        result_2d = run_flow(config_2d)
-    # Iso-performance AND iso-floorplan-policy: the T-MI design takes the
-    # 2D design's closed clock and its final (possibly congestion-lowered)
-    # utilization target, as the paper does per circuit.
-    config_3d = replace(config_2d, is_3d=True,
-                        target_clock_ns=result_2d.clock_ns,
-                        target_utilization=result_2d.utilization_target)
-    with supervisor.run_context(f"{circuit}@{node_name}-3D"):
-        result_3d = run_flow(config_3d)
+    config_2d = FlowConfig(circuit=circuit, node_name=node_name,
+                           is_3d=False, scale=scale, **config_kwargs)
+    result_2d = run_flow(config_2d)
+    result_3d = run_flow(paired_config(config_2d, result_2d))
     return ComparisonResult(result_2d=result_2d, result_3d=result_3d)

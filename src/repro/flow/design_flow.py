@@ -57,7 +57,7 @@ from repro.flow import stagecache
 from repro.flow.gmi import CELL_LEVEL, GATE_LEVEL, IntegrationStyle, with_mivs
 from repro.obs.trace import counter
 from repro.runtime.session import current_session
-from repro.runtime.supervisor import StagePolicy
+from repro.runtime.supervisor import StagePolicy, StageSupervisor
 from repro.opt.cts import synthesize_clock_tree
 from repro.opt.optimizer import Optimizer
 from repro.place.placer import Placer
@@ -248,8 +248,19 @@ class _LayoutAttempt:
 
 
 def run_flow(config: FlowConfig) -> LayoutResult:
-    """Run the full flow for one configuration (supervised stages)."""
+    """Run the full flow for one configuration (supervised stages).
+
+    The stages journal under the run's label, ``circuit@node-style``
+    (e.g. ``aes@45nm-2D``), and its captured artifacts carry the same.
+    """
     supervisor = current_session().supervisor
+    with supervisor.run_context(
+            f"{config.circuit}@{config.node_name}-{config.style()}"):
+        return _run_stages(config, supervisor)
+
+
+def _run_stages(config: FlowConfig,
+                supervisor: StageSupervisor) -> LayoutResult:
     # Stage-level incremental cache: pass-through unless a store is
     # bound (--resume / parallel workers).  Lookups happen *inside* the
     # supervised stage bodies, so the journal, tracing, and fault hooks
@@ -625,7 +636,6 @@ def run_flow(config: FlowConfig) -> LayoutResult:
             clock_ns=clock_ns,
             power=power,
             result=result,
-            label=supervisor.run_label or
-            f"{config.circuit}@{config.node_name}-{config.style()}",
+            label=supervisor.run_label,
         ))
     return result

@@ -3,10 +3,11 @@
 Three cooperating pieces:
 
 * :mod:`repro.parallel.plan` — experiment drivers *declare* the flow
-  runs/comparisons they need (``declare_tasks()``); the planner dedupes
-  them across all requested experiments into a :class:`TaskGraph` of
-  unique tasks keyed by the canonical checkpoint keys, with
-  :class:`DeferredTasks` for sweeps whose grids depend on base results.
+  runs they need (``declare_tasks()``); the planner dedupes them across
+  all requested experiments into a :class:`TaskGraph` of unique flow
+  tasks keyed by their run keys, with :class:`DeferredTasks` for runs
+  whose configs depend on base results (a comparison's T-MI run, sweep
+  grids).
 * :mod:`repro.parallel.pool` — a :class:`ParallelEngine` runs the graph
   on a ``ProcessPoolExecutor`` (inline at ``jobs == 1``), exchanging
   results through the shared :class:`repro.runtime.CheckpointStore`,
@@ -25,9 +26,6 @@ a sequential session.
 """
 
 from repro.parallel.plan import (            # noqa: F401
-    KIND_COMPARISON,
-    KIND_FLOW,
-    ComparisonCall,
     DeferredTasks,
     TaskGraph,
     TaskSpec,

@@ -5,25 +5,26 @@ the same underlying flow runs — Tables 4, 13, 16 and Fig. 3 all need the
 same five 45 nm 2D-vs-T-MI comparisons.  This module turns the
 *declarations* of that work into a deduplicated set of executable tasks:
 
-* :class:`TaskSpec` — one unit of work (a full iso-performance comparison
-  or a single flow run), named by the same canonical checkpoint key the
-  cached-execution layer uses (:func:`repro.flow.stagecache.run_key`
-  / :func:`~repro.experiments.runner.comparison_key`).  Two experiments
-  that need the same run therefore declare the same key, and the graph
-  keeps one task.
-* :class:`DeferredTasks` — sweep experiments (Fig. 4's clock sweep,
-  Table 8's pin-cap grid, ...) derive their parameter grids from a *base*
+* :class:`TaskSpec` — one unit of work, a single flow run, named by the
+  key the cached-execution layer stores it under
+  (:func:`repro.flow.stagecache.run_key`).  Two experiments that need
+  the same run therefore declare the same key, and the graph keeps one
+  task.
+* :class:`DeferredTasks` — tasks whose configs derive from a *base*
   run's results (the closed clock, the final utilization).  A deferred
   declaration names its required base specs and a ``derive`` callable
   that receives the base results and returns the follow-on specs; the
-  engine resolves it as soon as the bases complete.
+  engine resolves it as soon as the bases complete.  A comparison is
+  one (:func:`comparison_task`): its 2D task now, the paired T-MI task
+  once the 2D run has closed; sweeps (Fig. 4's clock sweep, Table 8's
+  pin-cap grid, ...) derive their grids the same way.
 * :class:`TaskGraph` — the deduplicated collection; :func:`build_plan`
   assembles one from experiment ids by calling each driver's
   ``declare_tasks()`` hook.
 
-Key discipline: a spec builder resolves defaults exactly the way the
-cached call site does (``scale=None`` becomes the circuit's default
-scale, keyword arguments hash canonically), so a task computed by a
+Key discipline: a spec builder resolves configs exactly the way the
+cached call site does (:func:`~repro.experiments.runner.comparison_config`
+and :func:`~repro.flow.compare.paired_config`), so a task computed by a
 worker is *guaranteed* to be the cache entry the driver later reads —
 that is what makes parallel row output byte-identical to sequential.
 """
@@ -31,35 +32,23 @@ that is what makes parallel row output byte-identical to sequential.
 from __future__ import annotations
 
 import importlib
-from dataclasses import dataclass, field
-from typing import Callable, Dict, Iterable, List, Optional, Sequence, Union
+from dataclasses import dataclass
+from functools import partial
+from typing import Callable, Dict, Iterable, List, Optional, Sequence
 
-from repro.experiments.runner import comparison_key, default_scale
-from repro.flow.design_flow import FlowConfig
+from repro.experiments.runner import comparison_config
+from repro.flow.compare import paired_config
+from repro.flow.design_flow import FlowConfig, LayoutResult
 from repro.flow.stagecache import run_key
-
-KIND_FLOW = "flow"
-KIND_COMPARISON = "comparison"
-
-
-@dataclass(frozen=True)
-class ComparisonCall:
-    """Arguments of one ``run_iso_performance_comparison`` invocation."""
-
-    circuit: str
-    node_name: str
-    scale: float
-    kwargs: Dict[str, object] = field(default_factory=dict)
 
 
 @dataclass(frozen=True)
 class TaskSpec:
-    """One deduplicatable unit of work, named by its checkpoint key."""
+    """One deduplicatable flow run, named by its run key."""
 
-    kind: str                                  # KIND_FLOW | KIND_COMPARISON
-    key: str                                   # canonical checkpoint key
+    key: str                                   # run_key(config)
     label: str                                 # human-readable, for reports
-    payload: Union[FlowConfig, ComparisonCall]
+    config: FlowConfig
 
 
 @dataclass
@@ -79,35 +68,40 @@ class DeferredTasks:
     label: str = ""
 
 
-def comparison_task(circuit: str, node_name: str = "45nm",
-                    scale: Optional[float] = None,
-                    **kwargs) -> TaskSpec:
-    """Declare one iso-performance comparison.
-
-    Mirrors :func:`repro.experiments.runner.cached_comparison` exactly —
-    same defaulting, same key — so the worker's result lands on the key
-    the driver reads.
-    """
-    resolved = scale if scale is not None else default_scale(circuit)
-    key = comparison_key(circuit, node_name, resolved, kwargs)
-    extras = "".join(f",{k}={v}" for k, v in sorted(kwargs.items()))
-    return TaskSpec(
-        kind=KIND_COMPARISON,
-        key=key,
-        label=f"cmp:{circuit}@{node_name}x{resolved:g}{extras}",
-        payload=ComparisonCall(circuit=circuit, node_name=node_name,
-                               scale=resolved, kwargs=dict(kwargs)),
-    )
-
-
 def flow_task(config: FlowConfig) -> TaskSpec:
     """Declare one single-configuration flow run."""
     return TaskSpec(
-        kind=KIND_FLOW,
         key=run_key(config),
         label=(f"flow:{config.circuit}@{config.node_name}-{config.style()}"
                f"x{config.scale:g}"),
-        payload=config,
+        config=config,
+    )
+
+
+def _paired_task(config_2d: FlowConfig,
+                 values: List[LayoutResult]) -> List[TaskSpec]:
+    return [flow_task(paired_config(config_2d, values[0]))]
+
+
+def comparison_task(circuit: str, node_name: str = "45nm",
+                    scale: Optional[float] = None,
+                    **kwargs) -> DeferredTasks:
+    """Declare one iso-performance comparison: its 2D flow task now, the
+    paired T-MI flow task once the 2D run has closed.
+
+    Mirrors :func:`repro.experiments.runner.cached_comparison` exactly —
+    the same 2D config, the same pairing rule — so the workers' results
+    land on the keys the experiment driver reads.  The T-MI config derives from
+    this request's own 2D config, never from the 2D result's: requests
+    that differ only in knobs a 2D run ignores share one 2D task, whose
+    result carries the config of whichever request declared it first.
+    """
+    config_2d = comparison_config(circuit, node_name, scale, **kwargs)
+    extras = "".join(f",{k}={v}" for k, v in sorted(kwargs.items()))
+    return DeferredTasks(
+        requires=(flow_task(config_2d),),
+        derive=partial(_paired_task, config_2d),
+        label=f"cmp:{circuit}@{node_name}x{config_2d.scale:g}{extras}",
     )
 
 

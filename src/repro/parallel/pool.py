@@ -2,12 +2,13 @@
 
 The engine runs the unique tasks of a :class:`~repro.parallel.plan.TaskGraph`
 on a :class:`concurrent.futures.ProcessPoolExecutor` and exchanges results
-through a shared :class:`repro.runtime.checkpoint.CheckpointStore`: each
-worker writes its completed ``LayoutResult``/``ComparisonResult`` into the
-store (the create-rename writes make concurrent writers safe) and returns
-only lightweight metadata; the parent loads values back from the store on
-demand.  This keeps large results off the result-queue pickling path and
-means a crashed session leaves every completed run reusable on disk.
+through a shared :class:`repro.runtime.checkpoint.CheckpointStore`.  Every
+task is one flow run: each worker writes its completed ``LayoutResult``
+into the store (the create-rename writes make concurrent writers safe)
+and returns only lightweight metadata; the parent loads values back from
+the store on demand.  This keeps large results off the result-queue
+pickling path and means a crashed session leaves every completed run
+reusable on disk.
 At ``jobs == 1`` there is no pool: the tasks run inline, one after
 another, on the same code path a worker runs.
 
@@ -51,14 +52,9 @@ from repro.errors import (
     TaskFailedError,
     WorkerCrashError,
 )
+from repro.flow import design_flow
 from repro.obs.trace import NULL_TRACER, TraceBundle, Tracer
-from repro.parallel.plan import (
-    KIND_COMPARISON,
-    KIND_FLOW,
-    DeferredTasks,
-    TaskGraph,
-    TaskSpec,
-)
+from repro.parallel.plan import DeferredTasks, TaskGraph, TaskSpec
 from repro.parallel.report import (
     STATUS_CRASHED,
     STATUS_FAILED,
@@ -108,20 +104,6 @@ def _init_worker(context: WorkerContext) -> None:
     """
     install_session(Session(store=CheckpointStore(
         Path(context.store_root), schema_version=context.schema_version)))
-
-
-def _compute(spec: TaskSpec) -> object:
-    from repro.flow.compare import run_iso_performance_comparison
-    from repro.flow.design_flow import run_flow
-
-    if spec.kind == KIND_COMPARISON:
-        call = spec.payload
-        return run_iso_performance_comparison(
-            call.circuit, node_name=call.node_name, scale=call.scale,
-            **call.kwargs)
-    if spec.kind == KIND_FLOW:
-        return run_flow(spec.payload)
-    raise ValueError(f"unknown task kind: {spec.kind!r}")
 
 
 def _trace_key(task_key: str) -> str:
@@ -180,7 +162,7 @@ def _execute_task(spec: TaskSpec, context: WorkerContext
     tracer = Tracer() if context.trace_enabled else NULL_TRACER
     try:
         with override(supervisor=supervisor, tracer=tracer, faults=plan):
-            value = _compute(spec)
+            value = design_flow.run_flow(spec.config)
     except ReproError as exc:
         base.update(status=STATUS_FAILED, cached=False, stored=False,
                     error=type(exc).__name__, message=str(exc),
@@ -347,7 +329,7 @@ class ParallelEngine:
                 continue
             tracer.merge_bundle(bundle,
                                 container_name=f"task:{record.label}",
-                                task=record.label, kind=record.kind)
+                                task=record.label)
             session.supervisor.journal.extend(bundle.journal)
             if not record.stages:
                 record.stages = _stage_walls(bundle.journal)
@@ -360,7 +342,6 @@ class ParallelEngine:
         records[task.spec.key] = TaskRecord(
             key=task.spec.key,
             label=task.spec.label,
-            kind=task.spec.kind,
             status=payload["status"],
             wall_s=float(payload.get("wall_s", 0.0)),
             pid=payload.get("pid"),

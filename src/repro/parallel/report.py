@@ -27,7 +27,6 @@ class TaskRecord:
 
     key: str
     label: str
-    kind: str
     status: str                    # ok | failed | crashed
     wall_s: float = 0.0
     pid: Optional[int] = None      # worker process id, None before dispatch
@@ -38,15 +37,14 @@ class TaskRecord:
     message: str = ""
     repro_error: bool = True       # failure was a ReproError (vs a bug)
     # Supervised-stage wall time inside this task (stage -> seconds,
-    # summed over attempts and, for comparisons, over both runs); empty
-    # for cache hits that carried no stored trace bundle.
+    # summed over attempts); empty for cache hits that carried no
+    # stored trace bundle.
     stages: Dict[str, float] = field(default_factory=dict)
 
     def to_dict(self) -> Dict[str, object]:
         return {
             "key": self.key,
             "label": self.label,
-            "kind": self.kind,
             "status": self.status,
             "wall_s": round(self.wall_s, 6),
             "pid": self.pid,

@@ -3,9 +3,8 @@
 A bench session regenerates ~20 tables/figures that share the same
 underlying layout runs.  The in-process memo caches in
 :mod:`repro.experiments.runner` make that cheap *within* a session; this
-module makes it cheap *across* sessions: every completed
-``LayoutResult``/``ComparisonResult`` — and, since the stage-memoization
-refactor, every completed *flow stage* (see
+module makes it cheap *across* sessions: every completed flow run's
+``LayoutResult`` — and every completed *flow stage* (see
 :mod:`repro.flow.stagecache`) — is written to disk keyed by a versioned
 hash of its actual inputs, so a killed session resumes instead of
 recomputing and a one-parameter change recomputes only the stages that
@@ -91,8 +90,8 @@ from repro.runtime import faults
 
 logger = logging.getLogger(__name__)
 
-# Bump when LayoutResult/ComparisonResult (or anything they embed)
-# changes shape: every existing checkpoint entry becomes invisible.
+# Bump when LayoutResult (or anything it embeds) changes shape: every
+# existing checkpoint entry becomes invisible.
 # 3: FlowConfig.router_detour_coeff + stage entries.
 # 4: the kernel-backend field left FlowConfig (one implementation per
 #    kernel), so every config and stage digest changed.

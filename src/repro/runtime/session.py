@@ -12,8 +12,9 @@ everything it accumulates while running —
   workers all read it from here;
 * ``keep_going`` and ``errors`` — the ``--keep-going`` policy and the
   :class:`RowError` records it produced;
-* ``comparisons`` and ``flows`` — the in-process memos of finished
-  comparisons and flow runs, keyed by canonical checkpoint key;
+* ``flows`` — the in-process memo of finished flow runs, keyed by run
+  key (:func:`repro.flow.stagecache.run_key`); a comparison is two of
+  them;
 * ``failed_tasks`` — parallel tasks that failed in a warm phase, so a
   driver asking for that result re-raises the worker's error instead of
   recomputing a known failure;
@@ -71,7 +72,6 @@ class Session:
     store: Optional[CheckpointStore] = None
     keep_going: bool = False
     errors: List[RowError] = field(default_factory=list)
-    comparisons: Dict[str, object] = field(default_factory=dict)
     flows: Dict[str, object] = field(default_factory=dict)
     # key -> (label, worker error class name, message, was-a-ReproError)
     failed_tasks: Dict[str, tuple] = field(default_factory=dict)

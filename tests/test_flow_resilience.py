@@ -154,16 +154,23 @@ def test_resume_recomputes_after_corruption(tmp_path, monkeypatch):
 
 
 def test_comparison_checkpointing(tmp_path, monkeypatch):
+    # A comparison is its two flow runs, each checkpointed on its own.
     runner.use_persistent_cache(tmp_path)
     calls = []
-    monkeypatch.setattr(
-        runner, "run_iso_performance_comparison",
-        lambda circuit, **kw: calls.append(circuit) or _FakeResult("cmp"))
+
+    def fake_run(config):
+        calls.append(config.style())
+        result = _FakeResult(config.style())
+        result.clock_ns, result.utilization_target = 2.5, 0.7
+        return result
+
+    monkeypatch.setattr(runner, "run_flow", fake_run)
     runner.cached_comparison("fpu", scale=0.06)
+    assert calls == ["2D", "3D"]
     runner.clear_caches()
     resumed = runner.cached_comparison("fpu", scale=0.06)
-    assert calls == ["fpu"]
-    assert resumed.tag == "cmp"
+    assert calls == ["2D", "3D"]
+    assert (resumed.result_2d.tag, resumed.result_3d.tag) == ("2D", "3D")
 
 
 # -- keep-going degradation (--keep-going) --------------------------------

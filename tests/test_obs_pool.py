@@ -12,8 +12,14 @@ import os
 import pytest
 
 from repro.experiments import runner
+from repro.flow.design_flow import FlowConfig
 from repro.obs import Tracer
-from repro.parallel import ParallelEngine, TaskGraph, comparison_task
+from repro.parallel import (
+    ParallelEngine,
+    TaskGraph,
+    comparison_task,
+    flow_task,
+)
 from repro.runtime.checkpoint import CheckpointStore
 from repro.runtime.session import override
 from repro.runtime.supervisor import StageSupervisor
@@ -59,14 +65,15 @@ def test_merged_trace_parity_and_digest_stability(tmp_path):
     # Structural digest: identical however the work was placed.
     assert tracer1.digest() == tracer2.digest()
 
-    # The jobs=2 trace covers the worker process: its spans carry the
-    # worker pid, wrapped in a synthetic task container span.
+    # The jobs=2 trace covers the worker processes: their spans carry
+    # the worker pid, wrapped in one synthetic container span per task
+    # (the 2D run and its T-MI run).
     parent_pid = os.getpid()
     worker_spans = [s for s in tracer2.snapshot() if s.pid != parent_pid]
     assert worker_spans, "merged trace must include worker-side spans"
     containers = [s for s in tracer2.snapshot() if s.category == "task"]
-    assert len(containers) == 1
-    assert containers[0].name.startswith("task:")
+    assert len(containers) == 2
+    assert all(s.name.startswith("task:") for s in containers)
 
     # Stage-resolved records at parity: same stages, positive walls.
     stages1 = report1.records[0].stages
@@ -97,7 +104,7 @@ def test_merged_trace_parity_and_digest_stability(tmp_path):
     # per-stage walls from them.
     runner.clear_caches()
     tracer3, _counters3, rows3, report3 = _traced_run(store2, jobs=2)
-    assert report3.records[0].cached
+    assert all(record.cached for record in report3.records)
     assert tracer3.digest() == tracer2.digest()
     assert set(report3.records[0].stages) == set(stages2)
     assert [r.to_dict() for r in rows3] == [r.to_dict() for r in rows2]
@@ -127,3 +134,25 @@ def test_untraced_run_ships_no_bundles(tmp_path):
         [comparison_task("fpu", scale=SCALE)]).tasks.values()))
     assert store.load(spec.key) is not None
     assert store.load(_trace_key(spec.key)) is None
+
+
+def test_every_run_journals_under_its_own_label(tmp_path):
+    """A flow task names its run ``circuit@node-style``, as each of a
+    comparison's two runs does; the task container span carries the
+    task's label alone."""
+
+    def traced(task, store_dir):
+        tracer, supervisor = Tracer(), StageSupervisor()
+        with override(tracer=tracer, supervisor=supervisor):
+            ParallelEngine(store=CheckpointStore(tmp_path / store_dir),
+                           jobs=1).execute(TaskGraph([task]))
+        containers = [s for s in tracer.snapshot() if s.category == "task"]
+        return {row.run for row in supervisor.journal.records}, containers
+
+    flow = flow_task(FlowConfig(circuit="fpu", scale=SCALE))
+    labels, containers = traced(flow, "flow")
+    assert labels == {"fpu@45nm-2D"}
+    labels, more = traced(comparison_task("fpu", scale=SCALE), "cmp")
+    assert labels == {"fpu@45nm-2D", "fpu@45nm-3D"}
+    assert len(containers + more) == 3
+    assert all(set(s.attrs) == {"task"} for s in containers + more)

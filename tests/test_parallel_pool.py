@@ -61,30 +61,34 @@ def test_rows_identical_sequential_vs_parallel_prefetch():
         report = runner.prefetch(graph, jobs=jobs)
         rows = table4.run(circuits=("fpu",), scale=SCALE)
 
-        assert report.n_ok == len(report.records) == 1
-        # One job runs the task inline in this process; more than one
-        # dispatches it to a pool worker.
+        # The 2D run and its derived T-MI run.
+        assert report.n_ok == len(report.records) == 2
+        # One job runs the tasks inline in this process; more than one
+        # dispatches them to pool workers.
+        pids = {record.pid for record in report.records}
         if jobs == 1:
-            assert report.records[0].pid == os.getpid()
+            assert pids == {os.getpid()}
         else:
-            assert report.records[0].pid != os.getpid()
+            assert os.getpid() not in pids
         assert json.dumps(rows, sort_keys=True, default=str) == rows_seq
 
 
 def test_inline_engine_reuses_store_and_serves_results(tmp_path):
     store = CheckpointStore(tmp_path)
-    spec = comparison_task("fpu", scale=SCALE)
+    comparison = comparison_task("fpu", scale=SCALE)
     engine = ParallelEngine(store=store, jobs=1)
 
-    first = engine.execute(TaskGraph([spec]))
-    assert [r.status for r in first.records] == ["ok"]
-    assert not first.records[0].cached and first.records[0].stored
-    assert engine.result(spec).result_2d.power.total_mw > 0.0
+    first = engine.execute(TaskGraph([comparison]))
+    assert [r.status for r in first.records] == ["ok", "ok"]
+    assert all(not r.cached and r.stored for r in first.records)
+    (spec_2d,) = comparison.requires
+    assert engine.result(spec_2d).power.total_mw > 0.0
 
-    # A second session over the same store hits the checkpoint entry.
-    again = ParallelEngine(store=store, jobs=1).execute(TaskGraph([spec]))
-    assert again.records[0].cached
-    assert again.n_cached == 1
+    # A second session over the same store hits the checkpoint entries.
+    again = ParallelEngine(store=store, jobs=1).execute(
+        TaskGraph([comparison]))
+    assert all(r.cached for r in again.records)
+    assert again.n_cached == 2
 
 
 def test_deferred_tasks_resolve_with_base_values(tmp_path):
@@ -95,7 +99,8 @@ def test_deferred_tasks_resolve_with_base_values(tmp_path):
         seen["clock"] = values[0].clock_ns
         return []
 
-    graph = TaskGraph([base, DeferredTasks(requires=(base,), derive=derive,
+    graph = TaskGraph([base, DeferredTasks(requires=base.requires,
+                                           derive=derive,
                                            label="noop-sweep")])
     ParallelEngine(store=CheckpointStore(tmp_path), jobs=1).execute(graph)
     assert seen["clock"] > 0.0
@@ -166,6 +171,37 @@ def test_worker_failure_raises_without_keep_going(tmp_path):
                             worker_faults=(fail,))
     with pytest.raises(TaskFailedError):
         engine.execute(TaskGraph([comparison_task("fpu", scale=SCALE)]))
+
+
+def test_shared_2d_task_pairs_each_request_with_its_own_config(
+        monkeypatch):
+    """scn4t's two comparisons differ only in fold knobs, which a 2D run
+    ignores: they share one 2D task, whose stored result carries the
+    2-tier request's config.  Each T-MI task must still derive from its
+    own request, so the warm phase leaves nothing for the experiment
+    driver to run."""
+    from repro.experiments import scn_quad_tier
+    from repro.flow import compare, design_flow
+
+    scale = 0.03
+    rows_seq = scn_quad_tier.run(scale=scale)
+    runner.clear_caches()
+    report = runner.prefetch(
+        TaskGraph(scn_quad_tier.declare_tasks(scale=scale)), jobs=1)
+    assert report.n_ok == len(report.records) == 3
+    (key_2d,) = [r.key for r in report.records if "-2D" in r.label]
+    assert current_session().flows[key_2d].config.tiers == 2
+
+    calls = []
+
+    def counting(config):
+        calls.append(config)
+        return design_flow.run_flow(config)
+
+    monkeypatch.setattr(runner, "run_flow", counting)
+    monkeypatch.setattr(compare, "run_flow", counting)
+    assert scn_quad_tier.run(scale=scale) == rows_seq
+    assert calls == []
 
 
 def test_keep_going_prefetch_degrades_to_error_rows():

@@ -15,7 +15,6 @@ from repro.runtime.checkpoint import (
     canonical_key,
     config_key,
 )
-from repro.experiments.runner import comparison_key
 
 
 # -- canonical keys -------------------------------------------------------
@@ -92,16 +91,6 @@ def test_run_key_drops_the_knobs_2d_ignores(knob):
     assert stage_digests(replace(base_3d, **knob))["power"] != \
         stage_digests(base_3d)["power"]
     assert run_key(replace(base_3d, **knob)) != run_key(base_3d)
-
-
-def test_comparison_key_tolerates_unhashable_kwargs():
-    # The old _key() tuple(sorted(kwargs.items())) raised TypeError here.
-    key = comparison_key("fpu", "45nm", 0.1,
-                         {"overrides": {"pi_activity": 0.3},
-                          "stages": ["synthesis", "layout"]})
-    assert key == comparison_key("fpu", "45nm", 0.1,
-                                 {"stages": ["synthesis", "layout"],
-                                  "overrides": {"pi_activity": 0.3}})
 
 
 # -- store IO -------------------------------------------------------------

@@ -1,14 +1,14 @@
 """Scenario-space conformance suite.
 
-The generalized N-tier fold, the MIV keep-out model, and the
-``ScenarioSpec`` layer widen the flow far beyond the paper's single
-2-tier scenario, so this suite pins two things at once:
+The generalized N-tier fold, the MIV keep-out model, and the named
+scenarios widen the flow far beyond the paper's single 2-tier
+scenario, so this suite pins two things at once:
 
 * **specialization** — at the default ``FoldSpec`` (2 tiers, "pn",
   half-diameter keep-out) every generalized code path must reproduce
   the original hardcoded behaviour *byte for byte*: cell geometries
   equal the frozen reference fold, routing capacity derate is exactly
-  1.0, and the paper scenario lowers to the bare ``FlowConfig``;
+  1.0, and the paper scenario is the bare ``FlowConfig``;
 * **conservation** — for fuzzed tier counts, fold styles, and keep-out
   sizes (seeded stdlib ``random.Random``; failures replay exactly) the
   invariants that make any fold physically meaningful must hold:
@@ -40,13 +40,7 @@ from repro.errors import FlowError, TechnologyError
 from repro.extraction.rc import ExtractionMode, extract_cell
 from repro.flow import stagecache
 from repro.flow.design_flow import FlowConfig
-from repro.flow.scenario import (
-    SCENARIO_KNOBS,
-    SCENARIOS,
-    ScenarioSpec,
-    get_scenario,
-    knob_coverage_findings,
-)
+from repro.flow.scenario import SCENARIOS, get_scenario
 from repro.tech.miv import (
     MIV_KOZ_DEFAULT,
     KOZ_CAPACITY_FLOOR,
@@ -142,12 +136,10 @@ def test_default_koz_side_matches_legacy_two_diameters():
 
 
 def test_paper_scenario_lowers_to_bare_flowconfig():
-    spec = get_scenario("paper")
-    lowered = spec.to_flow_config(is_3d=True)
+    _description, values = get_scenario("paper")
     # The paper scenario pins AES at its bench scale; every other field
     # must equal the bare FlowConfig defaults bit for bit.
-    bare = FlowConfig(circuit="aes", scale=spec.scale, is_3d=True)
-    assert dataclasses.asdict(lowered) == dataclasses.asdict(bare)
+    assert FlowConfig(**values) == FlowConfig(circuit="aes", scale=0.08)
 
 
 def test_paper_goldens_unchanged():
@@ -372,39 +364,46 @@ def test_koz_side_grows_with_clearance():
 
 
 # ---------------------------------------------------------------------------
-# ScenarioSpec layer
+# Named scenarios
 # ---------------------------------------------------------------------------
 
-def test_scenario_knob_coverage_is_complete():
-    # Every ScenarioSpec knob must be registered in the stage-digest
-    # registry, or whatif/dse/stage-cache would silently ignore it.
-    assert knob_coverage_findings() == ()
-
-
-def test_all_scenario_knobs_are_flowconfig_fields():
-    import dataclasses as dc
-    fields = {f.name for f in dc.fields(FlowConfig)}
-    assert set(SCENARIO_KNOBS) <= fields
+def _scenario_config(values):
+    """A scenario's FlowConfig, through the gates the flow itself uses
+    (the node registry and the fold validation)."""
+    config = FlowConfig(**values)
+    get_node(config.node_name)
+    config.fold_spec()
+    return config
 
 
 @pytest.mark.parametrize("name", sorted(SCENARIOS))
 def test_named_scenarios_lower_to_valid_configs(name):
-    spec = get_scenario(name)
-    config = spec.to_flow_config(is_3d=True)
-    assert config.circuit == spec.circuit
-    assert config.tiers == spec.tiers
-    assert config.fold_style == spec.fold_style
-    assert config.miv_koz_diameters == spec.miv_koz_diameters
-    # Lowered configs round-trip through the stage-digest registry.
+    description, values = get_scenario(name)
+    assert description
+    config = _scenario_config(values)
+    # Scenario configs round-trip through the stage-digest registry.
     digests = stagecache.stage_digests(config)
     assert set(digests) == set(stagecache.STAGE_PARAMS)
 
 
-def test_scenario_overrides_apply():
-    config = get_scenario("quad-tier").to_flow_config(is_3d=True,
-                                                      scale=0.02)
-    assert config.scale == 0.02
-    assert config.tiers == 4
+def test_scenario_overrides_apply(monkeypatch):
+    # `compare --scenario` hands the scenario's values to the comparison,
+    # and a circuit named on the command line wins over its workload.
+    from repro import cli
+    from repro.experiments import runner
+
+    seen = {}
+
+    def fake_comparison(**kwargs):
+        seen.update(kwargs)
+        raise FlowError("stop before running")
+
+    monkeypatch.setattr(runner, "cached_comparison", fake_comparison)
+    with pytest.raises(FlowError):
+        cli._cmd_compare(cli.build_parser().parse_args(
+            ["compare", "fpu", "--scenario", "quad-tier"]))
+    _description, values = get_scenario("quad-tier")
+    assert seen == {**values, "circuit": "fpu", "target_clock_ns": None}
 
 
 def test_unknown_scenario_raises():
@@ -414,17 +413,17 @@ def test_unknown_scenario_raises():
 
 def test_scenario_validates_tiers():
     with pytest.raises(TechnologyError):
-        ScenarioSpec(name="bad", tiers=MAX_FOLD_TIERS + 1)
+        _scenario_config({"circuit": "aes", "tiers": MAX_FOLD_TIERS + 1})
 
 
 def test_scenario_validates_node():
     with pytest.raises(TechnologyError):
-        ScenarioSpec(name="bad", node_name="32nm")
+        _scenario_config({"circuit": "aes", "node_name": "32nm"})
 
 
 def test_scenario_validates_fold_style():
     with pytest.raises(TechnologyError):
-        ScenarioSpec(name="bad", fold_style="diagonal")
+        _scenario_config({"circuit": "aes", "fold_style": "diagonal"})
 
 
 def test_asap7_node_registered():
