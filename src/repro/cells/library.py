@@ -14,7 +14,9 @@ from __future__ import annotations
 
 import enum
 from dataclasses import dataclass
-from typing import Dict, FrozenSet, List, Optional
+from typing import Dict, FrozenSet, List, Optional, Sequence, Tuple
+
+import numpy as np
 
 from repro.errors import LibraryError
 from repro.cells.netlist import CellNetlist, is_sequential_type
@@ -288,3 +290,28 @@ class CellLibrary:
 
     def total_types(self) -> List[str]:
         return sorted(self._by_type)
+
+
+def instance_cells(library: CellLibrary, instances
+                   ) -> Tuple[np.ndarray, List[Cell]]:
+    """``(ids, cells)``: the distinct cells of ``instances`` in order of
+    first use, and each instance's index into ``cells``."""
+    names: Dict[str, int] = {}
+    ids = np.array([names.setdefault(inst.cell_name, len(names))
+                    for inst in instances], dtype=np.intp)
+    return ids, [library.cell(name) for name in names]
+
+
+def pin_caps(cells: Sequence[Cell], cell_ids: np.ndarray,
+             pin_ids: np.ndarray, pin_names: Sequence[str]) -> np.ndarray:
+    """Cap of pin ``pin_names[pin_ids[k]]`` of ``cells[cell_ids[k]]``
+    for every ``k``; a pin its cell lacks raises like :meth:`Cell.pin`."""
+    table = np.array([[cell.pins[p].cap_ff if p in cell.pins else np.nan
+                       for p in pin_names] for cell in cells]
+                     ).reshape(len(cells), len(pin_names))
+    caps = table[cell_ids, pin_ids]
+    missing = np.flatnonzero(np.isnan(caps))
+    if missing.size:
+        k = int(missing[0])
+        cells[cell_ids[k]].pin(pin_names[pin_ids[k]])
+    return caps

@@ -15,13 +15,26 @@ The fixer runs a bounded number of passes: newly created buffer nets are
 re-checked on the next pass, and buffers always move toward the farthest
 sink so every generation strictly shrinks the span — guaranteeing
 termination.
+
+Each pass first checks every net's budget at once (:func:`_over_budget`)
+and runs the scalar fix, in net order, only on the nets over it.  A fix
+that upsizes a driver changes the pin caps of the nets its inputs sink
+on and the budgets of its other outputs, so the pass reads those nets
+again when it reaches them.  A buffer changes only the net it splits,
+which the fix re-reads, and nets created in this pass, which the next
+pass checks.  The result is the net-by-net scan's, edit for edit.
 """
 
 from __future__ import annotations
 
-from typing import Tuple
+import heapq
+from typing import List, Tuple
 
+import numpy as np
+
+from repro.cells.library import instance_cells, pin_caps
 from repro.circuits.netlist import Module, Net
+from repro.obs.trace import kernel
 from repro.opt.buffering import buffer_far_sinks, BUFFER_CELL
 from repro.place.floorplan import Floorplan
 from repro.place.legalize import place_instance_near
@@ -113,6 +126,46 @@ def _fix_one_net(module: Module, library, floorplan: Floorplan,
     return n_upsized, n_buffers
 
 
+def _fixable(net: Net) -> bool:
+    """Whether the fixer may touch a net: not a clock net, and driven
+    by an instance."""
+    return not net.is_clock and net.driver is not None \
+        and net.driver[0] >= 0
+
+
+def _over_budget(module: Module, library, net_model: PlacedNetModel,
+                 start: int, end: int) -> List[int]:
+    """Nets in ``[start, end)`` that :func:`_fix_one_net` would act on.
+
+    Array form of its first load check: wire caps from the net model's
+    bulk estimate (bit-identical to ``net_rc``), sink pin caps from one
+    ``bincount`` over the pin-table snapshot's sinks (in ``net.sinks``
+    order, so each sum adds like :func:`_net_load`), and one budget per
+    distinct cell.  Clock nets and nets without an instance driver are
+    never fixed.
+    """
+    conn = module.connectivity()
+    cid, cells = instance_cells(library, module.instances)
+    budget = np.array([MAX_LOAD_RATIO * max(cell.max_input_cap_ff(), 0.1)
+                       for cell in cells])
+
+    _r, c_wire = net_model.net_rc_bulk(module.nets[start:end], end)
+    lo, hi = conn.sink_off[start], conn.sink_off[end]
+    real = conn.sink_inst[lo:hi] >= 0
+    caps = pin_caps(cells, cid[conn.sink_inst[lo:hi][real]],
+                    conn.sink_pin[lo:hi][real], conn.pin_names)
+    c_pins = np.bincount(conn.sink_net[lo:hi][real] - start, weights=caps,
+                         minlength=end - start)
+
+    driver = conn.driver_inst[start:end]
+    fixable = (driver >= 0) & ~conn.is_clock[start:end]
+    load = c_wire[start:end] + c_pins
+    over = np.zeros(end - start, dtype=bool)
+    # ``<=`` negated, as the fix breaks on it (a NaN load is over).
+    over[fixable] = ~(load[fixable] <= budget[cid[driver[fixable]]])
+    return (np.flatnonzero(over) + start).tolist()
+
+
 def fix_drv(module: Module, library, floorplan: Floorplan,
             net_model: PlacedNetModel) -> Tuple[int, int]:
     """Fix max-cap violations; returns (#upsized, #buffers inserted)."""
@@ -124,15 +177,26 @@ def fix_drv(module: Module, library, floorplan: Floorplan,
         if start >= end:
             break
         pass_buffers = 0
-        for net_idx in range(start, end):
-            net = module.nets[net_idx]
-            if net.is_clock or net.driver is None or net.driver[0] < 0:
-                continue
-            up, buf = _fix_one_net(module, library, floorplan, net_model,
-                                   net)
-            n_upsized += up
-            n_buffers += buf
-            pass_buffers += buf
+        with kernel("opt.drv", nets=end - start):
+            # A sorted list is a heap: pop the nets in order, and push
+            # the later nets an upsize may have pushed over budget.
+            pending = _over_budget(module, library, net_model, start, end)
+            queued = set(pending)
+            while pending:
+                net = module.nets[heapq.heappop(pending)]
+                up, buf = _fix_one_net(module, library, floorplan,
+                                       net_model, net)
+                n_upsized += up
+                n_buffers += buf
+                pass_buffers += buf
+                if up:
+                    driver = module.instances[net.driver[0]]
+                    for net_idx in driver.pin_nets.values():
+                        if net.index < net_idx < end \
+                                and net_idx not in queued \
+                                and _fixable(module.nets[net_idx]):
+                            queued.add(net_idx)
+                            heapq.heappush(pending, net_idx)
         # First pass covers the original netlist; later passes only the
         # nets created by the previous one.
         start = end

@@ -6,6 +6,14 @@ least displacement cost wins.  Processing in x order means a cell can
 never be pushed left of an already-placed cell, so rows fill
 left-to-right with bounded drift — the classic Tetris legalizer, which
 keeps displacement small at the utilizations the paper uses (<= 80 %).
+
+The rows of the search window are scored outward from the desired row,
+and each side stops at the first row whose weighted vertical distance
+alone exceeds the best cost found.  The bound is exact: on either side
+the distance grows with every row, also in floating point, and a cost
+``dx + Y_COST_WEIGHT * dy`` with ``dx >= 0`` never rounds below its
+second term, so no row past the stop could win or tie.  Ties go to the
+lower row, the one an ascending scan with a strict ``<`` keeps.
 """
 
 from __future__ import annotations
@@ -58,20 +66,27 @@ def legalize(module: Module, library, floorplan: Floorplan,
         while best_row < 0:
             lo = max(desired_row - radius, 0)
             hi = min(desired_row + radius, n_rows - 1)
-            for r in range(lo, hi + 1):
-                if used[r] + w > capacity:
-                    continue
-                pos = max(edges[r], min(desired_x - w / 2.0,
-                                        capacity - w))
-                if pos + w > capacity:
-                    continue
-                dx = abs(pos + w / 2.0 - desired_x)
-                dy = abs((r + 0.5) * row_h - y_i)
-                cost = dx + Y_COST_WEIGHT * dy
-                if cost < best_cost:
-                    best_cost = cost
-                    best_row = r
-                    best_pos = pos
+            # The desired row and the rows above it, upward; then the
+            # rows below it, downward (see the module doc).
+            for first, last, step in ((desired_row, hi, 1),
+                                      (desired_row - 1, lo, -1)):
+                for r in range(first, last + step, step):
+                    dy = abs((r + 0.5) * row_h - y_i)
+                    if Y_COST_WEIGHT * dy > best_cost:
+                        break
+                    if used[r] + w > capacity:
+                        continue
+                    pos = max(edges[r], min(desired_x - w / 2.0,
+                                            capacity - w))
+                    if pos + w > capacity:
+                        continue
+                    cost = abs(pos + w / 2.0 - desired_x) \
+                        + Y_COST_WEIGHT * dy
+                    if cost < best_cost or (cost == best_cost
+                                            and r < best_row):
+                        best_cost = cost
+                        best_row = r
+                        best_pos = pos
             if best_row < 0:
                 if lo == 0 and hi == n_rows - 1:
                     # Gap fragmentation left no row with edge space near

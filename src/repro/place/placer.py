@@ -9,6 +9,7 @@ import numpy as np
 
 from repro.circuits.netlist import Module
 from repro.kernels.arrays import sequential_sum
+from repro.obs.trace import kernel
 from repro.place.floorplan import Floorplan, NetPoints
 from repro.place.quadratic import place_global
 from repro.place.legalize import legalize
@@ -41,8 +42,9 @@ class Placer:
             module, self.library, self.target_utilization,
             tiers=self.tiers, area_overhead=self.area_overhead)
         x, y = place_global(module, self.library, fp)
-        legalize(module, self.library, fp, x, y,
-                 capacity_factor=float(self.tiers))
+        with kernel("place.legalize", instances=len(module.instances)):
+            legalize(module, self.library, fp, x, y,
+                     capacity_factor=float(self.tiers))
         return PlacementResult(
             floorplan=fp,
             hpwl_um=total_hpwl(module, fp),

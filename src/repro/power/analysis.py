@@ -20,8 +20,9 @@ from typing import Dict
 import numpy as np
 
 from repro.errors import PowerError
+from repro.cells.library import instance_cells, pin_caps
 from repro.circuits.netlist import Module
-from repro.kernels.arrays import as_index, sequential_sum
+from repro.kernels.arrays import sequential_sum
 from repro.power.activity import propagate_activity
 from repro.timing.graph import CombGraph
 from repro.timing.netmodel import NetModel
@@ -82,10 +83,7 @@ def analyze_power(module: Module, library, net_model: NetModel,
     v2 = vdd * vdd
     n_nets = graph.n_nets
 
-    name_ids: Dict[str, int] = {}
-    cid = as_index([name_ids.setdefault(inst.cell_name, len(name_ids))
-                    for inst in module.instances])
-    cells = [library.cell(name) for name in name_ids]
+    cid, cells = instance_cells(library, module.instances)
 
     # -- net switching power -------------------------------------------------
     # Sink pin caps in net-then-sink order; ``bincount`` adds each net's
@@ -94,14 +92,7 @@ def analyze_power(module: Module, library, net_model: NetModel,
     sinks = graph.load_inst >= 0
     sink_inst = graph.load_inst[sinks]
     sink_pin = graph.load_pin[sinks]
-    cap_of = np.array([[cell.pins[p].cap_ff if p in cell.pins else np.nan
-                        for p in graph.pin_names] for cell in cells]
-                      ).reshape(len(cells), len(graph.pin_names))
-    caps = cap_of[cid[sink_inst], sink_pin]
-    missing = np.flatnonzero(np.isnan(caps))
-    if missing.size:
-        k = int(missing[0])
-        cells[cid[sink_inst[k]]].pin(graph.pin_names[sink_pin[k]])
+    caps = pin_caps(cells, cid[sink_inst], sink_pin, graph.pin_names)
     c_pins = np.bincount(graph.load_net[sinks], weights=caps,
                          minlength=n_nets)
     wire_cap_total = _total(c_wire)

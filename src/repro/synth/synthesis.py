@@ -15,11 +15,16 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Optional
+from typing import List, Optional
+
+import numpy as np
 
 from repro.errors import SynthesisError
+from repro.cells.library import instance_cells
 from repro.circuits.netlist import Module, Net, PO_SINK
 from repro.circuits.stats import NetlistStats, compute_stats
+from repro.kernels.arrays import as_index
+from repro.obs.trace import kernel
 from repro.synth.wlm import WireLoadModel
 from repro.timing.netmodel import WLMNetModel
 from repro.timing.sta import TimingAnalyzer, TimingReport
@@ -89,11 +94,19 @@ class Synthesizer:
 
     # -- sizing --------------------------------------------------------------------
 
-    def _upsize_overloaded(self, module: Module, analyzer: TimingAnalyzer,
+    def _upsize_overloaded(self, module: Module,
                            report: TimingReport) -> int:
-        """Upsize drivers whose load/drive ratio is out of range."""
+        """Upsize drivers whose load/drive ratio is out of range.
+
+        An array check over every instance output picks the instances
+        with some output load over the limit of their current cell; the
+        scalar body runs on those alone.  Loads come from the report, so
+        no resize changes another instance's check, and an upsized
+        instance's later outputs still compare against its new cell.
+        """
         changes = 0
-        for inst in module.instances:
+        for inst_idx in self._overloaded(module, report):
+            inst = module.instances[inst_idx]
             cell = self.library.cell(inst.cell_name)
             for pin_name, net_idx in inst.pin_nets.items():
                 if cell.pin(pin_name).direction.value != "output":
@@ -109,6 +122,31 @@ class Synthesizer:
                         changes += 1
                         cell = bigger
         return changes
+
+    def _overloaded(self, module: Module, report: TimingReport
+                    ) -> List[int]:
+        """Instances with an output load over their cell's limit, in
+        index order (a missing load, like a NaN one, is not over)."""
+        conn = module.connectivity()
+        cid, cells = instance_cells(self.library, module.instances)
+        limit = np.array([LOAD_RATIO_LIMIT * max(cell.max_input_cap_ff(),
+                                                 0.05) for cell in cells])
+        # Pin direction by (cell, pin name): 1 output, 0 other, -1 absent.
+        direction = np.array(
+            [[(cell.pins[p].direction.value == "output")
+              if p in cell.pins else -1 for p in conn.pin_names]
+             for cell in cells], dtype=np.int8
+        ).reshape(len(cells), len(conn.pin_names))
+        load = np.full(conn.n_nets, np.nan)
+        load[as_index(list(report.load_ff))] = list(report.load_ff.values())
+        owner = cid[conn.pin_owner]
+        pin_dir = direction[owner, conn.pin_id]
+        absent = np.flatnonzero(pin_dir < 0)
+        if absent.size:
+            k = int(absent[0])
+            cells[owner[k]].pin(conn.pin_names[conn.pin_id[k]])
+        over = (pin_dir > 0) & (load[conn.pin_net] > limit[owner])
+        return np.unique(conn.pin_owner[over]).tolist()
 
     # -- main -----------------------------------------------------------------------
 
@@ -127,7 +165,8 @@ class Synthesizer:
         analyzer = TimingAnalyzer(module, self.library, net_model, clock_ns)
         for passes in range(1, MAX_SIZING_PASSES + 1):
             report = analyzer.run()
-            changed = self._upsize_overloaded(module, analyzer, report)
+            with kernel("synth.upsize"):
+                changed = self._upsize_overloaded(module, report)
             if changed == 0:
                 break
 

@@ -58,6 +58,22 @@ class WLMNetModel(NetModel):
         return (length * self.wlm.unit_r_kohm_per_um,
                 length * self.wlm.unit_c_ff_per_um)
 
+    def net_rc_bulk(self, nets: Sequence[Net], size: int
+                    ) -> Tuple[np.ndarray, np.ndarray]:
+        """:meth:`net_rc` of every net, with one ``length_um`` call per
+        distinct fanout and the same products, so bit-identical."""
+        fanout = np.maximum(as_index([len(net.sinks) for net in nets]), 1)
+        by_fanout = np.zeros(fanout.max(initial=0) + 1)
+        for f in np.flatnonzero(np.bincount(fanout)).tolist():
+            by_fanout[f] = self.wlm.length_um(f)
+        length = by_fanout[fanout]
+        idx = as_index([net.index for net in nets])
+        r = np.zeros(size)
+        c = np.zeros(size)
+        r[idx] = length * self.wlm.unit_r_kohm_per_um
+        c[idx] = length * self.wlm.unit_c_ff_per_um
+        return r, c
+
 
 def steiner_correction(fanout: int) -> float:
     """HPWL -> rectilinear Steiner length correction factor."""

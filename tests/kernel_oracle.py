@@ -9,8 +9,11 @@ net points, passes and L-route demand booking (``repro.route``), the
 timing graph's netlist scan (``repro.timing.graph.CombGraph``), the STA
 propagation and endpoint accounting of ``repro.timing.sta``, the solo
 backward-Euler loop of ``MNACircuit.transient`` (with its Jacobian
-stamp and ground-padding helpers), and the one-transient-at-a-time
-characterization grid of ``repro.characterize.charlib`` that runs it.
+stamp and ground-padding helpers), the one-transient-at-a-time
+characterization grid of ``repro.characterize.charlib`` that runs it,
+the net-by-net pass of the DRV fixer (``repro.opt.drv.fix_drv``) and
+the instance-by-instance overload check of synthesis sizing
+(``Synthesizer._upsize_overloaded``).
 ``test_kernel_equivalence.py`` demands that the array code reproduce
 these results bit for bit on the same inputs, so this module must not
 change with it.
@@ -23,9 +26,12 @@ Deliberate edits, none of which touches the arithmetic:
   :class:`CombGraphScan`;
 * the trace spans and metric counters are gone: the whole-flow checks
   run the oracle beside the flow, where they would add to its trace;
+* ``_upsize_overloaded`` lost its ``analyzer`` parameter, which it
+  never read;
 * helpers the array kernels still call (layer preference, pin loads,
   cell-circuit assembly, measurement windows, leakage, ``levelize``,
-  the MOSFET bank ``_DeviceBank``) are imported from ``repro``; the
+  the MOSFET bank ``_DeviceBank``, the DRV fixer's one-net fix
+  ``_fix_one_net``) are imported from ``repro``; the
   numeric constants the loops read are copied.
 """
 
@@ -67,6 +73,7 @@ from repro.errors import (CharacterizationError, PlacementError,
                           RoutingError, SimulationError, TimingError)
 from repro.extraction.rc import CellParasitics
 from repro.kernels.arrays import as_index
+from repro.opt.drv import _fix_one_net
 from repro.place.floorplan import Floorplan
 from repro.route.grid import RoutingGrid
 from repro.route.router import RoutingResult
@@ -1281,3 +1288,65 @@ def characterize_cell(netlist: CellNetlist,
         setup_time_ps=(SETUP_FRACTION_OF_CLK_Q * mid_delay
                        if sequential else 0.0),
     )
+
+
+# -- DRV fixing (repro.opt.drv) ----------------------------------------------
+
+MAX_PASSES = 4
+
+
+def fix_drv(module: Module, library, floorplan: Floorplan,
+            net_model) -> Tuple[int, int]:
+    """Fix max-cap violations; returns (#upsized, #buffers inserted)."""
+    n_upsized = 0
+    n_buffers = 0
+    start = 0
+    for _pass in range(MAX_PASSES):
+        end = len(module.nets)
+        if start >= end:
+            break
+        pass_buffers = 0
+        for net_idx in range(start, end):
+            net = module.nets[net_idx]
+            if net.is_clock or net.driver is None or net.driver[0] < 0:
+                continue
+            up, buf = _fix_one_net(module, library, floorplan, net_model,
+                                   net)
+            n_upsized += up
+            n_buffers += buf
+            pass_buffers += buf
+        # First pass covers the original netlist; later passes only the
+        # nets created by the previous one.
+        start = end
+        if pass_buffers == 0:
+            break
+    # Every buffered net was invalidated as it was split; upsizing moves
+    # no pin, so no other estimate went stale.
+    return n_upsized, n_buffers
+
+
+# -- synthesis sizing (repro.synth.synthesis.Synthesizer) --------------------
+
+LOAD_RATIO_LIMIT = 10.0
+
+
+def upsize_overloaded(synthesizer, module: Module,
+                      report: TimingReport) -> int:
+    """Upsize drivers whose load/drive ratio is out of range."""
+    changes = 0
+    for inst in module.instances:
+        cell = synthesizer.library.cell(inst.cell_name)
+        for pin_name, net_idx in inst.pin_nets.items():
+            if cell.pin(pin_name).direction.value != "output":
+                continue
+            load = report.load_ff.get(net_idx)
+            if load is None:
+                continue
+            drive_cap = max(cell.max_input_cap_ff(), 0.05)
+            if load > LOAD_RATIO_LIMIT * drive_cap:
+                bigger = synthesizer.library.size_up(cell)
+                if bigger is not None:
+                    module.resize_instance(inst, bigger.name)
+                    changes += 1
+                    cell = bigger
+    return changes

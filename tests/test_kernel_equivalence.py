@@ -13,25 +13,31 @@ from __future__ import annotations
 import copy
 import inspect
 import sys
+from types import SimpleNamespace
 
 import numpy as np
 import pytest
 
 from repro.circuits.generators import generate_benchmark
+from repro.circuits.netlist import Module
 from repro.place.floorplan import Floorplan, NetPoints
 from repro.place import quadratic
 from repro.place.legalize import legalize
 from repro.place.placer import total_hpwl
 from repro.place.quadratic import place_global, spread
 from repro.place.quadratic_numpy import MedianPlan, PlacementSystem
+from repro.opt.drv import MAX_LOAD_RATIO, _net_load, fix_drv
+from repro.place.placer import Placer
 from repro.route.router import GlobalRouter
 from repro.route.grid import RoutingGrid
 from repro.tech.interconnect import InterconnectModel
 from repro.tech.metal import build_stack_2d, build_stack_tmi
+from repro.synth.synthesis import LOAD_RATIO_LIMIT, Synthesizer
+from repro.synth.wlm import WLM_MAX_FANOUT, WireLoadModel
 from repro.tech.node import get_node
 from repro.timing.graph import CombGraph, levelize, levelize_levels
-from repro.timing.netmodel import PlacedNetModel
-from repro.timing.sta import TimingAnalyzer
+from repro.timing.netmodel import NetModel, PlacedNetModel, WLMNetModel
+from repro.timing.sta import TimingAnalyzer, TimingReport
 from tests import kernel_oracle as oracle
 
 
@@ -165,11 +171,44 @@ def _crowded(library):
     return module, floorplan, x, y
 
 
-@pytest.mark.parametrize("case", ["aes", "noc", "gmi", "crowded"])
+# A core width and cell width for which fl(fl(capacity - w) + w) exceeds
+# capacity: a cell wanted at the right edge fails the right-edge clamp in
+# every row, so the left-packed scan places it.  The 7 nm G-MI flow
+# behind the table7 and table14 goldens meets this pair.
+ROUNDING_CORE_UM = 14.475644460144368
+ROUNDING_CELL_UM = 0.16255555555555556
+
+
+def _rounding():
+    """A 20-row core of that width, its last cell wanted at the right
+    edge (a library of one cell width; ``legalize`` reads nothing else)."""
+    library = SimpleNamespace(
+        cell=lambda _name: SimpleNamespace(width_um=ROUNDING_CELL_UM))
+    module = Module("rounding")
+    net = module.add_net("n")
+    n = 8
+    for k in range(n):
+        inst = module.add_instance(f"u{k}", "CELL")
+        module.connect(inst, "Z" if k == 0 else "A", net,
+                       is_driver=k == 0)
+    floorplan = Floorplan(width_um=ROUNDING_CORE_UM, height_um=20 * 1.4,
+                          row_height_um=1.4, target_utilization=0.8)
+    # The other cells sit in the lower rows, so the last one goes to an
+    # empty row of its own.
+    x = np.append(np.linspace(1.0, 13.0, n - 1), ROUNDING_CORE_UM)
+    y = np.append(np.linspace(0.5, 10.0, n - 1), 27.5)
+    return module, library, floorplan, x, y
+
+
+@pytest.mark.parametrize("case",
+                         ["aes", "noc", "gmi", "crowded", "rounding"])
 def test_legalize_and_hpwl_bit_identical(aes_placed, noc_placed, lib45_2d,
                                          case):
+    library = lib45_2d
     if case == "crowded":
         module, floorplan, x, y = _crowded(lib45_2d)
+    elif case == "rounding":
+        module, library, floorplan, x, y = _rounding()
     else:
         module, floorplan = noc_placed if case == "noc" else aes_placed
         x = np.array([inst.x_um for inst in module.instances])
@@ -178,11 +217,15 @@ def test_legalize_and_hpwl_bit_identical(aes_placed, noc_placed, lib45_2d,
     factor = 2.0 if case == "gmi" else 1.0
     want = copy.deepcopy(module)
     got = copy.deepcopy(module)
-    oracle.legalize(want, lib45_2d, floorplan, x, y, capacity_factor=factor)
-    legalize(got, lib45_2d, floorplan, x, y, capacity_factor=factor)
+    oracle.legalize(want, library, floorplan, x, y, capacity_factor=factor)
+    legalize(got, library, floorplan, x, y, capacity_factor=factor)
     assert [(i.x_um, i.y_um) for i in got.instances] \
         == [(i.x_um, i.y_um) for i in want.instances]
     assert total_hpwl(got, floorplan) == oracle.total_hpwl(want, floorplan)
+    if case == "rounding":
+        # The cell wanted at the right edge went left-packed into an
+        # empty row.
+        assert got.instances[-1].x_um == ROUNDING_CELL_UM / 2.0
 
 
 def _lines_run(func, *args, **kwargs):
@@ -208,19 +251,19 @@ def _lines_run(func, *args, **kwargs):
 
 
 def test_crowded_core_reaches_the_fallbacks(lib45_2d):
-    # The crowded case above tests the fallbacks only if the reference
-    # takes them: the widened row search, the scan of every row for a
-    # left-packed spot and the tolerated overlap.  (This core never
-    # finds a left-packed spot.  One is found only when rounding makes
-    # fl(fl(capacity - w) + w) exceed capacity, so that the search
-    # rejects the right-edge clamp in every row with room; the 7 nm
-    # flow behind the table7 and table14 goldens places one G-MI cell
-    # that way.)
-    module, floorplan, x, y = _crowded(lib45_2d)
-    run = _lines_run(oracle.legalize, module, lib45_2d, floorplan, x, y)
-    assert "radius *= 2" in run
-    assert "for r in range(n_rows):" in run
-    assert "best_pos = max(capacity - w, 0.0)" in run
+    # The cases above test the fallbacks only if both legalizers take
+    # them: the widened row search, a placement by the scan of every row
+    # for a left-packed spot, and the tolerated overlap.  The crowded
+    # core widens its search and overlaps, but never finds a left-packed
+    # spot; the rounding case finds one in the scan.
+    for func in (oracle.legalize, legalize):
+        module, floorplan, x, y = _crowded(lib45_2d)
+        crowded = _lines_run(func, module, lib45_2d, floorplan, x, y)
+        module, library, floorplan, x, y = _rounding()
+        rounding = _lines_run(func, module, library, floorplan, x, y)
+        assert "radius *= 2" in crowded & rounding
+        assert "pos = edges[r]" in rounding - crowded
+        assert "best_pos = max(capacity - w, 0.0)" in crowded - rounding
 
 
 def test_cg_residual_bounded_by_direct_solve(aes_small):
@@ -360,18 +403,32 @@ def test_nldm_lookup_batch_matches_scalar(lib45_2d):
         assert np.array_equal(batch, scalar)
 
 
-def test_net_rc_bulk_matches_scalar(aes_placed):
-    module, floorplan = aes_placed
+@pytest.mark.parametrize("kind", ["placed", "wlm"])
+def test_net_rc_bulk_matches_scalar(aes_placed, kind):
+    module, floorplan = copy.deepcopy(aes_placed)
+    # A net with no pins, beside nets over the WLM's fanout cap.
+    module.add_net("floating")
+    assert max(net.fanout for net in module.nets) > WLM_MAX_FANOUT
     interconnect = _interconnect()
-    scalar_model = PlacedNetModel(module, interconnect,
-                                  io_positions=floorplan.io_positions)
-    bulk_model = PlacedNetModel(module, interconnect,
-                                io_positions=floorplan.io_positions)
-    r, c = bulk_model.net_rc_bulk(module.nets, len(module.nets))
-    for net in module.nets:
-        rr, cc = scalar_model.net_rc(net)
-        assert r[net.index] == rr
-        assert c[net.index] == cc
+
+    def model():
+        if kind == "wlm":
+            return WLMNetModel(WireLoadModel.estimate(
+                "aes", 900.0, 0.8, interconnect, is_3d=False))
+        return PlacedNetModel(module, interconnect,
+                              io_positions=floorplan.io_positions)
+
+    n = len(module.nets)
+    subset = module.nets[n // 2::3] + module.nets[:5]
+    for nets in (module.nets, subset, []):
+        scalar_model = model()
+        r, c = model().net_rc_bulk(nets, n)
+        want_r = np.zeros(n)
+        want_c = np.zeros(n)
+        for net in nets:
+            want_r[net.index], want_c[net.index] = scalar_model.net_rc(net)
+        assert np.array_equal(r, want_r)
+        assert np.array_equal(c, want_c)
 
 
 def _sta_pair(module, library, floorplan, interconnect):
@@ -830,6 +887,251 @@ def test_netmodel_degenerate_nets_match(aes_placed):
     assert not r0.any() and not c0.any()
 
 
+# -- budget checks (DRV fixing, synthesis sizing) ----------------------------
+#
+# ``fix_drv`` and ``Synthesizer._upsize_overloaded`` find their candidates
+# with array code and run the scalar fix on those alone; the oracle scans
+# every net or instance.  Each check runs the oracle on a deep copy and
+# demands the same edits and counts.
+
+
+def _netlist_state(module):
+    """Everything the budget checks can edit: cells, pins, sinks and
+    positions."""
+    return ([inst.cell_name for inst in module.instances],
+            [dict(inst.pin_nets) for inst in module.instances],
+            [list(net.sinks) for net in module.nets],
+            [(inst.x_um, inst.y_um) for inst in module.instances])
+
+
+def _fix_drv_checked(module, library, floorplan, net_model, fix=fix_drv):
+    want_module, want_model = copy.deepcopy((module, net_model))
+    want = oracle.fix_drv(want_module, library, floorplan, want_model)
+    got = fix(module, library, floorplan, net_model)
+    assert got == want
+    assert _netlist_state(module) == _netlist_state(want_module)
+    return got
+
+
+def _upsize_checked(synthesizer, module, report,
+                    upsize=Synthesizer._upsize_overloaded):
+    want_module = copy.deepcopy(module)
+    want = oracle.upsize_overloaded(synthesizer, want_module, report)
+    got = upsize(synthesizer, module, report)
+    assert got == want
+    assert _netlist_state(module) == _netlist_state(want_module)
+    return got
+
+
+class _WireCaps(NetModel):
+    """Wire caps set by hand, per net index (none elsewhere), so a test
+    can put a load on its budget to the last bit."""
+
+    def __init__(self, caps=None):
+        self.caps = dict(caps or {})
+
+    def net_rc(self, net):
+        return 0.0, self.caps.get(net.index, 0.0)
+
+    def invalidate(self, net_idx=None):
+        if net_idx is None:
+            self.caps.clear()
+        else:
+            self.caps.pop(net_idx, None)
+
+
+def _crafted_floorplan():
+    return Floorplan(width_um=50.0, height_um=50.0, row_height_um=1.4,
+                     target_utilization=0.8)
+
+
+def _fan(module, net, cell, count, x0=10.0):
+    """``count`` sinks of ``cell`` on ``net`` along a row, each driving
+    a primary output of its own."""
+    for k in range(count):
+        inst = module.add_instance(f"{module.nets[net].name}_{k}", cell)
+        module.connect(inst, "A", net)
+        out = module.add_net(f"{module.nets[net].name}_o{k}")
+        module.connect(inst, "ZN" if cell.startswith("INV") else "Z", out,
+                       is_driver=True)
+        module.mark_primary_output(out)
+        inst.x_um, inst.y_um = x0 + k, 10.0
+
+
+def _driven(module, name, cell, pins):
+    """An instance of ``cell`` at (10, 10) connected as ``pins`` says:
+    pin -> (net, is_driver)."""
+    inst = module.add_instance(name, cell)
+    for pin, (net, is_driver) in pins.items():
+        module.connect(inst, pin, net, is_driver=is_driver)
+    inst.x_um, inst.y_um = 10.0, 10.0
+    return inst
+
+
+@pytest.fixture()
+def fpu_placed(lib45_2d):
+    module = generate_benchmark("fpu", scale=0.1)
+    placement = Placer(lib45_2d, 0.80).run(module)
+    return module, placement.floorplan
+
+
+def test_fix_drv_matches_oracle_on_placed_fpu(fpu_placed, lib45_2d):
+    module, floorplan = fpu_placed
+    net_model = PlacedNetModel(module, _interconnect(),
+                               io_positions=floorplan.io_positions)
+    upsized, buffers = _fix_drv_checked(module, lib45_2d, floorplan,
+                                        net_model)
+    assert upsized > 0 and buffers > 0
+
+
+def test_upsize_overloaded_matches_oracle_on_placed_fpu(fpu_placed,
+                                                        lib45_2d):
+    module, floorplan = fpu_placed
+    wlm = WireLoadModel.estimate("fpu", 5000.0, 0.8, _interconnect(),
+                                 is_3d=False)
+    synthesizer = Synthesizer(lib45_2d, wlm)
+    net_model = PlacedNetModel(module, _interconnect(),
+                               io_positions=floorplan.io_positions)
+    analyzer = TimingAnalyzer(module, lib45_2d, net_model, 10.0)
+    changes = [_upsize_checked(synthesizer, module, analyzer.run())
+               for _pass in range(3)]
+    assert changes[0] > 0
+
+
+def test_fix_drv_rechecks_nets_after_an_upsize(lib45_2d):
+    # ``late`` feeds the driver of the earlier net ``early``.  Fixing
+    # ``early`` upsizes that driver, whose bigger input cap pushes
+    # ``late`` over its budget: the pass must read ``late`` again,
+    # though its load was under budget when the pass began.
+    module = Module("recheck")
+    early = module.add_net("early")
+    late = module.add_net("late")
+    pi = module.add_net("pi")
+    module.mark_primary_input(pi)
+    first = _driven(module, "first", "INV_X1",
+                    {"A": (pi, False), "ZN": (late, True)})
+    _driven(module, "second", "INV_X1",
+            {"A": (late, False), "ZN": (early, True)})
+    _fan(module, early, "INV_X8", 8)
+    _fan(module, late, "INV_X1", 10)
+    net_model = _WireCaps()
+    budget = MAX_LOAD_RATIO * lib45_2d.cell("INV_X1").max_input_cap_ff()
+    assert sum(_net_load(module, lib45_2d, net_model,
+                         module.nets[late])) <= budget
+    _fix_drv_checked(module, lib45_2d, _crafted_floorplan(), net_model)
+    assert module.instance_by_name("second").cell_name == "INV_X8"
+    assert first.cell_name == "INV_X2"
+
+
+def test_fix_drv_two_output_driver_over_budget_on_both(lib45_2d):
+    # FA_X1 has no bigger size: both of its overloaded outputs get
+    # buffered, each against the same driver.
+    module = Module("fa")
+    s, co = module.add_net("s"), module.add_net("co")
+    pins = {"S": (s, True), "CO": (co, True)}
+    for pin in ("A", "B", "CI"):
+        net = module.add_net(pin)
+        module.mark_primary_input(net)
+        pins[pin] = (net, False)
+    _driven(module, "fa", "FA_X1", pins)
+    _fan(module, s, "INV_X32", 6)
+    _fan(module, co, "INV_X32", 6, x0=20.0)
+    _upsized, buffers = _fix_drv_checked(module, lib45_2d,
+                                         _crafted_floorplan(), _WireCaps())
+    assert buffers >= 2
+    assert module.instance_by_name("fa").cell_name == "FA_X1"
+
+
+def test_fix_drv_keeps_a_load_exactly_at_its_budget(lib45_2d):
+    # Two INV_X1 drivers of one INV_X8 sink each: wire caps put one load
+    # on the budget to the last bit (``<=`` keeps it) and the other one
+    # ulp over.
+    module = Module("exact")
+    budget = MAX_LOAD_RATIO * lib45_2d.cell("INV_X1").max_input_cap_ff()
+    pin_cap = lib45_2d.cell("INV_X8").pin_cap_ff("A")
+    wire = budget - pin_cap
+    while wire + pin_cap < budget:
+        wire = np.nextafter(wire, np.inf)
+    above = wire
+    while above + pin_cap <= budget:
+        above = np.nextafter(above, np.inf)
+    assert wire + pin_cap == budget
+    caps = {}
+    for name, cap in (("at", wire), ("over", above)):
+        pi = module.add_net(f"{name}_in")
+        module.mark_primary_input(pi)
+        net = module.add_net(name)
+        _driven(module, f"{name}_drv", "INV_X1",
+                {"A": (pi, False), "ZN": (net, True)})
+        _fan(module, net, "INV_X8", 1)
+        caps[net] = float(cap)
+    assert _fix_drv_checked(module, lib45_2d, _crafted_floorplan(),
+                            _WireCaps(caps)) == (1, 0)
+    assert module.instance_by_name("at_drv").cell_name == "INV_X1"
+    assert module.instance_by_name("over_drv").cell_name == "INV_X2"
+
+
+def test_fix_drv_never_touches_clock_or_pi_driven_nets(lib45_2d):
+    # A flop's overloaded output is fixed by upsizing the flop, whose
+    # pins also sit on a later clock net and a later PI-driven net, both
+    # far over any budget: the re-check must not reach either.
+    module = Module("clocked")
+    q = module.add_net("q")
+    clk = module.add_net("clk")
+    din = module.add_net("din")
+    module.mark_primary_input(din)
+    clk_in = module.add_net("clk_in")
+    module.mark_primary_input(clk_in)
+    _driven(module, "clkbuf", "CLKBUF_X1",
+            {"A": (clk_in, False), "Z": (clk, True)})
+    module.mark_clock_net(clk)
+    flop = _driven(module, "flop", "DFF_X1",
+                   {"D": (din, False), "CK": (clk, False), "Q": (q, True)})
+    _fan(module, q, "INV_X8", 2)
+    _fan(module, clk, "INV_X8", 8)
+    _fan(module, din, "INV_X8", 8, x0=20.0)
+    before = _netlist_state(module)
+    _fix_drv_checked(module, lib45_2d, _crafted_floorplan(), _WireCaps())
+    assert flop.cell_name == "DFF_X2"
+    assert module.instance_by_name("clkbuf").cell_name == "CLKBUF_X1"
+    for net in (clk, din, clk_in):
+        assert module.nets[net].sinks == before[2][net]
+
+
+def test_upsize_overloaded_crafted_loads(lib45_2d):
+    # Loads set in the report: FA_X1 over on both outputs (no bigger
+    # size), DFF_X1 over on both (the second output compares against
+    # the upsized DFF_X2, at its top), an INV_X1 load exactly on its
+    # limit (kept) and one ulp over, and an output with no load.
+    module = Module("sizing")
+    loads = {}
+    limit = LOAD_RATIO_LIMIT * max(
+        lib45_2d.cell("INV_X1").max_input_cap_ff(), 0.05)
+    specs = (("fa", "FA_X1", {"S": 1e3, "CO": 1e3}),
+             ("flop", "DFF_X1", {"Q": 1e3, "QN": 1e3}),
+             ("at", "INV_X1", {"ZN": limit}),
+             ("over", "INV_X1", {"ZN": float(np.nextafter(limit, np.inf))}),
+             ("unloaded", "INV_X1", {"ZN": None}))
+    for name, cell, outputs in specs:
+        inst = module.add_instance(name, cell)
+        for pin in lib45_2d.cell(cell).pins:
+            net = module.add_net(f"{name}_{pin}")
+            module.connect(inst, pin, net, is_driver=pin in outputs)
+            if pin in outputs and outputs[pin] is not None:
+                loads[net] = outputs[pin]
+            elif pin not in outputs:
+                module.mark_primary_input(net)
+    report = TimingReport(clock_ps=1000.0, arrival_ps={}, slew_ps={},
+                          endpoint_slack_ps={}, wns_ps=0.0, tns_ps=0.0,
+                          critical_endpoint=None, load_ff=loads)
+    wlm = WireLoadModel.estimate("sizing", 100.0, 0.8, _interconnect(),
+                                 is_3d=False)
+    assert _upsize_checked(Synthesizer(lib45_2d, wlm), module,
+                           report) == 2
+    assert [inst.cell_name for inst in module.instances] \
+        == ["FA_X1", "DFF_X2", "INV_X1", "INV_X2", "INV_X1"]
+
+
 # -- incremental STA -----------------------------------------------------------
 #
 # The analyzer keeps its timing graph and wire-RC arrays alive between
@@ -973,12 +1275,40 @@ def checked_graph(monkeypatch):
     return tally
 
 
+@pytest.fixture()
+def checked_budgets(monkeypatch):
+    """Repeat every DRV fix and synthesis overload check with the oracle
+    on a deep copy of its inputs.  Yields a tally of the calls compared.
+    """
+    from repro.opt import optimizer
+
+    fix = optimizer.fix_drv
+    upsize = Synthesizer._upsize_overloaded
+    tally = {"fix_drv": 0, "upsize": 0}
+
+    def checked_fix(module, library, floorplan, net_model):
+        got = _fix_drv_checked(module, library, floorplan, net_model,
+                               fix=fix)
+        tally["fix_drv"] += 1
+        return got
+
+    def checked_upsize(self, module, report):
+        got = _upsize_checked(self, module, report, upsize=upsize)
+        tally["upsize"] += 1
+        return got
+
+    monkeypatch.setattr(optimizer, "fix_drv", checked_fix)
+    monkeypatch.setattr(Synthesizer, "_upsize_overloaded", checked_upsize)
+    return tally
+
+
 @pytest.mark.parametrize("circuit,seed,is_3d", [
     ("aes", 1, False),
     ("des", 2, True),
 ], ids=["aes_2d", "des_3d"])
 def test_flow_kernels_match_oracle(checked_layout, checked_sta,
-                                   checked_graph, circuit, seed, is_3d):
+                                   checked_graph, checked_budgets,
+                                   circuit, seed, is_3d):
     from repro.flow.design_flow import FlowConfig, run_flow
 
     run_flow(FlowConfig(circuit=circuit, scale=0.06, seed=seed,
@@ -989,6 +1319,8 @@ def test_flow_kernels_match_oracle(checked_layout, checked_sta,
     assert checked_sta["runs"] >= 5
     # Synthesis, optimization, sign-off and power all built graphs.
     assert checked_graph["graphs"] >= 5
+    assert checked_budgets["fix_drv"] >= 1
+    assert checked_budgets["upsize"] >= 1
 
 
 def _split_net(module):
