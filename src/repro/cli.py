@@ -282,10 +282,10 @@ def _cmd_trace(args: argparse.Namespace) -> int:
 
 def _cmd_bench(args: argparse.Namespace) -> int:
     """Regenerate several experiments as one deduplicated session."""
-    import hashlib
     import json
     import time
 
+    from repro.check.goldens import row_digest
     from repro.experiments import runner
     from repro.runtime.session import current_session
 
@@ -304,11 +304,9 @@ def _cmd_bench(args: argparse.Namespace) -> int:
     for experiment_id in ids:
         rows = _run_one_experiment(experiment_id)
         print()
-        # Canonical digest of the measured rows: the determinism check
-        # across -j levels compares these.
-        digests[experiment_id] = hashlib.sha256(
-            json.dumps(rows, sort_keys=True, default=str).encode()
-        ).hexdigest()
+        # The golden gate's digest: the determinism check across -j
+        # levels compares these.
+        digests[experiment_id] = row_digest(rows)
     wall_s = time.perf_counter() - start
 
     status = _report_session_errors()

@@ -26,21 +26,27 @@ overhead (Fig. 7), and the target clock (Fig. 4).  The gate-level style
 (G-MI, ``fold_style="gate"``) runs through the same stages, departing
 from them where :data:`repro.flow.gmi.GATE_LEVEL` says.
 
-When a checkpoint store is bound (``--resume``, parallel workers), each
-supervised stage additionally consults the stage-level incremental
-cache (:mod:`repro.flow.stagecache`): its result is keyed on the
-digests of the upstream stages it consumes plus the config parameters
-it reads, so a one-knob change (e.g. ``router_detour_coeff``) reuses
-synthesis and placement checkpoints and recomputes only routing, STA
-and power.  The audit stage is never cached — every run, warm or cold,
-is re-verified.
+When a checkpoint store is bound (``--resume``, parallel workers), the
+run consults the stage-level incremental cache
+(:mod:`repro.flow.stagecache`), whose keys hash the digests of the
+upstream stages plus the config parameters each stage reads.  Stages
+hand one :class:`FlowState` along, and it is what the synthesis, the
+placement-attempt and the sign-off checkpoints hold.  Right after
+``prepare`` the run looks up its sign-off state: when that loads, only
+``power`` and ``audit`` run.  Otherwise synthesis through sign-off run,
+each state stage looking its checkpoint up inside its supervised body,
+so a one-knob change (e.g. ``router_detour_coeff``) reuses the
+synthesis and placement checkpoints and recomputes routing onward.
+Power keeps its own small entry; the audit stage is never cached —
+every run, warm or cold, is re-verified.
 """
 
 from __future__ import annotations
 
+import functools
 import logging
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from typing import Dict, Optional, Tuple
 
 from repro.cells.folding import FOLD_DEFAULT, FoldSpec
@@ -52,6 +58,7 @@ from repro.check.power import check_power
 from repro.check.routing import check_routing
 from repro.check.timing import check_timing
 from repro.circuits.generators import generate_benchmark
+from repro.circuits.netlist import Module
 from repro.errors import CongestionError, RoutingError
 from repro.flow import stagecache
 from repro.flow.gmi import CELL_LEVEL, GATE_LEVEL, IntegrationStyle, with_mivs
@@ -60,6 +67,7 @@ from repro.runtime.session import current_session
 from repro.runtime.supervisor import StagePolicy, StageSupervisor
 from repro.opt.cts import synthesize_clock_tree
 from repro.opt.optimizer import Optimizer
+from repro.place.floorplan import Floorplan
 from repro.place.placer import Placer
 from repro.power.analysis import PowerReport, analyze_power
 from repro.route.router import DETOUR_COEFF, GlobalRouter, RoutingResult
@@ -74,7 +82,7 @@ from repro.tech.metal import (
 from repro.tech.miv import MIV_KOZ_DEFAULT, routing_capacity_scale
 from repro.tech.node import get_node
 from repro.timing.netmodel import PlacedNetModel, RoutedNetModel
-from repro.timing.sta import TimingAnalyzer
+from repro.timing.sta import TimingAnalyzer, TimingReport
 
 logger = logging.getLogger(__name__)
 
@@ -235,16 +243,35 @@ def _count_buffers(module, library) -> int:
 
 
 @dataclass
-class _LayoutAttempt:
-    """State produced by one layout attempt (placement through routing)."""
+class FlowState:
+    """The design as it stands between two stages of one run.
 
-    floorplan: object
-    net_model: PlacedNetModel
-    optimizer: Optimizer
-    router: GlobalRouter
-    routing: RoutingResult
-    pre_opt_buffers: int
-    utilization_target: float
+    The one payload of the state checkpoints (synthesis, each placement
+    attempt, sign-off).  Synthesis fills the module, its clock and cell
+    count; a placement attempt adds the floorplan, the utilization it
+    placed at and the pre-route buffer counts; layout, post-route and
+    sign-off bring the routing up to date, and sign-off adds the timing
+    report and the routed net model.  A sign-off state holds everything
+    power, the audit and :class:`LayoutResult` read.  The module is
+    shared, and edited in place, by the states of one run.
+    """
+
+    module: Module
+    clock_ns: float
+    synthesis_cells: int
+    floorplan: Optional[Floorplan] = None
+    utilization_target: float = 0.0
+    # CTS buffers of every placement attempt so far (a retry re-places
+    # the module with its buffers); pre-route optimization buffers of
+    # the last attempt.
+    cts_buffers: int = 0
+    pre_opt_buffers: int = 0
+    post_opt_buffers: int = 0
+    routing: Optional[RoutingResult] = None
+    report: Optional[TimingReport] = None
+    routed_model: Optional[RoutedNetModel] = None
+    # Nets between cells on different device tiers, one MIV each.
+    crossing_nets: int = 0
 
 
 def run_flow(config: FlowConfig) -> LayoutResult:
@@ -262,9 +289,9 @@ def run_flow(config: FlowConfig) -> LayoutResult:
 def _run_stages(config: FlowConfig,
                 supervisor: StageSupervisor) -> LayoutResult:
     # Stage-level incremental cache: pass-through unless a store is
-    # bound (--resume / parallel workers).  Lookups happen *inside* the
-    # supervised stage bodies, so the journal, tracing, and fault hooks
-    # cover cached stages too; the audit stage is never cached.
+    # bound (--resume / parallel workers).  A stage that runs looks its
+    # checkpoint up inside its supervised body; the audit stage is
+    # never cached.
     memo = stagecache.StageMemo(config)
     style = config.integration()
 
@@ -290,211 +317,122 @@ def _run_stages(config: FlowConfig,
     else:
         koz_capacity_scale = 1.0
 
+    # Each stage builds its engines from the state: they keep nothing
+    # past their constructor arguments, and a fresh placed net model
+    # equals an invalidated one.
+    def _net_model(state: FlowState) -> PlacedNetModel:
+        return PlacedNetModel(state.module, interconnect,
+                              io_positions=state.floorplan.io_positions)
+
+    def _router(state: FlowState) -> GlobalRouter:
+        return GlobalRouter(library, interconnect, state.floorplan,
+                            detour_coeff=config.router_detour_coeff,
+                            capacity_scale=koz_capacity_scale)
+
     # -- synthesis -------------------------------------------------------------
-    def _synthesis():
-        def compute():
-            module = generate_benchmark(config.circuit, scale=config.scale,
-                                        seed=config.seed)
-            pre_area = sum(library.cell(i.cell_name).area_um2
-                           for i in module.instances)
-            wlm = WireLoadModel.estimate(
-                name=f"{config.circuit}-{config.style()}",
-                total_cell_area_um2=pre_area * style.wlm_area_scale,
-                utilization=config.target_utilization,
-                interconnect=interconnect,
-                is_3d=library.is_3d,
-                use_tmi_lengths=config.use_tmi_wlm,
-            )
-            synthesizer = Synthesizer(library, wlm,
-                                      target_clock_ns=config.target_clock_ns,
-                                      tightness=config.tightness)
-            synth = synthesizer.run(module)
-            return module, synth.clock_ns
-
-        return memo.cached("synthesis", compute)
-
-    module, clock_ns = supervisor.run_stage("synthesis", _synthesis)
-    synthesis_cells = module.n_cells
+    def _synthesis() -> FlowState:
+        module = generate_benchmark(config.circuit, scale=config.scale,
+                                    seed=config.seed)
+        pre_area = sum(library.cell(i.cell_name).area_um2
+                       for i in module.instances)
+        wlm = WireLoadModel.estimate(
+            name=f"{config.circuit}-{config.style()}",
+            total_cell_area_um2=pre_area * style.wlm_area_scale,
+            utilization=config.target_utilization,
+            interconnect=interconnect,
+            is_3d=library.is_3d,
+            use_tmi_lengths=config.use_tmi_wlm,
+        )
+        synthesizer = Synthesizer(library, wlm,
+                                  target_clock_ns=config.target_clock_ns,
+                                  tightness=config.tightness)
+        synth = synthesizer.run(module)
+        return FlowState(module=module, clock_ns=synth.clock_ns,
+                         synthesis_cells=module.n_cells)
 
     # -- placement + optimization + routing, with congestion fallback ----------
-    # One supervised attempt; congestion raises and the supervisor
-    # retries at lowered utilization, or degrades to the congested
-    # layout once MAX_ROUTE_RETRIES attempts are exhausted.
-    utilization_target = config.target_utilization
-    cts_buffers = 0
-    attempt_no = 0
-    layout_cached = False
+    def _place(state: FlowState, utilization: float) -> FlowState:
+        """Placer, pre-route optimization and CTS: one placement attempt."""
+        placer = Placer(library, target_utilization=utilization,
+                        tiers=style.tiers, area_overhead=style.area_overhead)
+        placed = replace(state, floorplan=placer.run(state.module).floorplan,
+                         utilization_target=utilization)
+        optimizer = Optimizer(library, interconnect, placed.floorplan,
+                              state.clock_ns)
+        pre_opt = optimizer.run(state.module, _net_model(placed))
+        cts = synthesize_clock_tree(state.module, library, placed.floorplan)
+        # Buffers inserted for a dense floorplan stay across retries;
+        # re-placement re-legalizes everything in the larger core.
+        return replace(placed, cts_buffers=state.cts_buffers + cts.n_buffers,
+                       pre_opt_buffers=pre_opt.n_buffers_added)
 
-    def _rebuild_layout(floorplan):
-        """Live engine objects for a floorplan restored from the cache.
+    def _layout(synthesized: FlowState) -> FlowState:
+        # One supervised attempt; congestion raises and the supervisor
+        # retries at lowered utilization, or degrades to the congested
+        # layout once MAX_ROUTE_RETRIES attempts are exhausted.  Each
+        # attempt re-places the module the previous one left.
+        state = synthesized
+        utilization = config.target_utilization
+        attempt_no = 0
 
-        They are stateless beyond their constructor arguments (and the
-        placed net model is a pure cache that post_route invalidates
-        anyway), so rebuilding them is equivalent to having computed
-        them alongside the cached placement.
-        """
-        net_model = PlacedNetModel(module, interconnect,
-                                   io_positions=floorplan.io_positions)
-        optimizer = Optimizer(library, interconnect, floorplan, clock_ns)
-        router = GlobalRouter(library, interconnect, floorplan,
-                              detour_coeff=config.router_detour_coeff,
-                              capacity_scale=koz_capacity_scale)
-        return net_model, optimizer, router
+        def _attempt() -> FlowState:
+            nonlocal state, attempt_no
+            attempt_no += 1
+            placed = None
+            if memo.enabled:
+                # Placement checkpoint (everything before routing): a
+                # router-only change misses sign-off's checkpoint but
+                # hits here, so only routing onward recomputes.
+                key = memo.placement_key(utilization, attempt_no)
+                placed = memo.fetch("placement", key)
+            if placed is None:
+                placed = _place(state, utilization)
+                if memo.enabled:
+                    memo.save(key, placed)
+            state = placed
+            attempt = replace(placed, routing=_router(placed).run(
+                placed.module))
+            overflow = attempt.routing.grid.worst_overflow()
+            if overflow > CONGESTION_TRIGGER and \
+                    config.target_clock_ns is None:
+                raise CongestionError(
+                    f"{config.circuit} {config.style()}: congestion "
+                    f"overflow {overflow:.2f} at utilization "
+                    f"{utilization:.2f}", partial=attempt, overflow=overflow)
+            # Paired run at an externally chosen clock: the floorplan
+            # policy (utilization) is part of the experiment setup and
+            # must match the lead run; congestion shows up as routing
+            # detours and timing pressure instead (exactly the 7 nm T-MI
+            # congestion effect Section 6 discusses).
+            return attempt
 
-    def _layout_attempt() -> _LayoutAttempt:
-        nonlocal module, cts_buffers, attempt_no, layout_cached
-        if memo.enabled and attempt_no == 0:
-            # Composite checkpoint of the whole congestion loop: the
-            # final module/floorplan/routing after any retries or
-            # degradation, keyed on everything that can reach layout.
-            payload = memo.fetch("layout", memo.key("layout"))
-            if payload is not None:
-                layout_cached = True
-                module = payload["module"]
-                cts_buffers = payload["cts_buffers"]
-                floorplan = payload["floorplan"]
-                net_model, optimizer, router = _rebuild_layout(floorplan)
-                return _LayoutAttempt(
-                    floorplan=floorplan,
-                    net_model=net_model,
-                    optimizer=optimizer,
-                    router=router,
-                    routing=payload["routing"],
-                    pre_opt_buffers=payload["pre_opt_buffers"],
-                    utilization_target=payload["utilization_target"],
-                )
-        attempt_no += 1
-        placed = None
-        pkey = None
-        if memo.enabled:
-            # Placement sub-checkpoint (placer + pre-route optimization
-            # + CTS, i.e. everything before routing): a router-only
-            # parameter change misses the composite above but hits
-            # here, so only routing onward recomputes.
-            pkey = memo.placement_key(utilization_target, attempt_no)
-            placed = memo.fetch("placement", pkey)
-        if placed is not None:
-            module = placed["module"]
-            floorplan = placed["floorplan"]
-            cts_buffers += placed["cts_buffers"]
-            pre_opt_buffers = placed["pre_opt_buffers"]
-            net_model, optimizer, router = _rebuild_layout(floorplan)
-        else:
-            placer = Placer(library, target_utilization=utilization_target,
-                            tiers=style.tiers,
-                            area_overhead=style.area_overhead)
-            placement = placer.run(module)
-            floorplan = placement.floorplan
-            net_model = PlacedNetModel(module, interconnect,
-                                       io_positions=floorplan.io_positions)
+        def _on_congestion(failed: int, exc: BaseException) -> None:
+            nonlocal utilization
+            # The paper's move: lower placement utilization and redo
+            # layout (LDPC went from 80 % to ~33 %).
+            logger.info(
+                "%s %s: congestion overflow %s at utilization %.2f; "
+                "retrying at %.2f", config.circuit, config.style(),
+                getattr(exc, "overflow", None), utilization,
+                utilization * CONGESTION_UTIL_STEP)
+            utilization *= CONGESTION_UTIL_STEP
 
-            optimizer = Optimizer(library, interconnect, floorplan,
-                                  clock_ns)
-            pre_opt = optimizer.run(module, net_model)
-
-            cts = synthesize_clock_tree(module, library, floorplan)
-            # Buffers inserted for a dense floorplan stay across retries;
-            # re-placement re-legalizes everything in the larger core.
-            cts_buffers += cts.n_buffers
-            pre_opt_buffers = pre_opt.n_buffers_added
-
-            router = GlobalRouter(library, interconnect, floorplan,
-                                  detour_coeff=config.router_detour_coeff,
-                                  capacity_scale=koz_capacity_scale)
-            if pkey is not None:
-                memo.save(pkey, {
-                    "module": module,
-                    "floorplan": floorplan,
-                    "cts_buffers": cts.n_buffers,
-                    "pre_opt_buffers": pre_opt_buffers,
-                })
-        routing = router.run(module)
-        attempt = _LayoutAttempt(
-            floorplan=floorplan,
-            net_model=net_model,
-            optimizer=optimizer,
-            router=router,
-            routing=routing,
-            pre_opt_buffers=pre_opt_buffers,
-            utilization_target=utilization_target,
-        )
-        overflow = routing.grid.worst_overflow()
-        if overflow > CONGESTION_TRIGGER and config.target_clock_ns is None:
-            raise CongestionError(
-                f"{config.circuit} {config.style()}: congestion overflow "
-                f"{overflow:.2f} at utilization {utilization_target:.2f}",
-                partial=attempt, overflow=overflow)
-        # Paired run at an externally chosen clock: the floorplan policy
-        # (utilization) is part of the experiment setup and must match
-        # the lead run; congestion shows up as routing detours and
-        # timing pressure instead (exactly the 7 nm T-MI congestion
-        # effect Section 6 discusses).
-        return attempt
-
-    def _on_congestion(attempt_no: int, exc: BaseException) -> None:
-        nonlocal utilization_target
-        # The paper's move: lower placement utilization and redo layout
-        # (LDPC went from 80 % to ~33 %).
-        logger.info(
-            "%s %s: congestion overflow %s at utilization %.2f; "
-            "retrying at %.2f", config.circuit, config.style(),
-            getattr(exc, "overflow", None), utilization_target,
-            utilization_target * CONGESTION_UTIL_STEP)
-        utilization_target *= CONGESTION_UTIL_STEP
-
-    layout = supervisor.run_stage("layout", _layout_attempt,
-                                  policy=LAYOUT_POLICY,
-                                  on_retry=_on_congestion)
-    floorplan = layout.floorplan
-    net_model = layout.net_model
-    optimizer = layout.optimizer
-    router = layout.router
-    utilization_target = layout.utilization_target
-    if memo.enabled and not layout_cached:
-        # The composite outcome is only known here: the supervisor may
-        # have retried at stepped utilization or degraded to the
-        # congested partial, and that final state is what must replay.
-        memo.save(memo.key("layout"), {
-            "module": module,
-            "floorplan": floorplan,
-            "routing": layout.routing,
-            "pre_opt_buffers": layout.pre_opt_buffers,
-            "utilization_target": utilization_target,
-            "cts_buffers": cts_buffers,
-        })
+        return supervisor.run_stage("layout", _attempt,
+                                    policy=LAYOUT_POLICY,
+                                    on_retry=_on_congestion)
 
     # -- post-route optimization -------------------------------------------------
-    def _post_route():
+    def _post_route(state: FlowState) -> FlowState:
         if not style.post_route_opt:
-            return {"module": module, "routing": layout.routing,
-                    "opt_buffers": 0}
-
-        def compute():
-            net_model.invalidate()
-            post_opt = optimizer.run(module, net_model)
-            return {
-                "module": module,
-                "routing": router.run(module),
-                "opt_buffers": post_opt.n_buffers_added,
-            }
-
-        return memo.cached("post_route", compute)
-
-    post_route = supervisor.run_stage("post_route", _post_route)
-    routing = post_route["routing"]
-    post_opt_buffers = post_route["opt_buffers"]
-    if post_route["module"] is not module:
-        # Restored from the stage cache: rebind the module snapshot and
-        # rebuild the net model that wraps it (fresh == invalidated).
-        module = post_route["module"]
-        net_model = PlacedNetModel(module, interconnect,
-                                   io_positions=floorplan.io_positions)
+            return state
+        optimizer = Optimizer(library, interconnect, state.floorplan,
+                              state.clock_ns)
+        post_opt = optimizer.run(state.module, _net_model(state))
+        return replace(state, routing=_router(state).run(state.module),
+                       post_opt_buffers=post_opt.n_buffers_added)
 
     # -- sign-off -------------------------------------------------------------------
-    def _signoff():
-        return memo.cached("signoff", _signoff_compute)
-
-    def _routed_model(route):
+    def _routed_model(module, route):
         """Sign-off net model of ``route`` and its count of MIV nets:
         with cells on two tiers, each net between them gets an MIV."""
         ress, caps = route.resistances_kohm, route.capacitances_ff
@@ -503,11 +441,11 @@ def _run_stages(config: FlowConfig,
             ress, caps, crossing = with_mivs(module, library, ress, caps)
         return RoutedNetModel(route.lengths_um, ress, caps), crossing
 
-    def _signoff_compute():
-        clock = clock_ns
-        route = routing
-        opt = optimizer
-        routed_model, crossing = _routed_model(route)
+    def _signoff(state: FlowState) -> FlowState:
+        module = state.module
+        clock = state.clock_ns
+        route = state.routing
+        routed_model, crossing = _routed_model(module, route)
         # One-run analyzers stay temporaries: an analyzer keeps its
         # timing graph, which the retune's optimizer and router would
         # otherwise carry at the flow's memory peak.
@@ -534,11 +472,11 @@ def _run_stages(config: FlowConfig,
                 margin = {"fast": 1.0, "medium": 1.05, "slow": 1.30}[
                     config.tightness]
                 clock = math.ceil(achieved_ps * margin / 10.0) / 100.0
-                opt = Optimizer(library, interconnect, floorplan, clock)
-                net_model.invalidate()
-                opt.run(module, net_model, fix_drvs=False)
-                route = router.run(module)
-                routed_model, crossing = _routed_model(route)
+                optimizer = Optimizer(library, interconnect,
+                                      state.floorplan, clock)
+                optimizer.run(module, _net_model(state), fix_drvs=False)
+                route = _router(state).run(module)
+                routed_model, crossing = _routed_model(module, route)
                 retuned = True
             if retuned:
                 report = TimingAnalyzer(module, library, routed_model,
@@ -548,35 +486,36 @@ def _run_stages(config: FlowConfig,
                         (clock * 1000.0 - report.wns_ps) / 10.0) / 100.0
                     report = TimingAnalyzer(module, library,
                                             routed_model, clock).run()
-        # The retune branch may have mutated the module; snapshot it so
-        # a cache hit replays the same post-signoff netlist state.
-        return {
-            "module": module,
-            "clock_ns": clock,
-            "report": report,
-            "routing": route,
-            "routed_model": routed_model,
-            "crossing_nets": crossing,
-        }
+        signed = replace(state, clock_ns=clock, routing=route,
+                         report=report, routed_model=routed_model,
+                         crossing_nets=crossing)
+        if memo.enabled:
+            memo.save(memo.key("signoff"), signed)
+        return signed
 
-    signoff = supervisor.run_stage("signoff", _signoff)
-    clock_ns = signoff["clock_ns"]
-    report = signoff["report"]
-    routing = signoff["routing"]
-    routed_model = signoff["routed_model"]
-    if signoff["module"] is not module:
-        module = signoff["module"]
+    # A run whose sign-off state is in the store restores it in one load
+    # and runs only power and the audit: the stages that state covers do
+    # not run and are not journaled.
+    state = memo.fetch("signoff", memo.key("signoff")) \
+        if memo.enabled else None
+    if state is None:
+        state = supervisor.run_stage(
+            "synthesis", lambda: memo.cached("synthesis", _synthesis))
+        state = _layout(state)
+        state = supervisor.run_stage("post_route",
+                                     functools.partial(_post_route, state))
+        state = supervisor.run_stage("signoff",
+                                     functools.partial(_signoff, state))
+    module, floorplan = state.module, state.floorplan
 
     # -- power -------------------------------------------------------------------
     def _power():
-        def compute():
-            return analyze_power(module, library, routed_model, clock_ns,
-                                 pi_activity=config.pi_activity,
-                                 seq_activity=config.seq_activity)
+        return analyze_power(module, library, state.routed_model,
+                             state.clock_ns, pi_activity=config.pi_activity,
+                             seq_activity=config.seq_activity)
 
-        return memo.cached("power", compute)
-
-    power = supervisor.run_stage("power", _power)
+    power = supervisor.run_stage("power",
+                                 lambda: memo.cached("power", _power))
 
     # -- invariant audit ----------------------------------------------------------
     # Machine-check what the stages claim (legal placement, connected
@@ -589,12 +528,14 @@ def _run_stages(config: FlowConfig,
         audit_report = AuditReport()
         findings, n = check_placement(module, library, floorplan)
         audit_report.extend(findings, n)
-        findings, n = check_routing(module, floorplan, routing,
+        findings, n = check_routing(module, floorplan, state.routing,
                                     interconnect)
         audit_report.extend(findings, n)
-        findings, n = check_timing(module, library, report, clock_ns)
+        findings, n = check_timing(module, library, state.report,
+                                   state.clock_ns)
         audit_report.extend(findings, n)
-        findings, n = check_power(power, module, library, routed_model)
+        findings, n = check_power(power, module, library,
+                                  state.routed_model)
         audit_report.extend(findings, n)
         if audit_report.findings:
             counter("audit.findings").inc(
@@ -605,22 +546,22 @@ def _run_stages(config: FlowConfig,
 
     result = LayoutResult(
         config=config,
-        clock_ns=clock_ns,
+        clock_ns=state.clock_ns,
         footprint_um2=floorplan.area_um2,
         core_width_um=floorplan.width_um,
         core_height_um=floorplan.height_um,
         n_cells=module.n_cells,
         n_buffers=_count_buffers(module, library),
         utilization=floorplan.utilization_of(module, library),
-        utilization_target=utilization_target,
-        total_wirelength_um=routing.total_wirelength_um,
-        wns_ps=report.wns_ps,
+        utilization_target=state.utilization_target,
+        total_wirelength_um=state.routing.total_wirelength_um,
+        wns_ps=state.report.wns_ps,
         power=power,
-        routing=routing,
-        synthesis_cells=synthesis_cells,
-        cts_buffers=cts_buffers,
-        opt_buffers=layout.pre_opt_buffers + post_opt_buffers,
-        crossing_nets=signoff["crossing_nets"],
+        routing=state.routing,
+        synthesis_cells=state.synthesis_cells,
+        cts_buffers=state.cts_buffers,
+        opt_buffers=state.pre_opt_buffers + state.post_opt_buffers,
+        crossing_nets=state.crossing_nets,
         audit=audit,
     )
     if flow_audit.collecting():
@@ -630,10 +571,10 @@ def _run_stages(config: FlowConfig,
             interconnect=interconnect,
             module=module,
             floorplan=floorplan,
-            routing=routing,
-            routed_model=routed_model,
-            timing_report=report,
-            clock_ns=clock_ns,
+            routing=state.routing,
+            routed_model=state.routed_model,
+            timing_report=state.report,
+            clock_ns=state.clock_ns,
             power=power,
             result=result,
             label=supervisor.run_label,

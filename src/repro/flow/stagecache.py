@@ -21,6 +21,17 @@ defaults, so 2D configs that differ only there share every digest.
 The whole-run memo (:mod:`repro.experiments.runner`) keys a completed
 run on the chain's last digest (:func:`run_key`).
 
+The flow's state (a ``FlowState``) is checkpointed after synthesis,
+after each placement attempt and after sign-off; power keeps its
+report.  Layout and post-route have digests but no entries of their
+own, because no knob enters at either without also moving sign-off's
+digest.  A run
+first looks up its sign-off state and, when that loads, runs only power
+and the audit; otherwise it runs synthesis through sign-off, restoring
+the synthesis and placement states it finds.  So a run whose sign-off
+entry is missing, as after one stopped inside post-route or sign-off,
+re-routes from its placement checkpoints.
+
 Stage payloads live in the same :class:`~repro.runtime.checkpoint.
 CheckpointStore` as whole-run results (same schema versioning, same
 corruption quarantine, same cross-process create-rename safety): the
@@ -30,10 +41,12 @@ so stage hits cross process boundaries.  With no store bound,
 :class:`StageMemo` is pass-through: the flow computes exactly as
 before, no metrics, no disk.
 
-Hits and misses are counted per stage (``checkpoint.stage_hits``,
-``checkpoint.stage_misses``, plus ``.<stage>``-suffixed variants); the
-``audit`` stage is deliberately never memoized — every run, cached or
-not, is re-verified against the flow invariants.
+Every load goes through :meth:`StageMemo.fetch`, which counts hits and
+misses per stage (``checkpoint.stage_hits``, ``checkpoint.stage_misses``,
+plus ``.<stage>``-suffixed variants): a warm replay counts two hits,
+``signoff`` and ``power``.  The ``audit`` stage is deliberately never
+memoized — every run, cached or not, is re-verified against the flow
+invariants.
 """
 
 from __future__ import annotations
@@ -88,11 +101,12 @@ PLANAR_FIELDS: Dict[str, object] = {
 _DIGEST_ORDER = ("prepare", "synthesis", "placement", "layout",
                  "post_route", "signoff", "power")
 
-# Stages whose payloads are persisted.  ``prepare`` only seeds the chain
-# (the library cache is in-process and cheap); ``audit`` re-verifies
-# every run by design; ``placement`` persists via its per-attempt keys.
-PERSISTED_STAGES = ("synthesis", "layout", "post_route", "signoff",
-                    "power")
+# Stages whose payloads are persisted under their digests.  ``prepare``
+# only seeds the chain (the library cache is in-process and cheap);
+# ``layout`` and ``post_route`` live on in the sign-off state; ``audit``
+# re-verifies every run by design; ``placement`` persists via its
+# per-attempt keys.
+PERSISTED_STAGES = ("synthesis", "signoff", "power")
 
 # Row order for whatif reports: the supervised stages plus the
 # placement sub-step, in flow order.
@@ -300,6 +314,8 @@ def whatif(base_config: object, changed_config: object,
         note = ""
         if stage == "prepare":
             note = "in-process (library cache)"
+        elif stage in ("layout", "post_route"):
+            note = "kept in the signoff checkpoint"
         rows.append({"stage": stage, "reused": reused, "warm": warm,
                      "note": note})
     return rows

@@ -104,7 +104,9 @@ logger = logging.getLogger(__name__)
 # 8: whole runs are keyed on the stage-digest chain (stagecache.run_key),
 #    whose 2D digests drop the knobs 2D runs ignore, and LayoutResult
 #    carries ``crossing_nets``.
-SCHEMA_VERSION = 8
+# 9: one FlowState is the payload of the synthesis, placement-attempt and
+#    sign-off entries; the layout and post-route entries are gone.
+SCHEMA_VERSION = 9
 
 _MAGIC = b"repro-ckpt"
 

@@ -68,6 +68,10 @@ ALWAYS = -1
 FS_FAULT_KINDS = ("torn_write", "partial_rename", "enospc", "io_error",
                   "stale_lock", "bit_flip")
 
+# Store operations that consult the plan (FsFaultSpec.op): a load never
+# does, so a load fault could not fire.
+FS_FAULT_OPS = ("store", "lock")
+
 
 def _resolve_error(name: str) -> type:
     """Map an exception-class name to the class in :mod:`repro.errors`."""
@@ -117,10 +121,10 @@ class FsFaultSpec:
     """One deterministic filesystem fault against the checkpoint store.
 
     ``kind`` names the failure class (see :data:`FS_FAULT_KINDS`); ``op``
-    restricts it to one store operation (``"store"``, ``"load"``, or
-    ``"lock"``; ``None`` matches any); ``key_filter`` restricts it to
-    store keys containing the substring.  Occurrence counting
-    (``skip``/``times``) works exactly like :class:`FaultSpec`.
+    restricts it to one store operation (``"store"`` or ``"lock"``, see
+    :data:`FS_FAULT_OPS`; ``None`` matches both); ``key_filter``
+    restricts it to store keys containing the substring.  Occurrence
+    counting (``skip``/``times``) works exactly like :class:`FaultSpec`.
     """
 
     kind: str
@@ -132,6 +136,8 @@ class FsFaultSpec:
     def __post_init__(self) -> None:
         if self.kind not in FS_FAULT_KINDS:
             raise ValueError(f"unknown filesystem fault kind: {self.kind!r}")
+        if self.op is not None and self.op not in FS_FAULT_OPS:
+            raise ValueError(f"unknown store operation: {self.op!r}")
 
     def matches(self, op: str, key: str) -> bool:
         if self.op is not None and self.op != op:

@@ -23,7 +23,6 @@ from typing import Dict, Optional, Tuple
 
 from repro.errors import TimingError
 from repro.circuits.netlist import Module, Net, PO_SINK
-from repro.timing.graph import levelize
 from repro.timing.netmodel import NetModel
 from repro.timing.sta_numpy import run_numpy
 
@@ -33,8 +32,6 @@ LN2 = math.log(2.0)
 DEFAULT_INPUT_SLEW_PS = 20.0
 DEFAULT_CLOCK_SLEW_PS = 30.0
 DEFAULT_OUTPUT_LOAD_FF = 2.0
-# Hold requirement as a fraction of the setup time (typical library ratio).
-HOLD_FRACTION_OF_SETUP = 0.3
 
 
 @dataclass
@@ -102,82 +99,6 @@ class TimingAnalyzer:
     def run(self) -> TimingReport:
         """Level-batched setup STA (:mod:`repro.timing.sta_numpy`)."""
         return run_numpy(self)
-
-    def run_min(self) -> Dict[Tuple[int, str], float]:
-        """Hold-check slacks: min-path arrival minus hold requirement.
-
-        Ideal clock (zero skew) as in the paper's flow, so the check is
-        ``min_arrival >= hold`` at every sequential D pin, with the hold
-        requirement taken as a fraction of the cell's setup time (the
-        usual library ratio).  Returns endpoint -> hold slack (ps).
-        """
-        module = self.module
-        library = self.library
-        order = levelize(module, library)
-        is_seq = [library.cell(i.cell_name).is_sequential
-                  for i in module.instances]
-        arrival: Dict[int, float] = {}
-
-        for net_idx in module.primary_inputs:
-            if module.nets[net_idx].is_clock:
-                continue
-            arrival[net_idx] = 0.0
-        for inst in module.instances:
-            if not is_seq[inst.index]:
-                continue
-            cell = library.cell(inst.cell_name)
-            for pin_name, net_idx in inst.pin_nets.items():
-                if cell.pin(pin_name).direction.value != "output":
-                    continue
-                net = module.nets[net_idx]
-                load = self.net_load_ff(net)
-                d = cell.delay_ps(DEFAULT_CLOCK_SLEW_PS, load)
-                prev = arrival.get(net_idx)
-                if prev is None or d < prev:
-                    arrival[net_idx] = d
-
-        for inst_idx in order:
-            inst = module.instances[inst_idx]
-            cell = library.cell(inst.cell_name)
-            in_arrival = float("inf")
-            for pin_name, net_idx in inst.pin_nets.items():
-                if cell.pin(pin_name).direction.value != "input":
-                    continue
-                in_arrival = min(in_arrival,
-                                 arrival.get(net_idx, 0.0))
-            if in_arrival == float("inf"):
-                in_arrival = 0.0
-            for pin_name, net_idx in inst.pin_nets.items():
-                if cell.pin(pin_name).direction.value != "output":
-                    continue
-                net = module.nets[net_idx]
-                load = self.net_load_ff(net)
-                d = cell.delay_ps(self.input_slew_ps, load)
-                a = in_arrival + d
-                prev = arrival.get(net_idx)
-                if prev is None or a < prev:
-                    arrival[net_idx] = a
-
-        hold_slack: Dict[Tuple[int, str], float] = {}
-        for inst in module.instances:
-            if not is_seq[inst.index]:
-                continue
-            cell = library.cell(inst.cell_name)
-            setup = (cell.characterization.setup_time_ps
-                     if cell.characterization else 0.0)
-            hold_req = HOLD_FRACTION_OF_SETUP * setup
-            for pin_name, net_idx in inst.pin_nets.items():
-                pin = cell.pin(pin_name)
-                if pin.direction.value != "input" or pin.is_clock:
-                    continue
-                hold_slack[(inst.index, pin_name)] = \
-                    arrival.get(net_idx, 0.0) - hold_req
-        return hold_slack
-
-    def worst_hold_slack_ps(self) -> float:
-        """Smallest hold slack over all sequential endpoints."""
-        slacks = self.run_min()
-        return min(slacks.values()) if slacks else float("inf")
 
     def max_arrival_ps(self, report: Optional[TimingReport] = None) -> float:
         """Longest endpoint arrival (critical path delay), ps."""

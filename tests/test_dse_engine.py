@@ -2,10 +2,10 @@
 and deterministic frontier reports.
 
 The sweeps here vary ``pi_activity``/``seq_activity`` — power-stage-only
-knobs — so after the first full flow every further point reuses the
-synthesis/placement/layout/signoff checkpoints and only recomputes the
-power stage.  That keeps a multi-point exploration barely more
-expensive than one flow run.
+knobs — so after the first full flow every further point restores the
+sign-off state in one load and only recomputes the power stage.  That
+keeps a multi-point exploration barely more expensive than one flow
+run.
 """
 
 import json
@@ -41,14 +41,15 @@ def test_grid_explore_evaluates_every_point_and_replays_the_front():
     assert result.rounds == 1
     assert result.front, "some point must be non-dominated"
     # Provenance: every frontier member replays entirely from the warm
-    # stage store — five persisted stages hit, nothing recomputed.
+    # stage store — the sign-off state and the power report hit,
+    # nothing recomputed.
     assert result.provenance
     for row in result.provenance:
-        assert row["stage_hits"] == 5
+        assert row["stage_hits"] == 2
         assert row["stage_misses"] == 0
         assert row["replay_ok"]
         assert len(row["trace_digest"]) == 64
-    assert result.cache_hits == 5 * len(result.front)
+    assert result.cache_hits == 2 * len(result.front)
 
 
 def test_stage_cached_points_equal_cold_isolated_flows():
@@ -187,7 +188,7 @@ def test_failures_abort_without_keep_going(monkeypatch):
 def test_engine_reuses_a_bound_persistent_store(tmp_path):
     runner.use_persistent_cache(tmp_path / "store")
     first = DseEngine(_space(), objectives=("power", "leakage")).explore()
-    assert first.cache_hits == 5 * len(first.front)
+    assert first.cache_hits == 2 * len(first.front)
     # Second exploration in a fresh process-state: every evaluation is
     # already warm in the store.
     runner.clear_caches()

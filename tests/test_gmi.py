@@ -95,6 +95,7 @@ def test_gmi_rerun_replays_from_the_stage_store(fresh_session, tmp_path):
         second = run_flow(config)
     counts = tracer.counts()
     assert counts.get("checkpoint.stage_misses", 0) == 0
-    assert counts["checkpoint.stage_hits"] > 0
+    assert counts["checkpoint.stage_hits"] == 2
+    assert counts["checkpoint.stage_hits.signoff"] == 1
     assert second.power == first.power
     assert second.crossing_nets == first.crossing_nets

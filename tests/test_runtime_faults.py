@@ -123,6 +123,17 @@ def test_fs_fault_spec_rejects_unknown_kind():
         FsFaultSpec(kind="disk_melts")
 
 
+def test_fs_fault_spec_rejects_an_operation_the_store_never_asks_about():
+    """The store consults the plan on "store" and "lock" only: a "load"
+    spec could never fire, so it is refused up front."""
+    from repro.runtime.faults import FsFaultSpec
+
+    with pytest.raises(ValueError):
+        FsFaultSpec(kind="io_error", op="load")
+    for op in (None, "store", "lock"):
+        assert FsFaultSpec(kind="io_error", op=op).op == op
+
+
 def test_fs_fault_counting_filters_and_skip():
     from repro.runtime.faults import FaultPlan, FsFaultSpec
 

@@ -159,16 +159,3 @@ def test_load_includes_pin_caps(lib45_2d):
     load = analyzer.net_load_ff(m.nets[z])
     expected = 4 * lib45_2d.cell("INV_X4").pin_cap_ff("A")
     assert load == pytest.approx(expected)
-
-
-def test_hold_analysis(lib45_2d):
-    m = _registered_pair()
-    analyzer = TimingAnalyzer(m, lib45_2d, ZeroWireModel(), 10.0)
-    slacks = analyzer.run_min()
-    ff2 = m.instance_by_name("ff2")
-    # The registered path (clk->Q + inverter) easily meets hold.
-    assert slacks[(ff2.index, "D")] > 0.0
-    # A PI-fed endpoint with zero input delay is the worst case.
-    ff1 = m.instance_by_name("ff1")
-    assert slacks[(ff1.index, "D")] <= slacks[(ff2.index, "D")]
-    assert analyzer.worst_hold_slack_ps() == min(slacks.values())
